@@ -22,23 +22,17 @@ from .config import (
     prep_vector,
 )
 from .dynamics import (
-    ReducedState,
-    RelatedEntropies,
+    Observables,
     RelaxationFit,
     RelaxationFitError,
     TimeGrid,
     TimeSeries,
-    TimeSeriesRecord,
     binary_entropy_bits,
-    decoherence_function,
-    entropy,
     evolve,
-    fidelity,
     fit_relaxation_time,
     initial_amplitudes,
+    observables,
     quadratic_decay_coefficient,
-    reduce_state,
-    related_entropies,
     run_time_series,
     series_to_csv,
 )
@@ -52,7 +46,6 @@ from .model import (
     UniformCoupling,
     build_h1,
     coupling_matrix,
-    coupling_value,
     mode_frequencies,
 )
 from .presets import PRESET_NAMES, build_preset

@@ -125,7 +125,7 @@ def criterion_4() -> CriterionResult:
         series = dynamics.run_time_series(params, sector.m_superposition(n, m), grid)
         frac = m / n
         f_want = (1.0 - frac) ** 2
-        s_want = dynamics.binary_entropy_bits(frac)
+        s_want = dynamics.binary_entropy_bits(frac, 1.0 - frac)
         f_diff = abs(series.late_fidelity_mean - f_want)
         s_diff = abs(series.late_entropy_mean - s_want)
         ok = f_diff <= 0.05 and s_diff <= 0.05
@@ -177,6 +177,7 @@ def criterion_6() -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250810)
     n, nb = 3, 7
+    norm_times = np.array([1.0, 10.0, 100.0, 1000.0])
     worst_norm = 0.0
     worst_comp = 0.0
     for _ in range(20):
@@ -186,9 +187,8 @@ def criterion_6() -> CriterionResult:
         for _ in range(50):
             c0 = rng.standard_normal(n + nb) + 1j * rng.standard_normal(n + nb)
             c0 /= np.linalg.norm(c0)
-            for t in (1.0, 10.0, 100.0, 1000.0):
-                ct = dynamics.evolve(sd, c0, t)
-                worst_norm = max(worst_norm, abs(float(np.linalg.norm(ct)) - 1.0))
+            norms = np.linalg.norm(dynamics.evolve(sd, c0, norm_times), axis=-1)
+            worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
             two_step = dynamics.evolve(sd, dynamics.evolve(sd, c0, 7.3), 12.9)
             one_step = dynamics.evolve(sd, c0, 7.3 + 12.9)
             worst_comp = max(worst_comp, float(np.linalg.norm(two_step - one_step)))
@@ -217,7 +217,7 @@ def criterion_7() -> CriterionResult:
         c0 = dynamics.initial_amplitudes(prep, params.shape)
 
         def fid_at(t: float) -> float:
-            return dynamics.fidelity(c0, matexp.expm_evolve(h1, c0, t), n)
+            return dynamics.observables(c0, matexp.expm_evolve(h1, c0, t), n).fidelity
 
         # Richardson pair (h, 2h) cancels the quartic term exactly.
         a_oracle = (

@@ -179,6 +179,20 @@ def _as_float(key: str, value: str, lineno: int) -> float:
     return x
 
 
+def _positive_float(key: str, value: str, lineno: int) -> float:
+    x = _as_float(key, value, lineno)
+    if x <= 0:
+        raise ConfigError(f"line {lineno}: {key} must be positive, got {value!r}")
+    return x
+
+
+def _int_at_least(key: str, value: str, lineno: int, minimum: int) -> int:
+    n = _as_int(key, value, lineno)
+    if n < minimum:
+        raise ConfigError(f"line {lineno}: {key} must be at least {minimum}, got {n}")
+    return n
+
+
 def _as_complex(key: str, value: str, lineno: int) -> complex:
     try:
         return complex(value.replace(" ", ""))
@@ -188,18 +202,14 @@ def _as_complex(key: str, value: str, lineno: int) -> complex:
         ) from None
 
 
-def _load_matrix(key: str, path: Path, lineno: int, shape: tuple[int, int]) -> np.ndarray:
+def _load_matrix(key: str, path: Path, lineno: int) -> np.ndarray:
+    """Whitespace-separated numbers of a data file as a 2-D float array."""
     try:
-        data = np.loadtxt(path, ndmin=2)
+        return np.loadtxt(path, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"line {lineno}: cannot read {key} file {path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: malformed {key} file {path}: {exc}") from None
-    if data.shape != shape:
-        raise ConfigError(
-            f"line {lineno}: {key} file {path} has shape {data.shape}, expected {shape}"
-        )
-    return data
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
@@ -207,21 +217,14 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     base = Path(base_dir)
     ent = _Entries(text)
 
-    value, lineno = ent.require("register.n_qubits")
-    n_qubits = _as_int("register.n_qubits", value, lineno)
-    value, lineno = ent.require("register.n_modes")
-    n_modes = _as_int("register.n_modes", value, lineno)
-    try:
-        shape = RegisterShape(n_qubits, n_modes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    n_qubits = _int_at_least("register.n_qubits", *ent.require("register.n_qubits"), 1)
+    n_modes = _int_at_least("register.n_modes", *ent.require("register.n_modes"), 1)
+    shape = RegisterShape(n_qubits, n_modes)
 
     epsilon = 1.0
     got = ent.take("model.epsilon")
     if got is not None:
-        epsilon = _as_float("model.epsilon", *got)
-        if epsilon <= 0:
-            raise ConfigError(f"line {got[1]}: model.epsilon must be positive")
+        epsilon = _positive_float("model.epsilon", *got)
 
     value, lineno = ent.require("coupling.type")
     coupling_path: str | None = None
@@ -231,17 +234,19 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         context = "uniform coupling"
     elif value == "cosine":
         g0 = _as_float("coupling.g0", *ent.require("coupling.g0"))
-        xi_value, xi_line = ent.require("coupling.xi")
-        xi = _as_float("coupling.xi", xi_value, xi_line)
-        if xi <= 0:
-            raise ConfigError(f"line {xi_line}: coupling.xi must be positive")
+        xi = _positive_float("coupling.xi", *ent.require("coupling.xi"))
         coupling = CosineCoupling(g0, xi)
         context = "cosine coupling"
     elif value == "explicit":
         file_value, file_line = ent.require("coupling.file")
         path = (base / file_value).resolve()
         coupling_path = str(path)
-        matrix = _load_matrix("coupling.file", path, file_line, (n_modes, n_qubits))
+        matrix = _load_matrix("coupling.file", path, file_line)
+        if matrix.shape != (n_modes, n_qubits):
+            raise ConfigError(
+                f"line {file_line}: coupling.file file {path} has shape {matrix.shape}, "
+                f"expected {(n_modes, n_qubits)}"
+            )
         coupling = ExplicitCoupling(matrix)
         context = "explicit coupling"
     else:
@@ -271,12 +276,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         file_value, file_line = ent.require("dispersion.file")
         path = (base / file_value).resolve()
         dispersion_path = str(path)
-        try:
-            omegas = np.loadtxt(path).ravel()
-        except OSError as exc:
-            raise ConfigError(
-                f"line {file_line}: cannot read dispersion.file {path}: {exc}"
-            ) from None
+        omegas = _load_matrix("dispersion.file", path, file_line).ravel()
         if omegas.size != n_modes:
             raise ConfigError(
                 f"line {file_line}: dispersion.file lists {omegas.size} frequencies "
@@ -358,13 +358,9 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             raise ConfigError(f"line {got[1]}: unknown key for {context}: {key!r}")
     ent.consumed.update(("prep.n", "prep.m", "prep.cs", "prep.ca", "prep.amplitudes"))
 
-    t_max = _as_float("grid.t_max", *ent.require("grid.t_max"))
-    steps_value, steps_line = ent.require("grid.n_steps")
-    n_steps = _as_int("grid.n_steps", steps_value, steps_line)
-    try:
-        grid = TimeGrid(t_max, n_steps)
-    except ValueError as exc:
-        raise ConfigError(f"line {steps_line}: {exc}") from None
+    t_max = _positive_float("grid.t_max", *ent.require("grid.t_max"))
+    n_steps = _int_at_least("grid.n_steps", *ent.require("grid.n_steps"), 2)
+    grid = TimeGrid(t_max, n_steps)
 
     output_path, _ = ent.require("output.path")
 

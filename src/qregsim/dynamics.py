@@ -11,9 +11,8 @@ follow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,21 +21,15 @@ from .sector import RegisterShape
 from .spectral import SpectralDecomposition, diagonalize
 
 __all__ = [
-    "ReducedState",
-    "RelatedEntropies",
+    "Observables",
     "TimeGrid",
-    "TimeSeriesRecord",
     "TimeSeries",
     "RelaxationFit",
     "RelaxationFitError",
     "initial_amplitudes",
     "evolve",
-    "reduce_state",
-    "decoherence_function",
-    "fidelity",
+    "observables",
     "binary_entropy_bits",
-    "entropy",
-    "related_entropies",
     "run_time_series",
     "series_to_csv",
     "fit_relaxation_time",
@@ -50,29 +43,6 @@ LATE_WINDOW_FRACTION = 0.25
 CSV_HEADER = "t,fidelity,entropy_bits,p0,p1,d_re,d_im"
 
 _EVAL_CHUNK = 4096
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedState:
-    """Register state after tracing out the bath.
-
-    p1 is the probability that the register still holds the excitation, p0
-    that it has leaked to the bath; spin_amplitudes is the (unnormalized)
-    spin block whose outer product gives the excited part of the density
-    matrix, so p1 equals its squared norm.
-    """
-
-    p1: float
-    p0: float
-    spin_amplitudes: np.ndarray
-
-
-class RelatedEntropies(NamedTuple):
-    """Bath, conditional, and mutual entropies implied by global purity."""
-
-    bath: float
-    conditional: float
-    mutual: float
 
 
 @dataclass(frozen=True)
@@ -90,17 +60,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_steps)
-
-
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    t: float
-    fidelity: float
-    entropy_bits: float
-    p0: float
-    p1: float
-    d_re: float
-    d_im: float
 
 
 @dataclass(eq=False)
@@ -124,17 +83,15 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.times.size
 
-    def records(self) -> Iterator[TimeSeriesRecord]:
-        for j in range(self.times.size):
-            yield TimeSeriesRecord(
-                float(self.times[j]),
-                float(self.fidelity[j]),
-                float(self.entropy_bits[j]),
-                float(self.p0[j]),
-                float(self.p1[j]),
-                float(self.d_re[j]),
-                float(self.d_im[j]),
-            )
+
+class Observables(NamedTuple):
+    """Register observables, one entry per amplitude row (see observables)."""
+
+    d: np.ndarray
+    fidelity: np.ndarray
+    p1: np.ndarray
+    p0: np.ndarray
+    entropy_bits: np.ndarray
 
 
 def initial_amplitudes(prep: np.ndarray, shape: RegisterShape) -> np.ndarray:
@@ -152,74 +109,52 @@ def initial_amplitudes(prep: np.ndarray, shape: RegisterShape) -> np.ndarray:
     return c0
 
 
-def evolve(sd: SpectralDecomposition, c0: np.ndarray, t: float) -> np.ndarray:
-    """Amplitudes at time t: sum_i <phi_i|c0> exp(-i E_i t) |phi_i>."""
+def evolve(sd: SpectralDecomposition, c0: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Amplitudes sum_i <phi_i|c0> exp(-i E_i t) |phi_i> at time(s) t.
+
+    A scalar t gives one amplitude vector; an array of times gives one
+    amplitude row per time, of shape t.shape + (dim,).
+    """
     c0 = np.asarray(c0, dtype=complex)
     if c0.shape != (sd.dim,):
         raise ValueError(f"amplitude vector has size {c0.size}, expected {sd.dim}")
     proj = sd.eigenvectors.conj().T @ c0
-    return sd.eigenvectors @ (np.exp(-1j * sd.eigenvalues * t) * proj)
+    return (np.exp(-1j * np.multiply.outer(t, sd.eigenvalues)) * proj) @ sd.eigenvectors.T
 
 
-def reduce_state(c: np.ndarray, n_qubits: int) -> ReducedState:
-    """Partial trace over the bath.
+def binary_entropy_bits(p1: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the distribution {p1, p0}, elementwise, 0*log2(0) = 0."""
+    pc1 = np.clip(p1, 1e-300, 1.0)
+    pc0 = np.clip(p0, 1e-300, 1.0)
+    return np.maximum(-(p1 * np.log2(pc1) + p0 * np.log2(pc0)), 0.0)
 
-    Spin-boson cross terms vanish identically under the trace, so the
-    register state is fixed by the spin amplitudes and the leaked weight:
-    p1 = sum_alpha |C_alpha|^2, p0 = sum_k |C_k|^2.
+
+def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
+    """Register observables of amplitude rows c (last axis over the basis).
+
+    Tracing out the bath kills the spin-boson cross terms, so the register
+    state is fixed by the spin block: p1 = sum_alpha |C_alpha|^2 and the
+    leaked weight p0 = sum_k |C_k|^2, read off the bath block on its own so
+    that p0 + p1 - 1 measures norm drift. D(t) = sum_alpha C_alpha(t)
+    conj(C_alpha(0)); for the half-and-half superposition of the reference
+    state with the spin preparation the register coherence is D/2. For a
+    pure spin preparation c0 the fidelity is <psi_0|rho_s|psi_0> = |D|^2.
+    The register entropy S is the binary entropy of {p1, p0}. The global
+    state is pure, so the bath entropy equals S, both conditional entropies
+    equal -S, and the mutual entropy is -2S.
     """
-    c = np.asarray(c, dtype=complex)
-    spin = c[:n_qubits].copy()
-    p1 = min(float(np.sum(np.abs(spin) ** 2)), 1.0)
-    p0 = min(float(np.sum(np.abs(c[n_qubits:]) ** 2)), 1.0)
-    return ReducedState(p1=p1, p0=p0, spin_amplitudes=spin)
-
-
-def decoherence_function(c0: np.ndarray, ct: np.ndarray, n_qubits: int) -> complex:
-    """D(t) = sum_alpha C_alpha(t) * conj(C_alpha(0)) over the spin block.
-
-    For the half-and-half superposition of the reference state with the spin
-    preparation, the off-diagonal register matrix element equals D(t)/2, so
-    |D| tracks coherence decay directly.
-    """
-    return complex(np.vdot(np.asarray(c0)[:n_qubits], np.asarray(ct)[:n_qubits]))
-
-
-def fidelity(c0: np.ndarray, ct: np.ndarray, n_qubits: int) -> float:
-    """Input-output fidelity |D(t)|^2 = <psi_0|rho_s(t)|psi_0>.
-
-    Assumes c0 is a pure spin-block preparation (boson block zero).
-    """
-    d = decoherence_function(c0, ct, n_qubits)
-    return min(abs(d) ** 2, 1.0)
-
-
-def binary_entropy_bits(p1: float, p0: float | None = None) -> float:
-    """Entropy in bits of the distribution {p1, p0}, with 0*log2(0) = 0."""
-    if p0 is None:
-        p0 = 1.0 - p1
-    s = 0.0
-    for p in (p1, p0):
-        p = min(max(p, 0.0), 1.0)
-        if p > 0.0:
-            s -= p * math.log2(p)
-    return max(s, 0.0)
-
-
-def entropy(rs: ReducedState) -> float:
-    """Register von Neumann entropy in bits (binary entropy of {p0, p1})."""
-    return binary_entropy_bits(rs.p1, rs.p0)
-
-
-def related_entropies(rs: ReducedState) -> RelatedEntropies:
-    """Bath, conditional, and mutual entropies.
-
-    The global state is pure, so the bath entropy equals the register one,
-    both conditional entropies equal its negative, and the mutual entropy is
-    twice that: (S, -S, -2S).
-    """
-    s = entropy(rs)
-    return RelatedEntropies(bath=s, conditional=-s, mutual=-2.0 * s)
+    c = np.asarray(c)
+    spin = c[..., :n_qubits]
+    d = spin @ np.asarray(c0)[:n_qubits].conj()
+    p1 = np.minimum(np.sum(np.abs(spin) ** 2, axis=-1), 1.0)
+    p0 = np.minimum(np.sum(np.abs(c[..., n_qubits:]) ** 2, axis=-1), 1.0)
+    return Observables(
+        d=d,
+        fidelity=np.minimum(np.abs(d) ** 2, 1.0),
+        p1=p1,
+        p0=p0,
+        entropy_bits=binary_entropy_bits(p1, p0),
+    )
 
 
 def run_time_series(
@@ -233,45 +168,24 @@ def run_time_series(
     n = params.shape.n_qubits
     sd = diagonalize(build_h1(params))
     c0 = initial_amplitudes(prep, params.shape)
-    proj = sd.eigenvectors.conj().T @ c0
-    basis_t = sd.eigenvectors.T
-    spin0 = c0[:n].conj()
-
     times = grid.times()
-    fid = np.empty_like(times)
-    ent = np.empty_like(times)
-    p0s = np.empty_like(times)
-    p1s = np.empty_like(times)
-    d_re = np.empty_like(times)
-    d_im = np.empty_like(times)
-
-    for start in range(0, times.size, _EVAL_CHUNK):
-        sl = slice(start, min(start + _EVAL_CHUNK, times.size))
-        phases = np.exp(-1j * np.outer(times[sl], sd.eigenvalues))
-        amps = (phases * proj) @ basis_t
-        d = amps[:, :n] @ spin0
-        d_re[sl] = d.real
-        d_im[sl] = d.imag
-        fid[sl] = np.minimum(np.abs(d) ** 2, 1.0)
-        p1 = np.minimum(np.sum(np.abs(amps[:, :n]) ** 2, axis=1), 1.0)
-        p0 = np.minimum(np.sum(np.abs(amps[:, n:]) ** 2, axis=1), 1.0)
-        p1s[sl] = p1
-        p0s[sl] = p0
-        pc1 = np.clip(p1, 1e-300, 1.0)
-        pc0 = np.clip(p0, 1e-300, 1.0)
-        ent[sl] = np.maximum(-(p1 * np.log2(pc1) + p0 * np.log2(pc0)), 0.0)
+    chunks = [
+        observables(c0, evolve(sd, c0, times[start : start + _EVAL_CHUNK]), n)
+        for start in range(0, times.size, _EVAL_CHUNK)
+    ]
+    obs = Observables(*(np.concatenate(column) for column in zip(*chunks)))
 
     late = times >= (1.0 - LATE_WINDOW_FRACTION) * grid.t_max * (1.0 - 1e-12)
     return TimeSeries(
         times=times,
-        fidelity=fid,
-        entropy_bits=ent,
-        p0=p0s,
-        p1=p1s,
-        d_re=d_re,
-        d_im=d_im,
-        late_fidelity_mean=float(fid[late].mean()),
-        late_entropy_mean=float(ent[late].mean()),
+        fidelity=obs.fidelity,
+        entropy_bits=obs.entropy_bits,
+        p0=obs.p0,
+        p1=obs.p1,
+        d_re=obs.d.real,
+        d_im=obs.d.imag,
+        late_fidelity_mean=float(obs.fidelity[late].mean()),
+        late_entropy_mean=float(obs.entropy_bits[late].mean()),
     )
 
 

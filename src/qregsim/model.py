@@ -27,7 +27,6 @@ __all__ = [
     "Dispersion",
     "ModelParams",
     "mode_frequencies",
-    "coupling_value",
     "coupling_matrix",
     "build_h1",
 ]
@@ -160,22 +159,6 @@ def coupling_matrix(params: ModelParams) -> np.ndarray:
         omegas = mode_frequencies(params)
         return (c.g0 * np.cos(np.outer(omegas, coords) / c.xi)).astype(complex)
     return c.g.copy()
-
-
-def coupling_value(params: ModelParams, mode_index: int, qubit_index: int) -> complex:
-    """Coupling g_n(i) for 1-based mode index n and qubit index i."""
-    nb, n = params.shape.n_modes, params.shape.n_qubits
-    if not 1 <= mode_index <= nb:
-        raise ValueError(f"mode index must be in 1..{nb}, got {mode_index}")
-    if not 1 <= qubit_index <= n:
-        raise ValueError(f"qubit index must be in 1..{n}, got {qubit_index}")
-    c = params.coupling
-    if isinstance(c, UniformCoupling):
-        return complex(c.g0)
-    if isinstance(c, CosineCoupling):
-        omega = mode_frequencies(params)[mode_index - 1]
-        return complex(c.g0 * np.cos(omega * (qubit_index - 1) / c.xi))
-    return complex(c.g[mode_index - 1, qubit_index - 1])
 
 
 def build_h1(params: ModelParams) -> np.ndarray:

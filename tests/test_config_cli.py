@@ -61,6 +61,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_steps"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("n_qubits = 2", "n_qubits = 0", "line 3: register.n_qubits must be at least 1"),
+            ("n_modes = 200", "n_modes = -5", "line 4: register.n_modes must be at least 1"),
+            (
+                "g0 = 0.01",
+                "g0 = 0.01\nmodel.epsilon = 0",
+                "line 7: model.epsilon must be positive",
+            ),
+            (
+                "coupling.type = uniform",
+                "coupling.type = cosine\ncoupling.xi = -1",
+                "line 6: coupling.xi must be positive",
+            ),
+            ("t_max = 2000", "t_max = -10", "line 8: grid.t_max must be positive"),
+            ("t_max = 2000", "t_max = 0", "line 8: grid.t_max must be positive"),
+            ("n_steps = 2001", "n_steps = 1", "line 9: grid.n_steps must be at least 2"),
+        ],
+        ids=["n_qubits", "n_modes", "epsilon", "xi", "t_max_negative", "t_max_zero", "n_steps"],
+    )
+    def test_out_of_range_value_names_key_and_line(self, old, new, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL.replace(old, new))
+
     def test_missing_required_key(self):
         text = MINIMAL.replace("coupling.g0 = 0.01\n", "")
         with pytest.raises(ConfigError, match="missing required key 'coupling.g0'"):
@@ -210,6 +235,13 @@ output.path = {tmp_path / 'series.csv'}
         bad.write_text("register.n_qubits = 2\n")
         assert main(["run", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_malformed_dispersion_file_exit_code(self, tmp_path, capsys):
+        (tmp_path / "w.dat").write_text("abc\n")
+        cfg = self._write(tmp_path, extra="dispersion.type = explicit\ndispersion.file = w.dat")
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: line 11: malformed dispersion.file file" in err
 
     def test_spectrum_writes_both_files(self, tmp_path):
         out_dir = tmp_path / "spec"

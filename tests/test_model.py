@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from qregsim import (
     UniformCoupling,
     build_h1,
     coupling_matrix,
-    coupling_value,
     mode_frequencies,
     momentum_state,
 )
@@ -48,22 +49,24 @@ class TestParams:
 class TestCouplingValue:
     def test_uniform(self):
         params = ModelParams(RegisterShape(3, 5), UniformCoupling(0.01))
-        for n in (1, 3, 5):
-            for i in (1, 2, 3):
-                assert coupling_value(params, n, i) == 0.01
+        g = coupling_matrix(params)
+        assert g.shape == (5, 3)
+        assert np.all(g == 0.01)
 
     def test_cosine_first_qubit_couples_at_full_strength(self):
         # the first qubit sits at the coordinate origin: cos(0) = 1
         params = ModelParams(RegisterShape(2, 8), CosineCoupling(0.01, 1.0))
-        for n in range(1, 9):
-            assert coupling_value(params, n, 1) == pytest.approx(0.01, abs=0)
+        assert np.all(coupling_matrix(params)[:, 0] == 0.01)
 
     def test_cosine_direct_evaluation(self):
         # mode at omega = pi (n = N_b/2 under linear dispersion), second qubit
         params = ModelParams(RegisterShape(2, 8), CosineCoupling(0.01, 1.0))
-        omega = mode_frequencies(params)[3]
-        assert omega == pytest.approx(np.pi)
-        assert coupling_value(params, 4, 2) == pytest.approx(0.01 * np.cos(np.pi))
+        omegas = mode_frequencies(params)
+        assert omegas[3] == pytest.approx(np.pi)
+        g = coupling_matrix(params)
+        assert g[3, 1] == pytest.approx(0.01 * np.cos(np.pi))
+        expect = [[0.01 * math.cos(w * i) for i in range(2)] for w in omegas]
+        assert np.allclose(g, expect, atol=1e-17, rtol=1e-15)
 
     def test_cosine_large_xi_recovers_uniform(self):
         shape = RegisterShape(3, 16)
@@ -74,17 +77,11 @@ class TestCouplingValue:
     def test_explicit_lookup(self):
         g = np.arange(6, dtype=float).reshape(3, 2) + 1j
         params = ModelParams(RegisterShape(2, 3), ExplicitCoupling(g))
-        assert coupling_value(params, 2, 1) == g[1, 0]
-        assert coupling_value(params, 3, 2) == g[2, 1]
-
-    def test_index_range_errors(self):
-        params = ModelParams(RegisterShape(2, 3), UniformCoupling(0.01))
-        with pytest.raises(ValueError):
-            coupling_value(params, 0, 1)
-        with pytest.raises(ValueError):
-            coupling_value(params, 4, 1)
-        with pytest.raises(ValueError):
-            coupling_value(params, 1, 3)
+        got = coupling_matrix(params)
+        assert got[1, 0] == g[1, 0]
+        assert np.array_equal(got, g)
+        got[0, 0] = 99.0
+        assert params.coupling.g[0, 0] == g[0, 0]
 
 
 class TestBuildH1:
