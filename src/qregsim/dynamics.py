@@ -102,8 +102,8 @@ def initial_amplitudes(prep: np.ndarray, shape: RegisterShape) -> np.ndarray:
             f"preparation has {prep.size} amplitudes for {shape.n_qubits} qubits"
         )
     norm = float(np.linalg.norm(prep))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"preparation must be normalized, got norm {norm!r}")
+    if not abs(norm - 1.0) <= 1e-9:  # written so that NaN fails
+        raise ValueError(f"preparation must have unit norm, got norm {norm!r}")
     c0 = np.zeros(shape.n_qubits + shape.n_modes, dtype=complex)
     c0[: shape.n_qubits] = prep
     return c0

@@ -86,6 +86,51 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                "coupling.type = uniform",
+                "coupling.type = dicke",
+                "line 5: coupling.type must be uniform, cosine, or explicit, got 'dicke'",
+            ),
+            (
+                "coupling.type = uniform",
+                "coupling.type = explicit\ncoupling.file = g.dat",
+                "line 7: unknown key for explicit coupling: 'coupling.g0'",
+            ),
+            (
+                "output.path = out.csv",
+                "output.path = out.csv\ndispersion.type = quadratic",
+                "line 11: dispersion.type must be linear or explicit, got 'quadratic'",
+            ),
+            (
+                "output.path = out.csv",
+                "output.path = out.csv\ndispersion.file = w.dat",
+                "line 11: unknown key for linear dispersion: 'dispersion.file'",
+            ),
+            (
+                "prep.type = symmetric",
+                "prep.type = ghz",
+                "line 7: prep.type must be symmetric, momentum, m_superposition, "
+                "bell_mix, or explicit, got 'ghz'",
+            ),
+        ],
+        ids=[
+            "coupling_type",
+            "coupling_g0_under_explicit",
+            "dispersion_type",
+            "dispersion_file_under_linear",
+            "prep_type",
+        ],
+    )
+    def test_family_variant_errors(self, tmp_path, old, new, message):
+        np.savetxt(tmp_path / "g.dat", np.full((200, 2), 0.01))
+        np.savetxt(tmp_path / "w.dat", np.linspace(0.1, 6.0, 200))
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL.replace(old, new), base_dir=tmp_path)
+        assert str(info.value) == message
+
     def test_missing_required_key(self):
         text = MINIMAL.replace("coupling.g0 = 0.01\n", "")
         with pytest.raises(ConfigError, match="missing required key 'coupling.g0'"):
@@ -242,6 +287,35 @@ output.path = {tmp_path / 'series.csv'}
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: line 11: malformed dispersion.file file" in err
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                "prep.type = symmetric",
+                "prep.type = bell_mix\nprep.cs = nan+0j\nprep.ca = 1",
+                "line 7: prep.cs must be finite",
+            ),
+            (
+                "prep.type = symmetric",
+                "prep.type = explicit\nprep.amplitudes = nan+0j, 1+0j",
+                "line 7: prep.amplitudes must be finite",
+            ),
+            (
+                "coupling.type = uniform\ncoupling.g0 = 0.01",
+                "coupling.type = explicit\ncoupling.file = g.dat",
+                "line 5: coupling.file: coupling matrix must be finite",
+            ),
+        ],
+        ids=["bell_mix", "explicit_prep", "coupling_file"],
+    )
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, old, new, message):
+        (tmp_path / "g.dat").write_text("nan 0.01\n0.01 0.01\n")
+        cfg = self._write(tmp_path, n_modes=2)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["run", str(cfg)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
 
     def test_spectrum_writes_both_files(self, tmp_path):
         out_dir = tmp_path / "spec"

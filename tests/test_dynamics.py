@@ -52,6 +52,8 @@ class TestInitialAmplitudes:
             initial_amplitudes(np.array([1.0, 1.0]), shape)
         with pytest.raises(ValueError):
             initial_amplitudes(symmetric_state(3), shape)
+        with pytest.raises(ValueError):
+            initial_amplitudes(np.array([np.nan, 1.0]), shape)
 
 
 class TestEvolve:
