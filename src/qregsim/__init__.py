@@ -62,7 +62,6 @@ from .sector import (
     symmetric_state,
 )
 from .spectral import (
-    BracketError,
     DiagonalizationError,
     SpectralDecomposition,
     diagonalize,

@@ -77,7 +77,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_preset(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for cfg in build_preset(args.name):
         cfg = replace(cfg, output_path=str(out_dir / cfg.output_path))
         series = run_scenario(cfg)

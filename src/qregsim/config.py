@@ -103,9 +103,25 @@ def prep_vector(prep: PrepSpec, n_qubits: int) -> np.ndarray:
     return np.asarray(prep.amplitudes, dtype=complex).copy()
 
 
+def _check_echoable(key: str, path: str) -> None:
+    """Reject a path that the sidecar could not echo back unchanged.
+
+    The grammar reads a value up to '#', one line at a time, and strips its
+    edges, so such a path would parse back as a different run.
+    """
+    if "#" in path or path.splitlines() != [path] or path.strip() != path:
+        raise ValueError(
+            f"{key} {path!r} cannot be echoed in a configuration: a path must be "
+            "non-empty, hold no '#' or line break, and have no leading or trailing whitespace"
+        )
+
+
 @dataclass(eq=False)
 class RunConfig:
-    """One fully resolved simulation run."""
+    """One fully resolved simulation run.
+
+    Every path must survive the sidecar round trip (see format_config).
+    """
 
     params: ModelParams
     prep: PrepSpec
@@ -113,6 +129,12 @@ class RunConfig:
     output_path: str
     coupling_path: str | None = None
     dispersion_path: str | None = None
+
+    def __post_init__(self) -> None:
+        for key, field in {"output.path": "output_path", **_PATH_FIELDS}.items():
+            path = getattr(self, field)
+            if path is not None:
+                _check_echoable(key, str(path))
 
 
 def _as_int(key: str, value: str, lineno: int) -> int:
@@ -165,9 +187,14 @@ def _complex_list(key: str, value: str, lineno: int) -> np.ndarray:
 def _load_matrix(key: str, path: str, lineno: int) -> np.ndarray:
     """Whitespace-separated numbers of a data file as a 2-D float array."""
     try:
-        return np.loadtxt(path, ndmin=2)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as handle:
+            rows = [line for line in handle if line.split("#", 1)[0].strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"line {lineno}: cannot read {key} file {path}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"line {lineno}: {key} file {path} holds no numbers")
+    try:
+        return np.loadtxt(rows, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: malformed {key} file {path}: {exc}") from None
 
@@ -278,6 +305,10 @@ def _read_entries(text: str, base: Path) -> _Entries:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
         if key in _PATH_FIELDS:
             value = str((base / value).resolve())
+            try:
+                _check_echoable(key, value)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         entries[key] = (value, lineno)
     return entries
 

@@ -66,15 +66,20 @@ class CosineCoupling:
 
 @dataclass(frozen=True, eq=False)
 class ExplicitCoupling:
-    """Arbitrary complex coupling matrix of shape (N_b, N): g[n-1, i-1]."""
+    """Arbitrary coupling matrix of shape (N_b, N): g[n-1, i-1].
+
+    The matrix keeps its number field: a real (or integer) matrix is stored
+    as float64, a complex one as complex128.
+    """
 
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.g, dtype=complex)
+        g = np.asarray(self.g)
+        g = g.astype(np.result_type(g, np.float64), copy=False)
         if g.ndim != 2:
             raise ValueError("coupling matrix must be two-dimensional")
-        if not np.all(np.isfinite(g.real)) or not np.all(np.isfinite(g.imag)):
+        if not np.all(np.isfinite(g)):
             raise ValueError("coupling matrix must be finite")
         object.__setattr__(self, "g", g)
 
@@ -149,15 +154,19 @@ def mode_frequencies(params: ModelParams) -> np.ndarray:
 
 
 def coupling_matrix(params: ModelParams) -> np.ndarray:
-    """Complex coupling matrix of shape (N_b, N); entry [n-1, i-1] = g_n(i)."""
+    """Coupling matrix of shape (N_b, N); entry [n-1, i-1] = g_n(i).
+
+    float64 for uniform and cosine couplings; an explicit coupling keeps its
+    own dtype (float64 or complex128).
+    """
     nb, n = params.shape.n_modes, params.shape.n_qubits
     c = params.coupling
     if isinstance(c, UniformCoupling):
-        return np.full((nb, n), c.g0, dtype=complex)
+        return np.full((nb, n), c.g0, dtype=float)
     if isinstance(c, CosineCoupling):
         coords = np.arange(n, dtype=float)  # x_i = i - 1, origin at qubit 1
         omegas = mode_frequencies(params)
-        return (c.g0 * np.cos(np.outer(omegas, coords) / c.xi)).astype(complex)
+        return c.g0 * np.cos(np.outer(omegas, coords) / c.xi)
     return c.g.copy()
 
 
@@ -170,13 +179,15 @@ def build_h1(params: ModelParams) -> np.ndarray:
     transpose mirrored so the matrix is Hermitian by construction (bit-equal
     transpose for real couplings). Spin-spin and boson-boson off-diagonal
     entries vanish: qubits do not interact directly and modes are decoupled.
+    The matrix has the dtype of the coupling matrix, so it is real (float64)
+    whenever the coupling is.
     """
     n, nb = params.shape.n_qubits, params.shape.n_modes
     d = n + nb
-    h = np.zeros((d, d), dtype=complex)
+    g = coupling_matrix(params)
+    h = np.zeros((d, d), dtype=g.dtype)
     h[np.arange(n), np.arange(n)] = params.epsilon
     h[np.arange(n, d), np.arange(n, d)] = mode_frequencies(params)
-    g = coupling_matrix(params)
     h[n:, :n] = g
     h[:n, n:] = g.conj().T
     return h

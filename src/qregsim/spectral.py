@@ -2,8 +2,8 @@
 
 Two independent routes to the same physics. `diagonalize` wraps a dense
 Hermitian eigensolver and enforces the residual/orthonormality contract.
-`secular_roots` solves, by bracketed bisection between the pole frequencies,
-the rational secular equation
+`secular_roots` solves, by one vectorized bisection over the intervals
+between the pole frequencies, the rational secular equation
 
     P(E) = E - epsilon - N * sum_k |g_k|^2 / (E - omega_k) = 0
 
@@ -22,7 +22,6 @@ from .model import ModelParams, UniformCoupling, mode_frequencies
 
 __all__ = [
     "DiagonalizationError",
-    "BracketError",
     "SpectralDecomposition",
     "diagonalize",
     "secular_function",
@@ -37,10 +36,6 @@ _ORTHO_TOL = 1e-10
 
 class DiagonalizationError(RuntimeError):
     """Eigensolver failed to converge or violated its accuracy contract."""
-
-
-class BracketError(RuntimeError):
-    """A secular-root bracket did not change sign (degenerate-pole mishandling)."""
 
 
 @dataclass(eq=False)
@@ -66,11 +61,13 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     DiagonalizationError if the solver does not converge or if the residual
     ||H v - E v|| exceeds 1e-10 * max(1, ||H||_F) for any eigenpair, or the
     eigenvector Gram matrix deviates from the identity by more than 1e-10.
+    The matrix keeps its dtype, so a real symmetric matrix is solved in real
+    arithmetic and its eigenvectors are real.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
+    if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.linalg.norm(h)))
     herm_defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
@@ -97,122 +94,72 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(evals, evecs)
 
 
-def secular_function(params: ModelParams, e: float | np.ndarray):
-    """P(E) for uniform coupling; vectorized over E. Poles sit at the omega_k."""
+def _secular_weights(params: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """Distinct pole frequencies, their multiplicities and the weight N |g0|^2
+    that each mode contributes to P."""
     c = params.coupling
     if not isinstance(c, UniformCoupling):
         raise ValueError("the secular equation presumes qubit-independent coupling")
-    n = params.shape.n_qubits
-    omegas = mode_frequencies(params)
-    w = n * abs(c.g0) ** 2
-    e = np.asarray(e, dtype=float)
-    terms = w / (e[..., np.newaxis] - omegas)
-    return e - params.epsilon - np.sum(terms, axis=-1)
+    poles, counts = np.unique(mode_frequencies(params), return_counts=True)
+    return poles, counts, params.shape.n_qubits * abs(c.g0) ** 2
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] given f(lo) < 0 < f(hi); pure bisection."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _ROOT_RTOL * max(1.0, abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _secular_p(
+    e: np.ndarray, epsilon: float, poles: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """P(E) = E - epsilon - sum_k weights_k / (E - poles_k), over an array of E.
+
+    The (E, pole) terms are divided in place in one e.shape + poles.shape buffer.
+    """
+    buf = np.subtract.outer(e, poles)
+    np.divide(weights, buf, out=buf)
+    return e - epsilon - buf.sum(axis=-1)
 
 
-def _edge_inside(f, pole: float, width: float, side: int, want_negative: bool) -> float:
-    """Point near `pole` (offset into the interval, direction `side` = +-1)
-    where f has the requested sign; f diverges at the pole, so shrinking the
-    offset is guaranteed to succeed up to floating-point resolution."""
-    delta = width
-    for _ in range(600):
-        x = pole + side * delta
-        if x != pole:
-            fx = f(x)
-            if (fx < 0.0) if want_negative else (fx > 0.0):
-                return x
-        delta *= 0.25
-        if delta == 0.0:
-            break
-    raise BracketError(
-        f"no sign change found approaching pole {pole!r}; "
-        "check for mishandled degenerate frequencies"
-    )
+def secular_function(params: ModelParams, e: float | np.ndarray):
+    """P(E) for uniform coupling; vectorized over E. Poles sit at the omega_k."""
+    poles, counts, w = _secular_weights(params)
+    return _secular_p(np.asarray(e, dtype=float), params.epsilon, poles, w * counts)
 
 
 def secular_roots(params: ModelParams) -> np.ndarray:
     """All N_b + 1 zeros of the secular function, in ascending order.
 
-    There is exactly one zero below the lowest mode frequency, one between
-    each pair of adjacent (distinct) frequencies, and one above the highest:
-    P is strictly increasing between poles, so bracketed bisection locates
-    each root to width 1e-12 * max(1, |E|). Degenerate frequencies are merged
-    into one pole of combined weight and contribute the frequency itself as a
-    root with multiplicity (group size - 1); with zero coupling every pole
-    cancels and the frequencies themselves are returned alongside epsilon.
+    P rises strictly from -inf to +inf between adjacent distinct poles, so
+    each such open interval holds exactly one zero; one more lies below the
+    lowest pole and one above the highest. With W the total weight and
+    R = sqrt(W) + 1, P(min(epsilon, omega_1) - R) < -1 and
+    P(max(epsilon, omega_max) + R) > 1, which closes the two outer brackets.
+    All N_b + 1 brackets are bisected at once, each to width
+    1e-12 * max(1, |E|), so a midpoint never lands on a pole: a bracket
+    stops long before its width shrinks to one ulp. Degenerate
+    frequencies are merged into one pole of combined weight and contribute
+    the frequency itself as a root with multiplicity (group size - 1); with
+    zero coupling every pole cancels and the frequencies themselves are
+    returned alongside epsilon.
     """
-    c = params.coupling
-    if not isinstance(c, UniformCoupling):
-        raise ValueError("the secular equation presumes qubit-independent coupling")
-    n = params.shape.n_qubits
     eps = params.epsilon
-    omegas = mode_frequencies(params)
-    poles, counts = np.unique(omegas, return_counts=True)
-
+    poles, counts, w = _secular_weights(params)
     # Degenerate groups keep (count - 1) roots pinned at the frequency itself.
-    roots = [float(p) for p, cnt in zip(poles, counts) for _ in range(cnt - 1)]
+    pinned = np.repeat(poles, counts - 1)
+    if w == 0.0:
+        return np.sort(np.concatenate([pinned, poles, [eps]]))
 
-    per_mode_weight = n * abs(c.g0) ** 2
-    if per_mode_weight == 0.0:
-        roots.extend(float(p) for p in poles)
-        roots.append(eps)
-        return np.sort(np.asarray(roots))
-
-    weights = per_mode_weight * counts.astype(float)
-
-    def f(e: float) -> float:
-        return e - eps - float(np.sum(weights / (e - poles)))
-
-    span = max(1.0, float(poles[-1] - poles[0]), abs(eps - poles[0]), abs(eps - poles[-1]))
-
-    # Leftmost interval (-inf, poles[0]).
-    hi = _edge_inside(f, float(poles[0]), span / 4, side=-1, want_negative=False)
-    step = span
-    lo = float(poles[0]) - step
+    weights = w * counts
+    reach = np.sqrt(weights.sum()) + 1.0
+    lo = np.concatenate([[min(eps, poles[0]) - reach], poles])
+    hi = np.concatenate([poles, [max(eps, poles[-1]) + reach]])
+    roots = np.empty(lo.size)
+    active = np.arange(lo.size)
     for _ in range(200):
-        if f(lo) < 0.0:
+        mid = 0.5 * (lo + hi)
+        done = hi - lo <= _ROOT_RTOL * np.maximum(1.0, np.abs(mid))
+        roots[active[done]] = mid[done]
+        active, lo, hi, mid = active[~done], lo[~done], hi[~done], mid[~done]
+        if active.size == 0:
             break
-        step *= 2.0
-        lo = float(poles[0]) - step
-    else:
-        raise BracketError("could not bracket the leftmost root")
-    roots.append(_bisect(f, lo, hi))
-
-    # Interior intervals (poles[j], poles[j+1]).
-    for j in range(poles.size - 1):
-        p_lo, p_hi = float(poles[j]), float(poles[j + 1])
-        width = (p_hi - p_lo) / 4
-        lo = _edge_inside(f, p_lo, width, side=+1, want_negative=True)
-        hi = _edge_inside(f, p_hi, width, side=-1, want_negative=False)
-        roots.append(_bisect(f, lo, hi))
-
-    # Rightmost interval (poles[-1], +inf).
-    lo = _edge_inside(f, float(poles[-1]), span / 4, side=+1, want_negative=True)
-    step = span
-    hi = float(poles[-1]) + step
-    for _ in range(200):
-        if f(hi) > 0.0:
-            break
-        step *= 2.0
-        hi = float(poles[-1]) + step
-    else:
-        raise BracketError("could not bracket the rightmost root")
-    roots.append(_bisect(f, lo, hi))
-
-    return np.sort(np.asarray(roots))
+        pm = _secular_p(mid, eps, poles, weights)
+        lo = np.where(pm <= 0.0, mid, lo)
+        hi = np.where(pm >= 0.0, mid, hi)
+    roots[active] = 0.5 * (lo + hi)
+    return np.sort(np.concatenate([pinned, roots]))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,33 @@ output.path = out.csv
         with pytest.raises(ConfigError, match="shape"):
             parse_config(text, base_dir=tmp_path)
 
+    def test_data_file_under_hash_directory_rejected(self, tmp_path):
+        data_dir = tmp_path / "runs#1"
+        data_dir.mkdir()
+        np.savetxt(data_dir / "g.dat", np.full((200, 2), 0.01))
+        text = MINIMAL.replace(
+            "coupling.type = uniform\ncoupling.g0 = 0.01",
+            "coupling.type = explicit\ncoupling.file = g.dat",
+        )
+        with pytest.raises(ConfigError, match=r"^line 6: coupling.file .* cannot be echoed"):
+            parse_config(text, base_dir=data_dir)
+
+    @pytest.mark.parametrize(
+        "field,key,path",
+        [
+            ("output_path", "output.path", "runs#1/fig1.csv"),
+            ("output_path", "output.path", "runs\nfig1.csv"),
+            ("output_path", "output.path", " fig1.csv"),
+            ("output_path", "output.path", ""),
+            ("coupling_path", "coupling.file", "/data/g.dat "),
+            ("dispersion_path", "dispersion.file", "/data/#w.dat"),
+        ],
+        ids=["hash", "newline", "leading_space", "empty", "trailing_space", "data_hash"],
+    )
+    def test_path_that_cannot_round_trip_rejected(self, field, key, path):
+        with pytest.raises(ValueError, match=f"^{key} .* cannot be echoed"):
+            replace(parse_config(MINIMAL), **{field: path})
+
     def test_format_round_trip(self):
         cfg = parse_config(MINIMAL)
         text = format_config(cfg)
@@ -316,6 +345,39 @@ output.path = {tmp_path / 'series.csv'}
         assert main(["run", str(cfg)]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                "coupling.type = uniform\ncoupling.g0 = 0.01",
+                "coupling.type = explicit\ncoupling.file = empty.dat",
+                "line 5: coupling.file file",
+            ),
+            (
+                "output.path",
+                "dispersion.type = explicit\ndispersion.file = empty.dat\noutput.path",
+                "line 10: dispersion.file file",
+            ),
+        ],
+        ids=["coupling_file", "dispersion_file"],
+    )
+    def test_empty_data_file_exit_code(self, tmp_path, capsys, old, new, message):
+        (tmp_path / "empty.dat").write_text("# no data, only a comment\n\n")
+        cfg = self._write(tmp_path, n_modes=2)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err
+        assert "holds no numbers" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "series.csv").exists()
+
+    def test_preset_out_with_hash_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["preset", "fig1", "--out", "a#b"]) != 0
+        assert "output.path 'a#b/" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_spectrum_writes_both_files(self, tmp_path):
         out_dir = tmp_path / "spec"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qregsim import (
+    CosineCoupling,
     ExplicitCoupling,
     ExplicitDispersion,
     ModelParams,
@@ -119,6 +120,17 @@ class TestEvolve:
         h = build_h1(params)
         sd = diagonalize(h)
         c0 = initial_amplitudes(symmetric_state(2), params.shape)
+        for t in (1.0, 10.0, 100.0):
+            diff = evolve(sd, c0, t) - expm_evolve(h, c0, t)
+            assert np.linalg.norm(diff) < 1e-8
+
+    def test_real_route_matches_matrix_exponential_oracle(self):
+        # cosine coupling is real, so the eigensolve runs in float64
+        params = ModelParams(RegisterShape(3, 6), CosineCoupling(0.08, 2.0))
+        h = build_h1(params)
+        sd = diagonalize(h)
+        assert sd.eigenvectors.dtype == np.float64
+        c0 = initial_amplitudes(m_superposition(3, 2), params.shape)
         for t in (1.0, 10.0, 100.0):
             diff = evolve(sd, c0, t) - expm_evolve(h, c0, t)
             assert np.linalg.norm(diff) < 1e-8

@@ -12,6 +12,7 @@ from qregsim import (
     UniformCoupling,
     build_h1,
     coupling_matrix,
+    diagonalize,
     mode_frequencies,
     momentum_state,
 )
@@ -137,6 +138,29 @@ class TestBuildH1:
         h = build_h1(params)
         perm = np.r_[np.array([2, 0, 3, 1]), np.arange(4, 11)]
         assert np.array_equal(h, h[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize(
+        "coupling",
+        [
+            UniformCoupling(0.02),
+            CosineCoupling(0.02, 3.0),
+            ExplicitCoupling(0.01 * np.arange(8.0).reshape(4, 2)),
+            ExplicitCoupling(np.arange(8).reshape(4, 2)),
+        ],
+        ids=["uniform", "cosine", "explicit_real", "explicit_int"],
+    )
+    def test_real_coupling_gives_real_matrix_and_eigenvectors(self, coupling):
+        params = ModelParams(RegisterShape(2, 4), coupling)
+        h = build_h1(params)
+        assert coupling_matrix(params).dtype == h.dtype == np.float64
+        assert diagonalize(h).eigenvectors.dtype == np.float64
+
+    def test_complex_coupling_stays_complex(self):
+        g = 0.02 * (1 + 1j) * np.ones((4, 2))
+        params = ModelParams(RegisterShape(2, 4), ExplicitCoupling(g))
+        h = build_h1(params)
+        assert h.dtype == np.complex128
+        assert diagonalize(h).eigenvectors.dtype == np.complex128
 
     def test_trace_identity(self):
         params = ModelParams(RegisterShape(3, 11), UniformCoupling(0.04))
