@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qregsim import (
     CosineCoupling,
@@ -11,6 +14,7 @@ from qregsim import (
     RegisterShape,
     RelaxationFitError,
     TimeGrid,
+    TimeSeries,
     UniformCoupling,
     binary_entropy_bits,
     build_h1,
@@ -36,6 +40,39 @@ def jc_params(g=0.05):
     return ModelParams(
         RegisterShape(1, 1), UniformCoupling(g), dispersion=ExplicitDispersion([1.0])
     )
+
+
+#: mode frequencies on a 0.01 grid, drawn with repeats so that degenerate
+#: dispersions occur; epsilon may sit on one of them
+_frequency = st.integers(5, 300).map(lambda k: k / 100)
+
+
+@st.composite
+def _models(draw):
+    n = draw(st.integers(1, 4))
+    omegas = draw(st.lists(_frequency, min_size=1, max_size=12))
+    nb = len(omegas)
+    g0 = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["uniform", "cosine", "explicit"]))
+    if kind == "uniform":
+        coupling = UniformCoupling(g0)
+    elif kind == "cosine":
+        coupling = CosineCoupling(g0, draw(st.floats(0.5, 20.0)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
+        coupling = ExplicitCoupling(g0 / np.sqrt(2.0) * g)
+    return ModelParams(
+        RegisterShape(n, nb),
+        coupling,
+        epsilon=draw(st.one_of(st.sampled_from(omegas), st.floats(0.05, 3.0))),
+        dispersion=ExplicitDispersion(omegas),
+    )
+
+
+@st.composite
+def _grids(draw):
+    return TimeGrid(draw(st.floats(0.1, 2000.0)), draw(st.integers(2, 600)))
 
 
 class TestInitialAmplitudes:
@@ -255,16 +292,28 @@ class TestRunTimeSeries:
         assert np.all(series.entropy_bits >= 0.0)
         assert np.all(series.entropy_bits <= 1.0 + 1e-12)
 
-    def test_chunking_does_not_change_results(self, monkeypatch):
-        import qregsim.dynamics as dyn
-
-        params = ModelParams(RegisterShape(2, 9), UniformCoupling(0.04))
-        full = run_time_series(params, symmetric_state(2), TimeGrid(20.0, 257))
-        monkeypatch.setattr(dyn, "_EVAL_CHUNK", 16)
-        chunked = run_time_series(params, symmetric_state(2), TimeGrid(20.0, 257))
-        # BLAS rounding may differ between chunk shapes; physics must not
-        assert np.allclose(full.fidelity, chunked.fidelity, atol=1e-13, rtol=0)
-        assert np.allclose(full.p0, chunked.p0, atol=1e-13, rtol=0)
+    @settings(max_examples=150, deadline=None)
+    @given(params=_models(), prep_seed=st.integers(0, 2**32 - 1), grid=_grids())
+    @example(params=jc_params(1.0), prep_seed=0, grid=TimeGrid(7.0, 2))
+    @example(params=jc_params(1.0), prep_seed=0, grid=TimeGrid(7.0, 3))
+    def test_matches_dense_route(self, params, prep_seed, grid):
+        # the gridded NUFFT of the spin block against evolve + observables
+        n = params.shape.n_qubits
+        rng = np.random.default_rng(prep_seed)
+        prep = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        prep /= np.linalg.norm(prep)
+        series = run_time_series(params, prep, grid)
+        c0 = initial_amplitudes(prep, params.shape)
+        want = observables(c0, evolve(diagonalize(build_h1(params)), c0, grid.times()), n)
+        assert np.array_equal(series.times, grid.times())
+        for got, expect in (
+            (series.d_re + 1j * series.d_im, want.d),
+            (series.fidelity, want.fidelity),
+            (series.p1, want.p1),
+            (series.p0, want.p0),
+            (series.entropy_bits, want.entropy_bits),
+        ):
+            assert np.max(np.abs(got - expect)) <= 1e-11
 
     def test_complex_couplings_conserve_probability(self):
         rng = np.random.default_rng(33)
@@ -310,6 +359,23 @@ class TestRunTimeSeries:
         assert abs(series.fidelity[window].mean() - (1 - m / 4) ** 2) <= 0.01
         assert abs(series.entropy_bits[window].mean() - s_want) <= 0.01
 
+    def test_peak_memory_is_linear_in_spin_block(self):
+        # 10^6 grid points at d = 8: the spread grid and its spectrum take
+        # 2 x 16 bytes x N x 2T, the output columns and the observable
+        # temporaries under 64 bytes x T, the eigensolve O(d^2); a (T x d)
+        # amplitude block would add 16 d T = 128 MB and break the bound
+        n, nb, n_steps = 2, 6, 1_000_000
+        params = ModelParams(RegisterShape(n, nb), UniformCoupling(0.05))
+        bound = (64 * n + 64) * n_steps + 32 * (n + nb) ** 2
+        tracemalloc.start()
+        try:
+            series = run_time_series(params, symmetric_state(n), TimeGrid(1000.0, n_steps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == n_steps
+        assert peak <= bound
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 10)
@@ -338,6 +404,37 @@ class TestCsv:
         parsed = np.genfromtxt(text.splitlines(), delimiter=",", skip_header=1)
         assert np.array_equal(parsed[:, 1], series.fidelity)
         assert np.array_equal(parsed[:, 3], series.p0)
+
+    def test_matches_per_value_format(self):
+        # reference: the per-value f-string formatting of every cell
+        n_steps = 9
+        edge = np.array([-0.0, 0.0, 5e-324, 1e-320, 1e300, -1e300, 3.0, -2.0, 0.1])
+        rng = np.random.default_rng(4)
+        series = TimeSeries(
+            times=TimeGrid(2000.0, n_steps).times(),
+            fidelity=edge,
+            entropy_bits=edge[::-1].copy(),
+            p0=rng.uniform(0.0, 1.0, n_steps),
+            p1=np.ones(n_steps),
+            d_re=rng.standard_normal(n_steps) * 10.0 ** rng.integers(-30, 30, n_steps),
+            d_im=np.roll(edge, 3),
+            late_fidelity_mean=0.0,
+            late_entropy_mean=0.0,
+        )
+        cols = (
+            series.times,
+            series.fidelity,
+            series.entropy_bits,
+            series.p0,
+            series.p1,
+            series.d_re,
+            series.d_im,
+        )
+        want = "\n".join(
+            ["t,fidelity,entropy_bits,p0,p1,d_re,d_im"]
+            + [",".join(f"{x:.17g}" for x in row) for row in zip(*cols)]
+        )
+        assert series_to_csv(series) == want + "\n"
 
 
 class TestRelaxationFit:
