@@ -35,6 +35,7 @@ from .dynamics import (
     quadratic_decay_coefficient,
     run_time_series,
     series_to_csv,
+    spin_spectrum,
 )
 from .matexp import expm, expm_evolve
 from .model import (
@@ -67,6 +68,8 @@ from .spectral import (
     diagonalize,
     secular_function,
     secular_roots,
+    symmetric_spectrum,
+    uses_secular_route,
 )
 
 __version__ = "0.1.0"

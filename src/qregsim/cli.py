@@ -19,9 +19,9 @@ from pathlib import Path
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, format_config, parse_config_file, prep_vector
 from .dynamics import TimeSeries, run_time_series, series_to_csv
-from .model import UniformCoupling, build_h1
+from .model import build_h1
 from .presets import PRESET_NAMES, build_preset
-from .spectral import diagonalize, secular_roots
+from .spectral import diagonalize, secular_roots, uses_secular_route
 
 __all__ = ["main", "run_scenario", "write_atomic"]
 
@@ -101,7 +101,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "".join(f"{e:.17g}\n" for e in sd.eigenvalues),
     )
     print(f"wrote {out_dir / 'eigenvalues.csv'} ({sd.dim} values)")
-    if isinstance(cfg.params.coupling, UniformCoupling):
+    if uses_secular_route(cfg.params):
         roots = secular_roots(cfg.params)
         write_atomic(
             out_dir / "secular_roots.csv",

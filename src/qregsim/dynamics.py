@@ -12,7 +12,10 @@ Two routes reach the spin block. `evolve` reconstructs all d = N + N_b
 amplitudes at any times, densely, and is the reference the tests and the
 acceptance criteria compare against. `run_time_series` needs the spin block
 on a uniform grid only, so it evaluates it as one type-1 nonuniform FFT per
-spin row (Gaussian gridding) and never forms the bath block.
+spin row (Gaussian gridding) and never forms the bath block. The
+eigenvalues and spin rows it transforms come from `spin_spectrum`: secular
+roots and weights, with no eigensolve, under uniform coupling; the dense
+eigensolve under any other.
 """
 
 from __future__ import annotations
@@ -23,8 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelParams, build_h1
-from .sector import RegisterShape
-from .spectral import SpectralDecomposition, diagonalize
+from .sector import RegisterShape, momentum_state, symmetric_state
+from .spectral import (
+    SpectralDecomposition,
+    diagonalize,
+    symmetric_spectrum,
+    uses_secular_route,
+)
 
 __all__ = [
     "Observables",
@@ -38,6 +46,7 @@ __all__ = [
     "binary_entropy_bits",
     "run_time_series",
     "series_to_csv",
+    "spin_spectrum",
     "fit_relaxation_time",
     "quadratic_decay_coefficient",
     "CSV_HEADER",
@@ -174,30 +183,60 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
     )
 
 
+def spin_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues E_j and the N x m spin block V_s of matching eigenvectors.
+
+    Only these enter the register dynamics: the spin amplitudes evolve as
+    C(t) = V_s diag(exp(-i E t)) V_s^H C(0). The route is chosen here, and
+    only here, by spectral.uses_secular_route:
+
+    - uniform coupling, the secular route: no eigensolve. The symmetric
+      spin state s = (1, ..., 1) / sqrt(N) spreads over the zeros E_j of
+      the secular function with weights w_j = 1 / P'(E_j)
+      (spectral.symmetric_spectrum), each giving the column sqrt(w_j) s;
+      the N - 1 momentum states (sector.momentum_state), orthonormal and
+      orthogonal to s, are dark and give N - 1 columns at epsilon. Pinned
+      roots of degenerate frequencies carry no spin weight and are left
+      out, so m = (distinct frequencies) + N; with g0 = 0 (or N g0^2
+      below the normal float range), s is one column at epsilon and m = N.
+      Cost O(N_b^2) per root iteration, memory bounded by the iteration's
+      row chunks.
+    - every other coupling, the dense route: diagonalize(build_h1(params))
+      and the first N rows of the eigenvector matrix, m = N + N_b.
+    """
+    n = params.shape.n_qubits
+    if not uses_secular_route(params):
+        sd = diagonalize(build_h1(params))
+        return sd.eigenvalues, sd.eigenvectors[:n]
+    energies, weights = symmetric_spectrum(params)
+    columns = [np.outer(symmetric_state(n), np.sqrt(weights))]
+    columns += [momentum_state(n, k)[:, None] for k in range(1, n)]
+    return np.concatenate([energies, np.full(n - 1, params.epsilon)]), np.hstack(columns)
+
+
 def _spin_amplitudes(
-    sd: SpectralDecomposition, prep: np.ndarray, grid: TimeGrid
+    energies: np.ndarray, v_s: np.ndarray, prep: np.ndarray, grid: TimeGrid
 ) -> np.ndarray:
     """Spin block of the evolved amplitudes at every grid time, shape (T, N).
 
     C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V_s^H prep, x_j = E_j dt
-    and V_s the N spin rows of the eigenvectors: a type-1 nonuniform FFT of
-    the d points x_j onto the modes k = 0..T-1. Each point is spread onto an
+    and V_s the N x m spin block of spin_spectrum: a type-1 nonuniform FFT of
+    the m points x_j onto the modes k = 0..T-1. Each point is spread onto an
     oversampled periodic grid of M = 2T cells with the Gaussian
     exp(-(x - x_m)^2 / 4 tau); one FFT per spin row then gives the Fourier
     coefficients of the spread sum, and dividing by the Gaussian's own
     coefficients recovers the exact sum. The modes are shifted by
     k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the deconvolution
-    factor stays below exp(4 pi / 3). Cost O(N d w + N M log M), memory
+    factor stays below exp(4 pi / 3). Cost O(N m w + N M log M), memory
     O(N M) (w = the spreading half-width), against O(T d^2) for evolve.
     """
     n, n_steps = prep.size, grid.n_steps
     dt = grid.t_max / (n_steps - 1)
     k0 = (n_steps - 1) // 2
-    v_s = sd.eigenvectors[:n]
     # the shift's phase comes from E_j t_k0 itself; the transform needs x_j
     # only mod 2 pi, reduced to [-pi, pi] so that small |x_j| stay exact
-    coef = v_s * ((v_s.conj().T @ prep) * np.exp(-1j * sd.eigenvalues * (k0 * dt)))
-    x = sd.eigenvalues * dt
+    coef = v_s * ((v_s.conj().T @ prep) * np.exp(-1j * energies * (k0 * dt)))
+    x = energies * dt
     x -= 2.0 * np.pi * np.round(x / (2.0 * np.pi))
 
     sigma, w = _NUFFT_OVERSAMPLING, _NUFFT_HALF_WIDTH
@@ -231,16 +270,20 @@ def run_time_series(
 ) -> TimeSeries:
     """Evolve a spin preparation over a uniform time grid.
 
-    Builds and diagonalizes the Hamiltonian once, then evaluates the spin
-    block of the amplitudes at every grid point with one nonuniform FFT per
-    spin row; the bath block is never formed. Memory is O(N T + d^2). p0 is
-    1 - p1 (see observables), so the guard on norm conservation is the
-    Gram check in diagonalize.
+    Takes the eigenvalues and the spin block from spin_spectrum (secular
+    roots under uniform coupling, the dense eigensolve otherwise), then
+    evaluates the spin amplitudes at every grid point with one nonuniform
+    FFT per spin row; the bath block is never formed. Memory is
+    O(N T + d^2) on the dense route and O(N T) plus the root iteration's
+    chunks on the secular route. p0 is 1 - p1 (see observables), so the
+    guard on norm conservation is the Gram check in diagonalize on the
+    dense route and the sum rule sum_j w_j = 1 of the secular weights on
+    the secular one.
     """
     n = params.shape.n_qubits
-    sd = diagonalize(build_h1(params))
+    energies, v_s = spin_spectrum(params)
     c0 = initial_amplitudes(prep, params.shape)
-    obs = observables(c0, _spin_amplitudes(sd, c0[:n], grid), n)
+    obs = observables(c0, _spin_amplitudes(energies, v_s, c0[:n], grid), n)
 
     times = grid.times()
     late = times >= (1.0 - LATE_WINDOW_FRACTION) * grid.t_max * (1.0 - 1e-12)

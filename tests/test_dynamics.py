@@ -70,6 +70,17 @@ def _models(draw):
     )
 
 
+def _on_mode(g0, omegas=(0.5, 1.0, 1.5)):
+    """Uniform coupling with epsilon = 1 on a mode frequency (or, given
+    omegas, on their first)."""
+    return ModelParams(
+        RegisterShape(2, len(omegas)),
+        UniformCoupling(g0),
+        epsilon=1.0 if 1.0 in omegas else omegas[0],
+        dispersion=ExplicitDispersion(list(omegas)),
+    )
+
+
 @st.composite
 def _grids(draw):
     return TimeGrid(draw(st.floats(0.1, 2000.0)), draw(st.integers(2, 600)))
@@ -296,8 +307,16 @@ class TestRunTimeSeries:
     @given(params=_models(), prep_seed=st.integers(0, 2**32 - 1), grid=_grids())
     @example(params=jc_params(1.0), prep_seed=0, grid=TimeGrid(7.0, 2))
     @example(params=jc_params(1.0), prep_seed=0, grid=TimeGrid(7.0, 3))
+    # epsilon on a mode: the two roots sit +-sqrt(W) from it, where weights
+    # taken from E - omega instead of the offsets lose 1e-11 (g0 = 1e-5) and
+    # 1e-7 (g0 = 1e-9) of their relative accuracy
+    @example(params=_on_mode(1e-5), prep_seed=0, grid=TimeGrid(2000.0, 401))
+    @example(params=_on_mode(1e-9), prep_seed=0, grid=TimeGrid(2000.0, 401))
+    @example(params=_on_mode(0.0), prep_seed=0, grid=TimeGrid(2000.0, 401))
+    @example(params=_on_mode(0.05, [0.8, 0.8, 0.8, 1.3]), prep_seed=1, grid=TimeGrid(500.0, 301))
     def test_matches_dense_route(self, params, prep_seed, grid):
-        # the gridded NUFFT of the spin block against evolve + observables
+        # the gridded NUFFT of the spin block against evolve + observables;
+        # uniform couplings take the secular route, the others the dense one
         n = params.shape.n_qubits
         rng = np.random.default_rng(prep_seed)
         prep = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -375,6 +394,22 @@ class TestRunTimeSeries:
             tracemalloc.stop()
         assert len(series) == n_steps
         assert peak <= bound
+
+    def test_secular_route_memory_is_chunked(self):
+        # N_b = 4000 on a short grid: one unchunked (roots x poles) float64
+        # buffer would take 4001 x 4000 x 8 B = 128 MB; the root iteration's
+        # row chunks keep the peak near 10 MB, the dense route's d^2 matrix
+        # alone would take 128 MB
+        n, nb = 2, 4000
+        params = ModelParams(RegisterShape(n, nb), UniformCoupling(0.01))
+        tracemalloc.start()
+        try:
+            series = run_time_series(params, symmetric_state(n), TimeGrid(100.0, 101))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 101
+        assert peak <= 32 * 2**20
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Property test: the vectorized secular bisection against the dense eigensolver."""
+"""Property tests: the secular root iteration, its weights and the secular
+route's spin block against the dense eigensolver and exact sum rules."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,6 +13,8 @@ from qregsim import (
     build_h1,
     diagonalize,
     secular_roots,
+    spin_spectrum,
+    symmetric_spectrum,
 )
 
 #: distinct base frequencies sit on a 0.01 grid, so only the drawn
@@ -71,3 +74,48 @@ def test_secular_roots_match_dense_spectrum(params):
         inside = [int(np.sum((roots > a) & (roots < b))) for a, b in zip(edges, edges[1:])]
         assert inside == [1] * (poles.size + 1)
         assert [int(np.sum(roots == p)) for p in poles] == list(counts - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=uniform_models())
+@example(params=_model(1, [0.05, 0.06], 1e-10, epsilon=0.05))
+@example(params=_model(2, [0.4, 0.4, 0.4, 1.2], 1e-10, epsilon=0.4))
+@example(params=_model(3, [0.5, 0.5, 0.5 + 1e-12, 2.0], 0.3, epsilon=0.5))
+@example(params=_model(4, [1.0, 3.0, 3.0], 0.0, epsilon=3.0))
+def test_secular_weights_obey_sum_rules(params):
+    # w_j = |<phi_j|s>|^2 is the spectral measure of the symmetric spin state
+    # s, so its moments are <s|H^k|s>: 1, epsilon, epsilon^2 + N N_b g0^2
+    n, nb = params.shape.n_qubits, params.shape.n_modes
+    energies, w = symmetric_spectrum(params)
+    assert np.all(w >= 0.0) and np.all(np.diff(energies) > 0.0)
+    eps = params.epsilon
+    for moment, want in (
+        (w.sum(), 1.0),
+        ((w * energies).sum(), eps),
+        ((w * energies**2).sum(), eps**2 + n * nb * params.coupling.g0**2),
+    ):
+        assert abs(moment - want) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=uniform_models())
+@example(params=_model(1, [0.05, 0.06], 1e-10, epsilon=0.05))
+@example(params=_model(3, [0.7, 1.0, 1.3], 1e-10))
+@example(params=_model(2, [0.4, 0.4, 0.4, 1.2], 1e-10, epsilon=0.4))
+@example(params=_model(3, [0.5, 0.5, 0.5 + 1e-12, 2.0], 0.3, epsilon=0.5))
+@example(params=_model(4, [1.0, 3.0, 3.0], 0.0, epsilon=3.0))
+def test_secular_spin_block_matches_dense_route(params):
+    # the spin block of exp(-iHt), V_s diag(exp(-iEt)) V_s^H, does not depend
+    # on how degenerate eigenvectors are chosen, so the two routes must agree
+    n = params.shape.n_qubits
+    energies, v_s = spin_spectrum(params)
+    # the secular route: one column per distinct frequency plus N, or N
+    # alone when the mode weight N g0^2 is zero or subnormal
+    coupled = n * params.coupling.g0**2 >= np.finfo(float).tiny
+    assert v_s.shape == (n, np.unique(params.dispersion.omegas).size * coupled + n)
+    sd = diagonalize(build_h1(params))
+    dense = sd.eigenvectors[:n]
+    for t in (0.0, 0.7, 13.0, 400.0):
+        got = (v_s * np.exp(-1j * energies * t)) @ v_s.conj().T
+        want = (dense * np.exp(-1j * sd.eigenvalues * t)) @ dense.conj().T
+        assert np.max(np.abs(got - want)) <= 1e-10
