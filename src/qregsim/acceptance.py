@@ -2,9 +2,11 @@
 
 Every criterion measures against an independent reference (closed forms,
 brute-force enumeration, the matrix-exponential oracle, or cross-route
-comparison) at a fixed tolerance and reports the measured numbers. The
-functions are consumed both by the ``qregsim check`` CLI verb and by the
-pytest acceptance module.
+comparison) at a fixed tolerance and returns its pass flag and a detail line
+of the measured numbers. ``ALL_CRITERIA`` gives each one its number and
+title; ``CriterionResult.timed`` runs and times one, and its ``str`` is the
+report line that both the ``qregsim check`` CLI verb and the pytest
+acceptance module print.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .model import (
 )
 from .sector import RegisterShape
 
-__all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "ALL_CRITERIA", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -39,14 +41,25 @@ class CriterionResult:
     detail: str
     elapsed_s: float
 
+    @classmethod
+    def timed(
+        cls, number: int, title: str, check: Callable[[], tuple[bool, str]]
+    ) -> CriterionResult:
+        """Run one criterion's check and time it."""
+        t0 = time.perf_counter()
+        passed, detail = check()
+        return cls(number, title, passed, detail, time.perf_counter() - t0)
 
-def _result(number: int, title: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(number, title, passed, detail, time.perf_counter() - t0)
+    def __str__(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (
+            f"[{status}] criterion {self.number:2d} ({self.title}) "
+            f"[{self.elapsed_s:.2f}s]: {self.detail}"
+        )
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> tuple[bool, str]:
     """Sector dimensions match enumeration; su(2) multiplicities complete."""
-    t0 = time.perf_counter()
     checked = 0
     for n in range(1, 5):
         for nb in range(1, 5):
@@ -55,10 +68,7 @@ def criterion_1() -> CriterionResult:
                 want = sector.dimension(shape, exc)
                 got = len(sector.enumerate_basis(shape, exc))
                 if got != want:
-                    return _result(
-                        1, "dimension/enumeration equivalence", False,
-                        f"N={n} N_b={nb} I={exc}: enumerated {got} != formula {want}", t0,
-                    )
+                    return False, f"N={n} N_b={nb} I={exc}: enumerated {got} != formula {want}"
                 checked += 1
     for n in range(1, 13):
         total = sum(
@@ -66,19 +76,12 @@ def criterion_1() -> CriterionResult:
             for s in sector.su2_spin_ladder(n)
         )
         if total != 2**n:
-            return _result(
-                1, "dimension/enumeration equivalence", False,
-                f"N={n}: sum n(S,N)(2S+1) = {total} != 2^N = {2**n}", t0,
-            )
-    return _result(
-        1, "dimension/enumeration equivalence", True,
-        f"{checked} sectors enumerated exactly; multiplicity sums exact for N<=12", t0,
-    )
+            return False, f"N={n}: sum n(S,N)(2S+1) = {total} != 2^N = {2**n}"
+    return True, f"{checked} sectors enumerated exactly; multiplicity sums exact for N<=12"
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> tuple[bool, str]:
     """Jaynes-Cummings limit: Rabi law cos^2(gt) and eigenvalues eps +- g."""
-    t0 = time.perf_counter()
     g = 0.05
     params = ModelParams(
         RegisterShape(1, 1), UniformCoupling(g), dispersion=ExplicitDispersion([1.0])
@@ -88,32 +91,31 @@ def criterion_2() -> CriterionResult:
 
     grid = dynamics.TimeGrid(t_max=100.0, n_steps=100)
     series = dynamics.run_time_series(params, sector.symmetric_state(1), grid)
-    rabi_err = float(np.max(np.abs(series.p1 - np.cos(g * series.times) ** 2)))
+    rabi_err = float(np.max(np.abs(series.obs.p1 - np.cos(g * series.times) ** 2)))
 
     passed = eig_err <= 1e-12 and rabi_err <= 1e-10
-    return _result(
-        2, "Jaynes-Cummings limit", passed,
+    return (
+        passed,
         f"max |p1 - cos^2(gt)| = {rabi_err:.2e} (tol 1e-10) over 100 points; "
-        f"max eigenvalue error = {eig_err:.2e} (tol 1e-12)", t0,
+        f"max eigenvalue error = {eig_err:.2e} (tol 1e-12)",
     )
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> tuple[bool, str]:
     """Momentum preparation is decoherence-free under uniform coupling."""
-    t0 = time.perf_counter()
     params = ModelParams(RegisterShape(2, 200), UniformCoupling(0.01))
     grid = dynamics.TimeGrid(t_max=2000.0, n_steps=2001)
     series = dynamics.run_time_series(params, sector.momentum_state(2, 1), grid)
-    f_err = float(np.max(np.abs(series.fidelity - 1.0)))
-    s_max = float(np.max(series.entropy_bits))
+    f_err = float(np.max(np.abs(series.obs.fidelity - 1.0)))
+    s_max = float(np.max(series.obs.entropy_bits))
     passed = f_err <= 1e-8 and s_max <= 1e-8
-    return _result(
-        3, "decoherence-free subspace", passed,
-        f"max |F - 1| = {f_err:.2e}, max S = {s_max:.2e} (tol 1e-8) over t in [0, 2000]", t0,
+    return (
+        passed,
+        f"max |F - 1| = {f_err:.2e}, max S = {s_max:.2e} (tol 1e-8) over t in [0, 2000]",
     )
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> tuple[bool, str]:
     """Late-window fidelity/entropy vs the (1 - M/N)^2 asymptotics.
 
     The detail line also prints the finite bath's own plateau
@@ -123,7 +125,6 @@ def criterion_4() -> CriterionResult:
     recurrence; it explains the measured means and does not enter the
     pass/fail test.
     """
-    t0 = time.perf_counter()
     n = 4
     params = ModelParams(RegisterShape(n, 200), UniformCoupling(0.01))
     grid = dynamics.TimeGrid(t_max=2000.0, n_steps=2001)
@@ -137,7 +138,7 @@ def criterion_4() -> CriterionResult:
         f_inf = cs2**2 * sum_w2 + (1.0 - cs2) ** 2
         frac = m / n
         f_want = (1.0 - frac) ** 2
-        s_want = dynamics.binary_entropy_bits(frac, 1.0 - frac)
+        s_want = dynamics.binary_entropy_bits(frac)
         f_diff = abs(series.late_fidelity_mean - f_want)
         s_diff = abs(series.late_entropy_mean - s_want)
         ok = f_diff <= 0.05 and s_diff <= 0.05
@@ -147,12 +148,11 @@ def criterion_4() -> CriterionResult:
             + ("" if ok else " EXCEEDS 0.05")
             + f" (finite-bath Fbar_inf={f_inf:.4f})"
         )
-    return _result(4, "asymptotic fidelity/entropy", passed, "; ".join(parts), t0)
+    return passed, "; ".join(parts)
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> tuple[bool, str]:
     """Secular roots match the symmetric-sector eigenvalues; interlacing."""
-    t0 = time.perf_counter()
     parts = []
     passed = True
     for n, nb in ((2, 50), (4, 100)):
@@ -182,12 +182,11 @@ def criterion_5() -> CriterionResult:
             f"(N={n},N_b={nb}): max|root-eig|={match_err:.2e} (tol 1e-8), "
             f"eps multiplicity {n_at_eps} (want {n - 1}), interlacing {interlaced}"
         )
-    return _result(5, "secular/diagonalization cross-check", passed, "; ".join(parts), t0)
+    return passed, "; ".join(parts)
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> tuple[bool, str]:
     """Norm conservation and phase composition over random models/states."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20250810)
     n, nb = 3, 7
     norm_times = np.array([1.0, 10.0, 100.0, 1000.0])
@@ -206,16 +205,15 @@ def criterion_6() -> CriterionResult:
             one_step = dynamics.evolve(sd, c0, 7.3 + 12.9)
             worst_comp = max(worst_comp, float(np.linalg.norm(two_step - one_step)))
     passed = worst_norm <= 1e-10 and worst_comp <= 1e-9
-    return _result(
-        6, "norm/unitarity suite", passed,
+    return (
+        passed,
         f"1000 random states x 20 random couplings: max norm deviation "
-        f"{worst_norm:.2e} (tol 1e-10), max composition defect {worst_comp:.2e} (tol 1e-9)", t0,
+        f"{worst_norm:.2e} (tol 1e-10), max composition defect {worst_comp:.2e} (tol 1e-9)",
     )
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> tuple[bool, str]:
     """Short-time quadratic law vs the matrix-exponential oracle."""
-    t0 = time.perf_counter()
     parts = []
     passed = True
     h_step = 0.05
@@ -224,7 +222,7 @@ def criterion_7() -> CriterionResult:
         prep = sector.symmetric_state(n)
         grid = dynamics.TimeGrid(t_max=0.5, n_steps=51)
         series = dynamics.run_time_series(params, prep, grid)
-        a_fit = dynamics.quadratic_decay_coefficient(series.times, series.fidelity)
+        a_fit = dynamics.quadratic_decay_coefficient(series.times, series.obs.fidelity)
 
         h1 = build_h1(params)
         c0 = dynamics.initial_amplitudes(prep, params.shape)
@@ -246,12 +244,11 @@ def criterion_7() -> CriterionResult:
             f"(tol 5%); oracle/(N*Delta)={a_oracle / n_delta:.4f} "
             f"(printed law would give 0.5)"
         )
-    return _result(7, "short-time quadratic law", passed, "; ".join(parts), t0)
+    return passed, "; ".join(parts)
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> tuple[bool, str]:
     """Relaxation-time scaling in g and in the symmetric weight |c_s|^2."""
-    t0 = time.perf_counter()
     shape = RegisterShape(2, 200)
     taus = {}
     for g in (0.01, 0.02):
@@ -259,37 +256,36 @@ def criterion_8() -> CriterionResult:
         series = dynamics.run_time_series(
             params, sector.symmetric_state(2), dynamics.TimeGrid(100.0, 4001)
         )
-        taus[g] = dynamics.fit_relaxation_time(series.times, series.fidelity).tau
+        taus[g] = dynamics.fit_relaxation_time(series.times, series.obs.fidelity).tau
     ratio = taus[0.01] / taus[0.02]
 
     cs = ca = 1.0 / math.sqrt(2.0)
     prep = prep_vector(BellMixPrep(cs, ca), 2)
     params = ModelParams(shape, UniformCoupling(0.01))
     series = dynamics.run_time_series(params, prep, dynamics.TimeGrid(400.0, 8001))
-    tau_mix = dynamics.fit_relaxation_time(series.times, series.fidelity).tau
+    tau_mix = dynamics.fit_relaxation_time(series.times, series.obs.fidelity).tau
     scaled = tau_mix * abs(cs) ** 2
 
     ok_ratio = abs(ratio - 4.0) <= 0.4
     ok_mix = abs(scaled - taus[0.01]) <= 0.1 * taus[0.01]
-    return _result(
-        8, "relaxation scaling", ok_ratio and ok_mix,
+    return (
+        ok_ratio and ok_mix,
         f"tau(0.01)={taus[0.01]:.2f}, tau(0.02)={taus[0.02]:.2f}, ratio {ratio:.3f} "
         f"(want 4 +- 10%); bell_mix tau*|c_s|^2 = {scaled:.2f} vs tau(1) = "
-        f"{taus[0.01]:.2f} (tol 10%)", t0,
+        f"{taus[0.01]:.2f} (tol 10%)",
     )
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> tuple[bool, str]:
     """Replica-dependent cosine coupling: averaged-fidelity ordering and DFS limit."""
-    t0 = time.perf_counter()
     shape = RegisterShape(2, 200)
     grid = dynamics.TimeGrid(2000.0, 2001)
     mom = sector.momentum_state(2, 1)
     sym = sector.symmetric_state(2)
 
     params1 = ModelParams(shape, CosineCoupling(0.01, 1.0))
-    f_a = float(dynamics.run_time_series(params1, mom, grid).fidelity.mean())
-    f_s = float(dynamics.run_time_series(params1, sym, grid).fidelity.mean())
+    f_a = float(dynamics.run_time_series(params1, mom, grid).obs.fidelity.mean())
+    f_s = float(dynamics.run_time_series(params1, sym, grid).obs.fidelity.mean())
     ok_a = f_a > f_s
 
     late_means = []
@@ -304,23 +300,22 @@ def criterion_9() -> CriterionResult:
     series = dynamics.run_time_series(
         ModelParams(shape, CosineCoupling(0.01, 1e8)), mom, grid
     )
-    f_err = float(np.max(np.abs(series.fidelity - 1.0)))
-    s_max = float(np.max(series.entropy_bits))
+    f_err = float(np.max(np.abs(series.obs.fidelity - 1.0)))
+    s_max = float(np.max(series.obs.entropy_bits))
     ok_dfs = f_err <= 1e-6 and s_max <= 1e-6
 
     passed = ok_a and decays and monotone and ok_dfs
-    return _result(
-        9, "replica-dependent coupling", passed,
+    return (
+        passed,
         f"(a) xi=1: Fbar_A={f_a:.4f} > Fbar_sym={f_s:.4f}: {ok_a}; "
         f"(b) late Fbar(xi=1,5,10)={late_means[0]:.4f},{late_means[1]:.4f},"
         f"{late_means[2]:.4f}, decays={decays}, nondecreasing={monotone}; "
-        f"(c) xi=1e8: max|F-1|={f_err:.2e}, max S={s_max:.2e} (tol 1e-6)", t0,
+        f"(c) xi=1e8: max|F-1|={f_err:.2e}, max S={s_max:.2e} (tol 1e-6)",
     )
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> tuple[bool, str]:
     """Spectral propagation matches the matrix-exponential oracle."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     n, nb = 2, 3
     g = rng.uniform(-0.1, 0.1, (nb, n))
@@ -333,13 +328,13 @@ def criterion_10() -> CriterionResult:
         diff = dynamics.evolve(sd, c0, t) - matexp.expm_evolve(h1, c0, t)
         worst = max(worst, float(np.linalg.norm(diff)))
     passed = worst <= 1e-8
-    return _result(
-        10, "brute-force evolution oracle", passed,
-        f"max ||spectral - expm|| = {worst:.2e} (tol 1e-8) at t in {{1, 10, 100}}", t0,
+    return (
+        passed,
+        f"max ||spectral - expm|| = {worst:.2e} (tol 1e-8) at t in {{1, 10, 100}}",
     )
 
 
-ALL_CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
+ALL_CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
     (1, "dimension/enumeration equivalence", criterion_1),
     (2, "Jaynes-Cummings limit", criterion_2),
     (3, "decoherence-free subspace", criterion_3),
@@ -353,23 +348,12 @@ ALL_CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
 )
 
 
-def run_criterion(number: int) -> CriterionResult:
-    for num, _, func in ALL_CRITERIA:
-        if num == number:
-            return func()
-    raise ValueError(f"no criterion numbered {number}")
-
-
 def run_all(stream: TextIO | None = None) -> list[CriterionResult]:
     """Run every criterion, printing one pass/fail line each."""
     results = []
-    for _, _, func in ALL_CRITERIA:
-        res = func()
+    for criterion in ALL_CRITERIA:
+        res = CriterionResult.timed(*criterion)
         results.append(res)
         if stream is not None:
-            status = "PASS" if res.passed else "FAIL"
-            stream.write(
-                f"[{status}] criterion {res.number:2d} ({res.title}) "
-                f"[{res.elapsed_s:.2f}s]: {res.detail}\n"
-            )
+            stream.write(f"{res}\n")
     return results

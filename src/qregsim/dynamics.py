@@ -83,28 +83,6 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_steps)
 
 
-@dataclass(eq=False)
-class TimeSeries:
-    """Per-time observables of one run plus the late-window averages.
-
-    The late window is the final quarter of the time grid; its fidelity and
-    entropy means operationalize the long-time plateau values.
-    """
-
-    times: np.ndarray
-    fidelity: np.ndarray
-    entropy_bits: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    d_re: np.ndarray
-    d_im: np.ndarray
-    late_fidelity_mean: float
-    late_entropy_mean: float
-
-    def __len__(self) -> int:
-        return self.times.size
-
-
 class Observables(NamedTuple):
     """Register observables, one entry per amplitude row (see observables)."""
 
@@ -113,6 +91,35 @@ class Observables(NamedTuple):
     p1: np.ndarray
     p0: np.ndarray
     entropy_bits: np.ndarray
+
+
+@dataclass(eq=False)
+class TimeSeries:
+    """One run: the grid times, the observables at each time, the late means.
+
+    ``obs`` holds one entry per grid time of each observable column
+    (``series.obs.fidelity``, ``series.obs.d`` and so on). The late window
+    is the final quarter of the grid by time; its fidelity and entropy
+    means operationalize the long-time plateau values.
+    """
+
+    times: np.ndarray
+    obs: Observables
+    late_fidelity_mean: float
+    late_entropy_mean: float
+
+    def __len__(self) -> int:
+        return self.times.size
+
+
+def _late_window(times: np.ndarray) -> np.ndarray:
+    """Mask of the final quarter of an ascending time axis, by time.
+
+    The cut sits 1e-12 of the span below t_0 + 3/4 (t_last - t_0), so a
+    grid point that lies on it exactly, up to rounding, is inside.
+    """
+    span = times[-1] - times[0]
+    return times >= times[0] + (1.0 - LATE_WINDOW_FRACTION) * span * (1.0 - 1e-12)
 
 
 def initial_amplitudes(prep: np.ndarray, shape: RegisterShape) -> np.ndarray:
@@ -143,8 +150,12 @@ def evolve(sd: SpectralDecomposition, c0: np.ndarray, t: float | np.ndarray) -> 
     return (np.exp(-1j * np.multiply.outer(t, sd.eigenvalues)) * proj) @ sd.eigenvectors.T
 
 
-def binary_entropy_bits(p1: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """Entropy in bits of the distribution {p1, p0}, elementwise, 0*log2(0) = 0."""
+def binary_entropy_bits(p1: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the distribution {p1, p0 = 1 - p1}, elementwise.
+
+    0 log2 0 = 0, and a result rounded below zero is clamped to 0.
+    """
+    p0 = 1.0 - p1
     pc1 = np.clip(p1, 1e-300, 1.0)
     pc0 = np.clip(p0, 1e-300, 1.0)
     return np.maximum(-(p1 * np.log2(pc1) + p0 * np.log2(pc0)), 0.0)
@@ -165,21 +176,21 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
     superposition of the reference state with the spin preparation the
     register coherence is D/2. For a pure spin preparation c0 the fidelity
     is <psi_0|rho_s|psi_0> = |D|^2. The register entropy S is the binary
-    entropy of {p1, p0}. The global state is pure, so the bath entropy
-    equals S, both conditional entropies equal -S, and the mutual entropy
-    is -2S.
+    entropy of {p1, p0}, binary_entropy_bits(p1). The global state is pure,
+    so the bath entropy equals S, both conditional entropies equal -S, and
+    the mutual entropy is -2S. run_time_series keeps the result whole as
+    TimeSeries.obs.
     """
     c = np.asarray(c)
     spin = c[..., :n_qubits]
     d = spin @ np.asarray(c0)[:n_qubits].conj()
     p1 = np.minimum(np.sum(np.abs(spin) ** 2, axis=-1), 1.0)
-    p0 = 1.0 - p1
     return Observables(
         d=d,
         fidelity=np.minimum(np.abs(d) ** 2, 1.0),
         p1=p1,
-        p0=p0,
-        entropy_bits=binary_entropy_bits(p1, p0),
+        p0=1.0 - p1,
+        entropy_bits=binary_entropy_bits(p1),
     )
 
 
@@ -270,15 +281,17 @@ def run_time_series(
 ) -> TimeSeries:
     """Evolve a spin preparation over a uniform time grid.
 
-    Takes the eigenvalues and the spin block from spin_spectrum (secular
-    roots under uniform coupling, the dense eigensolve otherwise), then
-    evaluates the spin amplitudes at every grid point with one nonuniform
-    FFT per spin row; the bath block is never formed. Memory is
-    O(N T + d^2) on the dense route and O(N T) plus the root iteration's
-    chunks on the secular route. p0 is 1 - p1 (see observables), so the
-    guard on norm conservation is the Gram check in diagonalize on the
-    dense route and the sum rule sum_j w_j = 1 of the secular weights on
-    the secular one.
+    Returns the grid times, the observables at every grid time (see
+    observables) and the fidelity and entropy means over the late window,
+    the final quarter of the grid by time. Takes the eigenvalues and the
+    spin block from spin_spectrum (secular roots under uniform coupling,
+    the dense eigensolve otherwise), then evaluates the spin amplitudes at
+    every grid point with one nonuniform FFT per spin row; the bath block
+    is never formed. Memory is O(N T + d^2) on the dense route and O(N T)
+    plus the root iteration's chunks on the secular route. p0 is 1 - p1
+    (see observables), so the guard on norm conservation is the Gram check
+    in diagonalize on the dense route and the sum rule sum_j w_j = 1 of the
+    secular weights on the secular one.
     """
     n = params.shape.n_qubits
     energies, v_s = spin_spectrum(params)
@@ -286,32 +299,24 @@ def run_time_series(
     obs = observables(c0, _spin_amplitudes(energies, v_s, c0[:n], grid), n)
 
     times = grid.times()
-    late = times >= (1.0 - LATE_WINDOW_FRACTION) * grid.t_max * (1.0 - 1e-12)
+    late = _late_window(times)
     return TimeSeries(
         times=times,
-        fidelity=obs.fidelity,
-        entropy_bits=obs.entropy_bits,
-        p0=obs.p0,
-        p1=obs.p1,
-        d_re=obs.d.real,
-        d_im=obs.d.imag,
+        obs=obs,
         late_fidelity_mean=float(obs.fidelity[late].mean()),
         late_entropy_mean=float(obs.entropy_bits[late].mean()),
     )
 
 
 def series_to_csv(series: TimeSeries) -> str:
-    """CSV text: header then one row per time, 17 significant digits."""
+    """CSV text: header then one row per time, 17 significant digits.
+
+    The columns are the times and the observables of ``series.obs``, with
+    D split into d_re and d_im.
+    """
+    obs = series.obs
     stack = np.column_stack(
-        (
-            series.times,
-            series.fidelity,
-            series.entropy_bits,
-            series.p0,
-            series.p1,
-            series.d_re,
-            series.d_im,
-        )
+        (series.times, obs.fidelity, obs.entropy_bits, obs.p0, obs.p1, obs.d.real, obs.d.imag)
     )
     row = ",".join(["%.17g"] * stack.shape[1])
     body = "\n".join([row] * len(stack)) % tuple(stack.ravel().tolist())
@@ -337,10 +342,11 @@ def fit_relaxation_time(times: np.ndarray, fid: np.ndarray) -> RelaxationFit:
     """Least-squares fit of log F against t over the exponential segment.
 
     The asymptotic plateau is estimated as the fidelity mean over the final
-    quarter of the grid. For fully decaying curves (plateau < 0.1) the fit
-    window is F in [0.2, 0.8]; when the fidelity plateaus higher (a protected
-    component survives) only the early decay is exponential and the window is
-    taken where the remaining-decay fraction (F - plateau)/(1 - plateau) lies
+    quarter of the time axis by time, the late window of run_time_series.
+    For fully decaying curves (plateau < 0.1) the fit window is F in
+    [0.2, 0.8]; when the fidelity plateaus higher (a protected component
+    survives) only the early decay is exponential and the window is taken
+    where the remaining-decay fraction (F - plateau)/(1 - plateau) lies
     in [0.80, 0.98]. In both cases the segment is the first monotone
     (nonincreasing) run inside the window; a substantial fidelity revival
     after the segment marks the oscillatory strong-coupling regime, which is
@@ -351,8 +357,7 @@ def fit_relaxation_time(times: np.ndarray, fid: np.ndarray) -> RelaxationFit:
     if times.shape != fid.shape or times.size < 8:
         raise ValueError("need matching time/fidelity arrays with >= 8 samples")
 
-    late = times >= times[0] + (1.0 - LATE_WINDOW_FRACTION) * (times[-1] - times[0])
-    plateau = float(fid[late].mean())
+    plateau = float(fid[_late_window(times)].mean())
     if plateau < 0.1:
         lo, hi = 0.2, 0.8
     else:

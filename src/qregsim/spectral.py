@@ -80,7 +80,8 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     Deterministic: identical input bytes give identical output. Raises
     DiagonalizationError if the solver does not converge or if the residual
     ||H v - E v|| exceeds 1e-10 * max(1, ||H||_F) for any eigenpair, or the
-    eigenvector Gram matrix deviates from the identity by more than 1e-10.
+    eigenvector Gram matrix deviates from the identity by more than 1e-10,
+    or if either defect is NaN.
     The matrix keeps its dtype, so a real symmetric matrix is solved in real
     arithmetic and its eigenvectors are real.
     """
@@ -100,14 +101,14 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
         raise DiagonalizationError(f"eigensolver did not converge: {exc}") from exc
 
     residual = float(np.max(np.abs(h @ evecs - evecs * evals))) if h.size else 0.0
-    if residual > _RESIDUAL_RTOL * scale:
+    if not residual <= _RESIDUAL_RTOL * scale:  # written so that NaN fails
         raise DiagonalizationError(
             f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_RTOL:.0e} * {scale:.3e}"
         )
     gram_defect = float(
         np.max(np.abs(evecs.conj().T @ evecs - np.eye(evals.size)))
     )
-    if gram_defect > _ORTHO_TOL:
+    if not gram_defect <= _ORTHO_TOL:  # written so that NaN fails
         raise DiagonalizationError(
             f"eigenvectors not orthonormal (Gram defect {gram_defect:.3e})"
         )

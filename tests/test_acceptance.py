@@ -11,14 +11,13 @@ stated and left red rather than loosened.
 
 import pytest
 
-from qregsim.acceptance import ALL_CRITERIA
+from qregsim.acceptance import ALL_CRITERIA, CriterionResult
 
 
 @pytest.mark.parametrize(
-    "number,title,func", ALL_CRITERIA, ids=[f"criterion_{n:02d}" for n, _, _ in ALL_CRITERIA]
+    "number,title,check", ALL_CRITERIA, ids=[f"criterion_{n:02d}" for n, _, _ in ALL_CRITERIA]
 )
-def test_criterion(number, title, func):
-    result = func()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {number:2d} ({title}) [{result.elapsed_s:.2f}s]: {result.detail}")
-    assert result.passed, f"criterion {number} ({title}): {result.detail}"
+def test_criterion(number, title, check):
+    result = CriterionResult.timed(number, title, check)
+    print(result)
+    assert result.passed, str(result)

@@ -11,6 +11,7 @@ from qregsim import (
     ExplicitCoupling,
     ExplicitDispersion,
     ModelParams,
+    Observables,
     RegisterShape,
     RelaxationFitError,
     TimeGrid,
@@ -264,7 +265,7 @@ class TestReduceAndObservables:
 
     def test_entropy_values(self):
         p1 = np.array([1.0, 0.5, 0.75, 0.25, 0.0])
-        s = binary_entropy_bits(p1, 1.0 - p1)
+        s = binary_entropy_bits(p1)
         expect = [0.0, 1.0, ENTROPY_AT_THREE_QUARTERS, ENTROPY_AT_THREE_QUARTERS, 0.0]
         assert np.allclose(s, expect, atol=1e-12, rtol=0)
         assert s[0] == s[-1] == 0.0
@@ -276,11 +277,10 @@ class TestReduceAndObservables:
         # reference: the per-element sum -p log2 p with 0 log2 0 = 0
         rng = np.random.default_rng(12)
         p1 = np.r_[0.0, 1.0, 1e-300, rng.uniform(0.0, 1.0, 200)]
-        p0 = 1.0 - p1
         want = [
-            -sum(p * math.log2(p) for p in pair if p > 0.0) for pair in zip(p1, p0)
+            -sum(p * math.log2(p) for p in pair if p > 0.0) for pair in zip(p1, 1.0 - p1)
         ]
-        assert np.allclose(binary_entropy_bits(p1, p0), want, atol=1e-15, rtol=1e-14)
+        assert np.allclose(binary_entropy_bits(p1), want, atol=1e-15, rtol=1e-14)
 
 
 class TestRunTimeSeries:
@@ -288,20 +288,20 @@ class TestRunTimeSeries:
         params = ModelParams(RegisterShape(2, 10), UniformCoupling(0.02))
         series = run_time_series(params, symmetric_state(2), TimeGrid(10.0, 21))
         assert series.times[0] == 0.0
-        assert series.fidelity[0] == pytest.approx(1.0, abs=1e-12)
-        assert series.entropy_bits[0] == pytest.approx(0.0, abs=1e-12)
-        assert series.p1[0] == pytest.approx(1.0, abs=1e-12)
+        assert series.obs.fidelity[0] == pytest.approx(1.0, abs=1e-12)
+        assert series.obs.entropy_bits[0] == pytest.approx(0.0, abs=1e-12)
+        assert series.obs.p1[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_and_consistency_along_the_grid(self):
         params = ModelParams(RegisterShape(3, 12), UniformCoupling(0.03))
         series = run_time_series(params, m_superposition(3, 2), TimeGrid(50.0, 301))
-        assert np.max(np.abs(series.p0 + series.p1 - 1.0)) < 1e-10
-        assert np.all((series.p0 >= 0) & (series.p0 <= 1))
-        assert np.all((series.p1 >= 0) & (series.p1 <= 1))
-        d_sq = series.d_re**2 + series.d_im**2
-        assert np.max(np.abs(series.fidelity - d_sq)) < 1e-12
-        assert np.all(series.entropy_bits >= 0.0)
-        assert np.all(series.entropy_bits <= 1.0 + 1e-12)
+        assert np.max(np.abs(series.obs.p0 + series.obs.p1 - 1.0)) < 1e-10
+        assert np.all((series.obs.p0 >= 0) & (series.obs.p0 <= 1))
+        assert np.all((series.obs.p1 >= 0) & (series.obs.p1 <= 1))
+        d_sq = series.obs.d.real**2 + series.obs.d.imag**2
+        assert np.max(np.abs(series.obs.fidelity - d_sq)) < 1e-12
+        assert np.all(series.obs.entropy_bits >= 0.0)
+        assert np.all(series.obs.entropy_bits <= 1.0 + 1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(params=_models(), prep_seed=st.integers(0, 2**32 - 1), grid=_grids())
@@ -326,11 +326,11 @@ class TestRunTimeSeries:
         want = observables(c0, evolve(diagonalize(build_h1(params)), c0, grid.times()), n)
         assert np.array_equal(series.times, grid.times())
         for got, expect in (
-            (series.d_re + 1j * series.d_im, want.d),
-            (series.fidelity, want.fidelity),
-            (series.p1, want.p1),
-            (series.p0, want.p0),
-            (series.entropy_bits, want.entropy_bits),
+            (series.obs.d, want.d),
+            (series.obs.fidelity, want.fidelity),
+            (series.obs.p1, want.p1),
+            (series.obs.p0, want.p0),
+            (series.obs.entropy_bits, want.entropy_bits),
         ):
             assert np.max(np.abs(got - expect)) <= 1e-11
 
@@ -339,14 +339,14 @@ class TestRunTimeSeries:
         g = 0.05 * (rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
         params = ModelParams(RegisterShape(3, 8), ExplicitCoupling(g))
         series = run_time_series(params, symmetric_state(3), TimeGrid(40.0, 401))
-        assert np.max(np.abs(series.p0 + series.p1 - 1.0)) < 1e-10
-        assert np.max(series.fidelity) <= 1.0
+        assert np.max(np.abs(series.obs.p0 + series.obs.p1 - 1.0)) < 1e-10
+        assert np.max(series.obs.fidelity) <= 1.0
 
     def test_dfs_preparation_is_frozen(self):
         params = ModelParams(RegisterShape(2, 50), UniformCoupling(0.01))
         series = run_time_series(params, momentum_state(2, 1), TimeGrid(500.0, 501))
-        assert np.max(np.abs(series.fidelity - 1.0)) < 1e-8
-        assert np.max(series.entropy_bits) < 1e-8
+        assert np.max(np.abs(series.obs.fidelity - 1.0)) < 1e-8
+        assert np.max(series.obs.entropy_bits) < 1e-8
 
     def test_bell_mixture_long_time_state(self):
         # late-window register state: p1 -> |c_a|^2 with amplitudes along the
@@ -357,7 +357,7 @@ class TestRunTimeSeries:
         params = ModelParams(RegisterShape(2, 200), UniformCoupling(0.01))
         series = run_time_series(params, prep, TimeGrid(180.0, 1801))
         assert series.late_fidelity_mean == pytest.approx((1 - cs**2) ** 2, abs=0.05)
-        assert series.p1[-1] == pytest.approx(ca**2, abs=0.05)
+        assert series.obs.p1[-1] == pytest.approx(ca**2, abs=0.05)
 
         sd = diagonalize(build_h1(params))
         c0 = initial_amplitudes(prep, params.shape)
@@ -375,8 +375,8 @@ class TestRunTimeSeries:
         series = run_time_series(params, m_superposition(4, m), TimeGrid(190.0, 1901))
         window = series.times >= 100.0
         s_want = {1: ENTROPY_AT_THREE_QUARTERS, 2: 1.0, 3: ENTROPY_AT_THREE_QUARTERS}[m]
-        assert abs(series.fidelity[window].mean() - (1 - m / 4) ** 2) <= 0.01
-        assert abs(series.entropy_bits[window].mean() - s_want) <= 0.01
+        assert abs(series.obs.fidelity[window].mean() - (1 - m / 4) ** 2) <= 0.01
+        assert abs(series.obs.entropy_bits[window].mean() - s_want) <= 0.01
 
     def test_peak_memory_is_linear_in_spin_block(self):
         # 10^6 grid points at d = 8: the spread grid and its spectrum take
@@ -437,34 +437,32 @@ class TestCsv:
         series = run_time_series(params, symmetric_state(2), TimeGrid(5.0, 11))
         text = series_to_csv(series)
         parsed = np.genfromtxt(text.splitlines(), delimiter=",", skip_header=1)
-        assert np.array_equal(parsed[:, 1], series.fidelity)
-        assert np.array_equal(parsed[:, 3], series.p0)
+        assert np.array_equal(parsed[:, 1], series.obs.fidelity)
+        assert np.array_equal(parsed[:, 3], series.obs.p0)
 
     def test_matches_per_value_format(self):
         # reference: the per-value f-string formatting of every cell
         n_steps = 9
         edge = np.array([-0.0, 0.0, 5e-324, 1e-320, 1e300, -1e300, 3.0, -2.0, 0.1])
         rng = np.random.default_rng(4)
+        # set the parts one by one: re + 1j * im would turn -0.0 parts into 0.0
+        d = np.empty(n_steps, dtype=complex)
+        d.real = rng.standard_normal(n_steps) * 10.0 ** rng.integers(-30, 30, n_steps)
+        d.imag = np.roll(edge, 3)
+        obs = Observables(
+            d=d,
+            fidelity=edge,
+            p1=np.ones(n_steps),
+            p0=rng.uniform(0.0, 1.0, n_steps),
+            entropy_bits=edge[::-1].copy(),
+        )
         series = TimeSeries(
             times=TimeGrid(2000.0, n_steps).times(),
-            fidelity=edge,
-            entropy_bits=edge[::-1].copy(),
-            p0=rng.uniform(0.0, 1.0, n_steps),
-            p1=np.ones(n_steps),
-            d_re=rng.standard_normal(n_steps) * 10.0 ** rng.integers(-30, 30, n_steps),
-            d_im=np.roll(edge, 3),
+            obs=obs,
             late_fidelity_mean=0.0,
             late_entropy_mean=0.0,
         )
-        cols = (
-            series.times,
-            series.fidelity,
-            series.entropy_bits,
-            series.p0,
-            series.p1,
-            series.d_re,
-            series.d_im,
-        )
+        cols = (series.times, obs.fidelity, obs.entropy_bits, obs.p0, obs.p1, d.real, d.imag)
         want = "\n".join(
             ["t,fidelity,entropy_bits,p0,p1,d_re,d_im"]
             + [",".join(f"{x:.17g}" for x in row) for row in zip(*cols)]
@@ -484,7 +482,7 @@ class TestRelaxationFit:
         for g in (0.01, 0.02):
             params = ModelParams(RegisterShape(2, 200), UniformCoupling(g))
             series = run_time_series(params, symmetric_state(2), TimeGrid(100.0, 4001))
-            taus[g] = fit_relaxation_time(series.times, series.fidelity).tau
+            taus[g] = fit_relaxation_time(series.times, series.obs.fidelity).tau
         assert taus[0.01] / taus[0.02] == pytest.approx(4.0, rel=0.1)
         # absolute scale: 1 / (N * N_b * g0^2)
         assert taus[0.01] == pytest.approx(25.0, rel=0.1)
@@ -494,7 +492,7 @@ class TestRelaxationFit:
         prep = cs * symmetric_state(2) + ca * momentum_state(2, 1)
         params = ModelParams(RegisterShape(2, 200), UniformCoupling(0.01))
         series = run_time_series(params, prep, TimeGrid(400.0, 8001))
-        fit = fit_relaxation_time(series.times, series.fidelity)
+        fit = fit_relaxation_time(series.times, series.obs.fidelity)
         assert fit.plateau > 0.1
         assert fit.tau * abs(cs) ** 2 == pytest.approx(25.0, rel=0.1)
 
@@ -502,7 +500,7 @@ class TestRelaxationFit:
         params = ModelParams(RegisterShape(2, 200), UniformCoupling(0.5))
         series = run_time_series(params, symmetric_state(2), TimeGrid(50.0, 2001))
         with pytest.raises(RelaxationFitError, match="oscillatory"):
-            fit_relaxation_time(series.times, series.fidelity)
+            fit_relaxation_time(series.times, series.obs.fidelity)
 
     def test_undecayed_curve_has_no_window(self):
         t = np.linspace(0, 10, 101)

@@ -13,7 +13,26 @@ from qregsim import (
     diagonalize,
     secular_function,
     secular_roots,
+    symmetric_spectrum,
 )
+from qregsim import spectral
+
+
+# faults injected into the eigensystem that np.linalg.eigh returns
+def _nan_eigenvector(w, v):
+    v[0, 0] = np.nan
+
+
+def _nan_eigenvalue(w, v):
+    w[0] = np.nan
+
+
+def _shifted_eigenvalue(w, v):
+    w[3] += 1e-3
+
+
+def _scaled_eigenvector(w, v):
+    v[:, 2] *= 1.001
 
 
 class TestDiagonalize:
@@ -71,6 +90,33 @@ class TestDiagonalize:
         monkeypatch.setattr(np.linalg, "eigh", boom)
         with pytest.raises(DiagonalizationError, match="did not converge"):
             diagonalize(np.eye(3))
+
+    @pytest.mark.parametrize(
+        "fault,check",
+        [
+            (_nan_eigenvector, "residual"),
+            (_nan_eigenvalue, "residual"),
+            (_shifted_eigenvalue, "residual"),
+            (_scaled_eigenvector, "orthonormal"),
+        ],
+        ids=lambda x: getattr(x, "__name__", x).lstrip("_"),
+    )
+    def test_injected_solver_faults_are_reported(self, monkeypatch, fault, check):
+        # the eigensolver returns a corrupted eigensystem; the contract checks
+        # must reject it, NaN included (a NaN defect compares False with >)
+        from qregsim import DiagonalizationError
+
+        real_eigh = np.linalg.eigh
+
+        def faulty(h):
+            w, v = real_eigh(h)
+            fault(w, v)
+            return w, v
+
+        h = build_h1(ModelParams(RegisterShape(2, 6), UniformCoupling(0.05)))
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        with pytest.raises(DiagonalizationError, match=check):
+            diagonalize(h)
 
 
 class TestSecularRoots:
@@ -150,3 +196,22 @@ class TestSecularRoots:
         omegas = 2 * np.pi * np.arange(1, 21) / 20
         expect = 3 * 1.0 + omegas.sum()
         assert evals.sum() == pytest.approx(expect, rel=1e-9)
+
+
+class TestSymmetricSpectrum:
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, np.nan], ids=["off_by_1e-6", "nan"])
+    def test_weights_missing_the_sum_rule_are_reported(self, monkeypatch, factor):
+        # corrupt P'(E_j), and with it w_j = 1 / P'(E_j): sum w_j = 1 fails
+        from qregsim import DiagonalizationError
+
+        real_energies = spectral._secular_energies
+
+        def faulty(*args):
+            energies, slope = real_energies(*args)
+            return energies, slope * factor
+
+        params = ModelParams(RegisterShape(2, 6), UniformCoupling(0.05))
+        assert symmetric_spectrum(params)[1].sum() == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(spectral, "_secular_energies", faulty)
+        with pytest.raises(DiagonalizationError, match="sum 1"):
+            symmetric_spectrum(params)
