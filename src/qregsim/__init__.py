@@ -68,6 +68,7 @@ from .spectral import (
     diagonalize,
     secular_function,
     secular_roots,
+    sector_energies,
     symmetric_spectrum,
     uses_secular_route,
 )

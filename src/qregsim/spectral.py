@@ -14,10 +14,11 @@ weights w_j = 1 / P'(E_j) of the symmetric spin state. Both come from one
 safeguarded rational iteration (R.-C. Li's middle way, the method of
 LAPACK dlaed4) that holds each zero as an offset from its nearer pole
 (Gu & Eisenstat's stable reconstruction), in row chunks that bound the
-(zeros x poles) work buffers. Uniform-coupling runs take their spectrum
-from it and never diagonalize (`dynamics.spin_spectrum`); the `spectrum`
-verb and every other coupling use the dense route, and the two routes are
-cross-checked in the test suite.
+(zeros x poles) work buffers. Uniform-coupling models take their spectrum
+from it and never diagonalize: runs through `dynamics.spin_spectrum`, the
+`spectrum` verb through `sector_energies`, which adds the N - 1 dark states
+to the zeros. Every other coupling uses the dense route, and the two routes
+are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, UniformCoupling, mode_frequencies
+from .model import ModelParams, UniformCoupling, build_h1, mode_frequencies
 
 __all__ = [
     "DiagonalizationError",
@@ -34,6 +35,7 @@ __all__ = [
     "diagonalize",
     "secular_function",
     "secular_roots",
+    "sector_energies",
     "symmetric_spectrum",
     "uses_secular_route",
 ]
@@ -86,12 +88,12 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     arithmetic and its eigenvectors are real.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.linalg.norm(h)))
-    herm_defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    herm_defect = float(np.max(np.abs(h - h.conj().T)))
     if herm_defect > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
 
@@ -100,7 +102,7 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationError(f"eigensolver did not converge: {exc}") from exc
 
-    residual = float(np.max(np.abs(h @ evecs - evecs * evals))) if h.size else 0.0
+    residual = float(np.max(np.abs(h @ evecs - evecs * evals)))
     if not residual <= _RESIDUAL_RTOL * scale:  # written so that NaN fails
         raise DiagonalizationError(
             f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_RTOL:.0e} * {scale:.3e}"
@@ -380,14 +382,49 @@ def secular_roots(params: ModelParams) -> np.ndarray:
     combined weight and contribute the frequency itself as a root with
     multiplicity (group size - 1); with zero coupling every pole cancels
     and the frequencies themselves are returned alongside epsilon.
+
+    The zeros are the spectrum of the symmetric sector's arrowhead matrix
+    H_sym, so they must sum to its trace epsilon + sum_k omega_k:
+    DiagonalizationError if they miss it by more than
+    1e-10 * max(1, ||H_sym||_F), with
+    ||H_sym||_F^2 = epsilon^2 + sum_k omega_k^2 + 2 N N_b g0^2, or if the
+    sum is NaN.
     """
     eps = params.epsilon
     poles, counts, sqrt_w = _secular_poles(params)
     # Degenerate groups keep (count - 1) roots pinned at the frequency itself.
     pinned = np.repeat(poles, counts - 1)
     if params.coupling.g0 == 0.0:
-        return np.sort(np.concatenate([pinned, poles, [eps]]))
-    return np.sort(np.concatenate([pinned, _secular_energies(poles, sqrt_w, eps)[0]]))
+        roots = np.concatenate([pinned, poles, [eps]])
+    else:
+        roots = np.concatenate([pinned, _secular_energies(poles, sqrt_w, eps)[0]])
+    roots.sort()
+    n, nb = params.shape.n_qubits, params.shape.n_modes
+    frobenius_sq = eps**2 + poles**2 @ counts + 2.0 * n * nb * params.coupling.g0**2
+    scale = max(1.0, float(np.sqrt(frobenius_sq)))
+    defect = abs(float(roots.sum()) - (eps + float(poles @ counts)))
+    if not defect <= _RESIDUAL_RTOL * scale:  # written so that NaN fails
+        raise DiagonalizationError(
+            f"secular roots miss the trace by {defect:.3e}, "
+            f"more than {_RESIDUAL_RTOL:.0e} * {scale:.3e}"
+        )
+    return roots
+
+
+def sector_energies(params: ModelParams) -> tuple[np.ndarray, np.ndarray | None]:
+    """All N + N_b one-excitation energies, ascending, and the secular roots
+    they were assembled from (None on the dense route).
+
+    Under uniform coupling (`uses_secular_route`) the energies are the
+    N_b + 1 zeros of P and the N - 1 dark states at epsilon, with no
+    eigensolve; under any other coupling they are the eigenvalues of
+    diagonalize(build_h1(params)).
+    """
+    if not uses_secular_route(params):
+        return diagonalize(build_h1(params)).eigenvalues, None
+    roots = secular_roots(params)
+    dark = np.full(params.shape.n_qubits - 1, params.epsilon)
+    return np.sort(np.concatenate([roots, dark])), roots
 
 
 def symmetric_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

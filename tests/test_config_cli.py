@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,11 @@ from qregsim import (
     MomentumPrep,
     SymmetricPrep,
     UniformCoupling,
+    build_h1,
+    diagonalize,
     format_config,
     parse_config,
+    parse_config_file,
     prep_vector,
 )
 from qregsim.cli import main
@@ -379,32 +383,59 @@ output.path = {tmp_path / 'series.csv'}
         assert "output.path 'a#b/" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_spectrum_writes_both_files(self, tmp_path):
-        out_dir = tmp_path / "spec"
-        cfg = tmp_path / "run.cfg"
+    def _spectrum_config(self, tmp_path, n_qubits=2, n_modes=10):
+        cfg = tmp_path / "spectrum.cfg"
         cfg.write_text(
             f"""
-register.n_qubits = 2
-register.n_modes = 10
+register.n_qubits = {n_qubits}
+register.n_modes = {n_modes}
 coupling.type = uniform
 coupling.g0 = 0.05
 prep.type = symmetric
 grid.t_max = 10
 grid.n_steps = 11
-output.path = {out_dir}
+output.path = {tmp_path / 'spec'}
 """
         )
+        return cfg
+
+    def test_spectrum_writes_both_files(self, tmp_path):
+        cfg = self._spectrum_config(tmp_path)
         assert main(["spectrum", str(cfg)]) == 0
-        evals = np.loadtxt(out_dir / "eigenvalues.csv")
-        roots = np.loadtxt(out_dir / "secular_roots.csv")
+        evals = np.loadtxt(tmp_path / "spec" / "eigenvalues.csv")
+        roots = np.loadtxt(tmp_path / "spec" / "secular_roots.csv")
         assert evals.size == 12
         assert roots.size == 11
         assert np.all(np.diff(evals) >= 0)
         assert np.all(np.diff(roots) > 0)
-        # the non-dark eigenvalues are exactly the secular roots
-        dark = np.argsort(np.abs(evals - 1.0))[:1]
-        rest = np.sort(np.delete(evals, dark))
-        assert np.max(np.abs(rest - roots)) < 1e-8
+        # the eigenvalues, assembled from the roots and the dark state at
+        # epsilon = 1, are those of the dense eigensolve
+        dense = diagonalize(build_h1(parse_config_file(cfg).params)).eigenvalues
+        assert np.max(np.abs(evals - dense)) <= 1e-12
+        dark = np.argsort(np.abs(dense - 1.0))[:1]
+        assert np.max(np.abs(np.delete(dense, dark) - roots)) <= 1e-12
+
+    def test_uniform_spectrum_makes_no_eigensolve(self, tmp_path, monkeypatch):
+        def no_eigh(_):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert main(["spectrum", str(self._spectrum_config(tmp_path))]) == 0
+        assert np.loadtxt(tmp_path / "spec" / "eigenvalues.csv").size == 12
+
+    def test_spectrum_memory_is_linear_in_modes(self, tmp_path):
+        # N_b = 3000: the dense route's d x d float64 matrix alone would take
+        # 3004^2 x 8 B = 72 MB; the secular route's chunked buffers, its
+        # O(N_b) arrays and the CSV text stay far below 16 MiB
+        cfg = self._spectrum_config(tmp_path, n_qubits=4, n_modes=3000)
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", str(cfg)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.loadtxt(tmp_path / "spec" / "eigenvalues.csv").size == 3004
+        assert peak < 16 * 2**20
 
     def test_spectrum_skips_roots_for_cosine(self, tmp_path, capsys):
         out_dir = tmp_path / "spec"

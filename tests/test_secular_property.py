@@ -13,6 +13,7 @@ from qregsim import (
     build_h1,
     diagonalize,
     secular_roots,
+    sector_energies,
     spin_spectrum,
     symmetric_spectrum,
 )
@@ -64,6 +65,11 @@ def test_secular_roots_match_dense_spectrum(params):
     evals = diagonalize(build_h1(params)).eigenvalues
     dark = np.argsort(np.abs(evals - params.epsilon))[: n - 1]
     assert np.max(np.abs(np.delete(evals, dark) - roots)) < 1e-8
+
+    # the spectrum verb's energies: the same roots plus the dark states
+    energies, sector_roots = sector_energies(params)
+    assert np.array_equal(sector_roots, roots)
+    assert np.all(np.abs(energies - evals) <= 1e-10 * np.maximum(1.0, np.abs(evals)))
 
     omegas = params.dispersion.omegas
     if n * params.coupling.g0**2 > 0.0:

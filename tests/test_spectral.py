@@ -81,6 +81,10 @@ class TestDiagonalize:
         with pytest.raises(ValueError):
             diagonalize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            diagonalize(np.zeros((0, 0)))
+
     def test_solver_failure_is_reported(self, monkeypatch):
         from qregsim import DiagonalizationError
 
@@ -188,6 +192,24 @@ class TestSecularRoots:
     def test_requires_uniform_coupling(self):
         params = ModelParams(RegisterShape(2, 2), ExplicitCoupling(0.1 * np.ones((2, 2))))
         with pytest.raises(ValueError):
+            secular_roots(params)
+
+    @pytest.mark.parametrize("shift", [1e-6, np.nan], ids=["off_by_1e-6", "nan"])
+    def test_roots_missing_the_trace_are_reported(self, monkeypatch, shift):
+        # move one zero of P: the roots no longer sum to epsilon + sum omega_k
+        from qregsim import DiagonalizationError
+
+        real_energies = spectral._secular_energies
+
+        def faulty(*args):
+            energies, slope = real_energies(*args)
+            energies[energies.size // 2] += shift
+            return energies, slope
+
+        params = ModelParams(RegisterShape(2, 6), UniformCoupling(0.05))
+        assert secular_roots(params).size == 7
+        monkeypatch.setattr(spectral, "_secular_energies", faulty)
+        with pytest.raises(DiagonalizationError, match="trace"):
             secular_roots(params)
 
     def test_trace_identity_of_spectrum(self):
