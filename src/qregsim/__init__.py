@@ -8,69 +8,12 @@ combinatorics, the secular-equation spectrum of the permutation-symmetric
 sector, scenario presets, and an acceptance suite round out the package.
 """
 
-from .config import (
-    BellMixPrep,
-    ConfigError,
-    ExplicitPrep,
-    MomentumPrep,
-    MSuperpositionPrep,
-    RunConfig,
-    SymmetricPrep,
-    format_config,
-    parse_config,
-    parse_config_file,
-    prep_vector,
-)
-from .dynamics import (
-    Observables,
-    RelaxationFit,
-    RelaxationFitError,
-    TimeGrid,
-    TimeSeries,
-    binary_entropy_bits,
-    evolve,
-    fit_relaxation_time,
-    initial_amplitudes,
-    observables,
-    quadratic_decay_coefficient,
-    run_time_series,
-    series_to_csv,
-    spin_spectrum,
-)
-from .matexp import expm, expm_evolve
-from .model import (
-    CosineCoupling,
-    ExplicitCoupling,
-    ExplicitDispersion,
-    LinearDispersion,
-    ModelParams,
-    UniformCoupling,
-    build_h1,
-    coupling_matrix,
-    mode_frequencies,
-)
-from .presets import PRESET_NAMES, build_preset
-from .sector import (
-    BasisLabel,
-    RegisterShape,
-    SectorBasis,
-    dimension,
-    enumerate_basis,
-    m_superposition,
-    momentum_state,
-    su2_multiplicity,
-    su2_spin_ladder,
-    symmetric_state,
-)
-from .spectral import (
-    DiagonalizationError,
-    SpectralDecomposition,
-    diagonalize,
-    secular_function,
-    secular_roots,
-    sector_energies,
-    symmetric_spectrum,
-    uses_secular_route,
-)
+from .config import *
+from .dynamics import *
+from .matexp import *
+from .model import *
+from .presets import *
+from .sector import *
+from .spectral import *
 
 __version__ = "0.1.0"

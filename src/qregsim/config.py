@@ -5,10 +5,11 @@ blank lines ignored. Keys are flat and dotted; unknown or duplicate keys are
 hard errors so a typo in a physics parameter cannot slip through. Every error
 message carries the key name and line number.
 
-Two tables drive parsing and formatting alike. ``_KEYS`` maps every key but
-the ``<family>.type`` selectors to its parser and formatter. ``_FAMILIES``
-maps each ``.type`` value of the coupling, dispersion and prep families to
-its spec class and the keys that fill the class's fields, in field order.
+Two tables drive parsing and formatting alike. ``_KEYS`` maps every key, in
+sidecar order, to its parser and formatter (the ``<family>.type`` selectors
+and ``output.path`` keep their raw text). ``_FAMILIES`` maps each ``.type``
+value of the coupling, dispersion and prep families to its spec class and
+the keys that fill the class's fields, in field order.
 Conditions that depend on the register size are left to the domain code
 (``ModelParams``, ``prep_vector``, ``initial_amplitudes``); its errors are
 reported at the key and line that supplied the offending value.
@@ -41,7 +42,6 @@ __all__ = [
     "MSuperpositionPrep",
     "BellMixPrep",
     "ExplicitPrep",
-    "PrepSpec",
     "RunConfig",
     "prep_vector",
     "parse_config",
@@ -213,14 +213,19 @@ class _Key(NamedTuple):
     format: Callable[[object], str]
 
 
+_TEXT = _Key(lambda key, value, lineno: value, str)
+
 _KEYS = {
     "register.n_qubits": _Key(partial(_int_at_least, minimum=1), str),
     "register.n_modes": _Key(partial(_int_at_least, minimum=1), str),
     "model.epsilon": _Key(_positive_float, _fmt_float),
+    "coupling.type": _TEXT,
     "coupling.g0": _Key(_as_float, _fmt_float),
     "coupling.xi": _Key(_positive_float, _fmt_float),
     "coupling.file": _Key(_load_matrix, str),
+    "dispersion.type": _TEXT,
     "dispersion.file": _Key(_load_matrix, str),
+    "prep.type": _TEXT,
     "prep.m": _Key(_as_int, str),
     "prep.n": _Key(_as_int, str),
     "prep.cs": _Key(_as_complex, _fmt_complex),
@@ -228,7 +233,7 @@ _KEYS = {
     "prep.amplitudes": _Key(_complex_list, lambda amps: ",".join(map(_fmt_complex, amps))),
     "grid.t_max": _Key(_positive_float, _fmt_float),
     "grid.n_steps": _Key(partial(_int_at_least, minimum=2), str),
-    "output.path": _Key(lambda key, value, lineno: value, str),
+    "output.path": _TEXT,
 }
 
 #: Data-file keys: the value is a path, resolved against the config's
@@ -268,20 +273,6 @@ _VARIANT_OF = {
 }
 
 
-def _known_keys() -> tuple[str, ...]:
-    """The keys of _KEYS in order, each family's .type key before its first key."""
-    keys: list[str] = []
-    for key in _KEYS:
-        family = key.split(".")[0]
-        if family in _FAMILIES and f"{family}.type" not in keys:
-            keys.append(f"{family}.type")
-        keys.append(key)
-    return tuple(keys)
-
-
-KNOWN_KEYS = _known_keys()
-
-
 #: key -> (value text, line number)
 _Entries = dict[str, tuple[str, int]]
 
@@ -296,7 +287,7 @@ def _read_entries(text: str, base: Path) -> _Entries:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             first = entries[key][1]
@@ -410,8 +401,7 @@ def format_config(cfg: RunConfig, extra_comments: list[str] | None = None) -> st
             if values[key] is None:
                 raise ValueError(f"explicit {key.split('.')[0]} has no source file to reference")
     lines = [f"# {comment}" for comment in (extra_comments or [])]
-    for key in KNOWN_KEYS:
+    for key, spec in _KEYS.items():
         if key in values:
-            fmt = _KEYS[key].format if key in _KEYS else str
-            lines.append(f"{key} = {fmt(values[key])}")
+            lines.append(f"{key} = {spec.format(values[key])}")
     return "\n".join(lines) + "\n"

@@ -49,7 +49,6 @@ __all__ = [
     "spin_spectrum",
     "fit_relaxation_time",
     "quadratic_decay_coefficient",
-    "CSV_HEADER",
 ]
 
 #: fraction of the grid (by time, from the end) averaged as the late window
@@ -169,8 +168,8 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
     at most 1) and the leaked weight p0 = 1 - p1. Only the first n_qubits
     entries of each row are read, so c may be full amplitude rows or spin
     blocks alone. p0 + p1 = 1 therefore holds by construction and says
-    nothing about norm drift: the guard on norm conservation is the Gram
-    check in `diagonalize`, which keeps the eigenvectors orthonormal to
+    nothing about norm drift: its guard is the Gram check in `diagonalize`
+    (dense route) or the sum rule sum_j w_j = 1 (secular route), each to
     1e-10, so every evolved state has unit norm to that tolerance.
     D(t) = sum_alpha C_alpha(t) conj(C_alpha(0)); for the half-and-half
     superposition of the reference state with the spin preparation the

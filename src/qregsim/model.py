@@ -21,10 +21,8 @@ __all__ = [
     "UniformCoupling",
     "CosineCoupling",
     "ExplicitCoupling",
-    "Coupling",
     "LinearDispersion",
     "ExplicitDispersion",
-    "Dispersion",
     "ModelParams",
     "mode_frequencies",
     "coupling_matrix",
@@ -138,11 +136,6 @@ class ModelParams:
                     f"dispersion lists {self.dispersion.omegas.size} frequencies "
                     f"for {self.shape.n_modes} modes"
                 )
-
-    @property
-    def dim(self) -> int:
-        """Dimension N + N_b of the one-excitation sector."""
-        return self.shape.n_qubits + self.shape.n_modes
 
 
 def mode_frequencies(params: ModelParams) -> np.ndarray:

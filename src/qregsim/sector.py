@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "RegisterShape",
     "BasisLabel",
-    "SectorBasis",
     "dimension",
     "enumerate_basis",
     "su2_multiplicity",
@@ -72,24 +71,6 @@ class BasisLabel:
         return len(self.spins) + len(self.bosons)
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Ordered basis of the I-excitation sector.
-
-    Labels are ordered by decreasing number of spin excitations, ties broken
-    lexicographically; at I = 1 this puts the N spin-flip states first and the
-    N_b one-boson states after them, which is the layout every matrix and
-    amplitude vector in this package uses.
-    """
-
-    shape: RegisterShape
-    excitations: int
-    labels: tuple[BasisLabel, ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 def dimension(shape: RegisterShape, excitations: int) -> int:
     """Dimension of the I-excitation sector, exactly.
 
@@ -109,10 +90,13 @@ def dimension(shape: RegisterShape, excitations: int) -> int:
     )
 
 
-def enumerate_basis(shape: RegisterShape, excitations: int) -> SectorBasis:
-    """Enumerate every basis label of the I-excitation sector.
+def enumerate_basis(shape: RegisterShape, excitations: int) -> tuple[BasisLabel, ...]:
+    """Every basis label of the I-excitation sector, in basis order.
 
-    The label count always equals ``dimension(shape, excitations)``.
+    Labels run by decreasing number of spin excitations, ties broken
+    lexicographically: at I = 1 the N spin flips come first and the N_b
+    one-boson states after them, the layout of every matrix and amplitude
+    vector in this package. There are ``dimension(shape, excitations)``.
     """
     if excitations < 0:
         raise ValueError("excitation number must be nonnegative")
@@ -124,7 +108,7 @@ def enumerate_basis(shape: RegisterShape, excitations: int) -> SectorBasis:
                 range(1, nb + 1), excitations - n_spin
             ):
                 labels.append(BasisLabel(spins, bosons))
-    return SectorBasis(shape, excitations, tuple(labels))
+    return tuple(labels)
 
 
 def su2_spin_ladder(n_qubits: int) -> list[Fraction]:

@@ -79,13 +79,13 @@ class SpectralDecomposition:
 def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     """Full eigensystem of a Hermitian matrix, with contract checks.
 
-    Deterministic: identical input bytes give identical output. Raises
-    DiagonalizationError if the solver does not converge or if the residual
-    ||H v - E v|| exceeds 1e-10 * max(1, ||H||_F) for any eigenpair, or the
-    eigenvector Gram matrix deviates from the identity by more than 1e-10,
-    or if either defect is NaN.
-    The matrix keeps its dtype, so a real symmetric matrix is solved in real
-    arithmetic and its eigenvectors are real.
+    Deterministic for a fixed BLAS thread count: identical input bytes then
+    give identical output. Raises DiagonalizationError if the solver does not
+    converge or if the residual ||H v - E v|| exceeds 1e-10 * max(1, ||H||_F)
+    for any eigenpair, or the eigenvector Gram matrix deviates from the
+    identity by more than 1e-10, or if either defect is NaN. The matrix
+    keeps its dtype, so a real symmetric matrix is solved in real arithmetic
+    and its eigenvectors are real.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
@@ -158,8 +158,9 @@ def _secular_p(
 def _differences(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """values - shifts[..., None], of shape shifts.shape + values.shape.
 
-    Filled by a broadcast copy and an in-place subtraction: numpy's
-    out-of-place broadcast subtraction is several times slower.
+    A broadcast copy and an in-place subtraction: with numpy 2.4.6 as fast
+    as the out-of-place broadcast at 65 x 1000 and faster at 201 x 200
+    (44 vs 57 us), but slower at 64 x 4000 (314 vs 133 us).
     """
     out = np.empty(np.shape(shifts) + values.shape)
     out[...] = values

@@ -64,11 +64,11 @@ class TestDimension:
 class TestEnumerateBasis:
     def test_jaynes_cummings_one_excitation(self):
         basis = enumerate_basis(RegisterShape(1, 1), 1)
-        assert [(l.spins, l.bosons) for l in basis.labels] == [((1,), ()), ((), (1,))]
+        assert [(l.spins, l.bosons) for l in basis] == [((1,), ()), ((), (1,))]
 
     def test_one_excitation_layout_spins_first(self):
         basis = enumerate_basis(RegisterShape(2, 2), 1)
-        assert [(l.spins, l.bosons) for l in basis.labels] == [
+        assert [(l.spins, l.bosons) for l in basis] == [
             ((1,), ()),
             ((2,), ()),
             ((), (1,)),
@@ -77,7 +77,7 @@ class TestEnumerateBasis:
 
     def test_two_excitations_two_qubits_one_mode(self):
         basis = enumerate_basis(RegisterShape(2, 1), 2)
-        assert [(l.spins, l.bosons) for l in basis.labels] == [
+        assert [(l.spins, l.bosons) for l in basis] == [
             ((1, 2), ()),
             ((1,), (1,)),
             ((2,), (1,)),
@@ -91,8 +91,8 @@ class TestEnumerateBasis:
                     shape = RegisterShape(n, nb)
                     basis = enumerate_basis(shape, exc)
                     assert len(basis) == dimension(shape, exc)
-                    assert len(set(basis.labels)) == len(basis)
-                    assert all(l.excitations == exc for l in basis.labels)
+                    assert len(set(basis)) == len(basis)
+                    assert all(l.excitations == exc for l in basis)
 
     def test_labels_validate(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,23 @@
 """Property tests: the secular root iteration, its weights and the secular
-route's spin block against the dense eigensolver and exact sum rules."""
+route's spin block and series against the dense eigensolver, the
+matrix-exponential oracle and exact sum rules."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qregsim import (
     ExplicitDispersion,
     ModelParams,
     RegisterShape,
+    TimeGrid,
     UniformCoupling,
     build_h1,
     diagonalize,
+    expm_evolve,
+    initial_amplitudes,
+    observables,
+    run_time_series,
     secular_roots,
     sector_energies,
     spin_spectrum,
@@ -125,3 +131,24 @@ def test_secular_spin_block_matches_dense_route(params):
         got = (v_s * np.exp(-1j * energies * t)) @ v_s.conj().T
         want = (dense * np.exp(-1j * sd.eigenvalues * t)) @ dense.conj().T
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=uniform_models(), t_max=st.sampled_from([1.0, 50.0, 400.0]), data=st.data())
+def test_secular_series_matches_matexp_oracle(params, t_max, data):
+    # the series of the secular route against exp(-iHt) c0 by scaling and
+    # squaring, which involves no eigensolver at all
+    n = params.shape.n_qubits
+    parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n))
+    prep = np.array(parts[:n]) + 1j * np.array(parts[n:])
+    assume(np.linalg.norm(prep) > 0.1)
+    prep /= np.linalg.norm(prep)
+    series = run_time_series(params, prep, TimeGrid(t_max, 41))
+    c0 = initial_amplitudes(prep, params.shape)
+    h = build_h1(params)
+    for row in (0, 7, 20, 40):
+        c = expm_evolve(h, c0, series.times[row])
+        assert abs(np.linalg.norm(c) - 1.0) <= 1e-10
+        want = observables(c0, c, n)
+        assert abs(series.obs.d[row] - want.d) <= 1e-10
+        assert abs(series.obs.p1[row] - want.p1) <= 1e-10
