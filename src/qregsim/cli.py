@@ -8,7 +8,9 @@ Verbs:
 
 Under uniform coupling `spectrum` takes the eigenvalues from the secular
 roots and the N - 1 dark states at epsilon, with no eigensolve
-(`spectral.sector_energies`); any other coupling is diagonalized.
+(`spectral.sector_energies`); any other coupling takes the energies of the
+certified closed form (eigvalsh refined by Newton steps), or of the dense
+eigensolve where that is not certified.
 """
 
 from __future__ import annotations

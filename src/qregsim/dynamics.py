@@ -14,8 +14,10 @@ acceptance criteria compare against. `run_time_series` needs the spin block
 on a uniform grid only, so it evaluates it as one type-1 nonuniform FFT per
 spin row (Gaussian gridding) and never forms the bath block. The
 eigenvalues and spin rows it transforms come from `spin_spectrum`: secular
-roots and weights, with no eigensolve, under uniform coupling; the dense
-eigensolve under any other.
+roots and weights, with no eigensolve, under uniform coupling; under any
+other, the eigvalsh energies and the spin block in closed form of
+`spectral.closed_form_spectrum`, with no eigenvector matrix, or the dense
+eigensolve `diagonalize` where the closed form is not certified.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import numpy as np
 from .model import ModelParams, build_h1
 from .sector import RegisterShape, momentum_state, symmetric_state
 from .spectral import (
+    DiagonalizationError,
     SpectralDecomposition,
+    closed_form_spectrum,
     diagonalize,
     symmetric_spectrum,
     uses_secular_route,
@@ -168,9 +172,12 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
     at most 1) and the leaked weight p0 = 1 - p1. Only the first n_qubits
     entries of each row are read, so c may be full amplitude rows or spin
     blocks alone. p0 + p1 = 1 therefore holds by construction and says
-    nothing about norm drift: its guard is the Gram check in `diagonalize`
-    (dense route) or the sum rule sum_j w_j = 1 (secular route), each to
-    1e-10, so every evolved state has unit norm to that tolerance.
+    nothing about norm drift. Its guard is the spectrum's own check: the
+    certificate of `spectral.closed_form_spectrum` (eigenvectors
+    orthonormal to 5e-14), or on its fallback the Gram check in
+    `diagonalize` (to 1e-10), for cosine and explicit couplings; the sum
+    rule sum_j w_j = 1 (to 1e-10) on the secular route. Every evolved state
+    has unit norm to that tolerance.
     D(t) = sum_alpha C_alpha(t) conj(C_alpha(0)); for the half-and-half
     superposition of the reference state with the spin preparation the
     register coherence is D/2. For a pure spin preparation c0 the fidelity
@@ -211,13 +218,25 @@ def spin_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
       below the normal float range), s is one column at epsilon and m = N.
       Cost O(N_b^2) per root iteration, memory bounded by the iteration's
       row chunks.
-    - every other coupling, the dense route: diagonalize(build_h1(params))
-      and the first N rows of the eigenvector matrix, m = N + N_b.
+    - every other coupling, the dense route without eigenvectors:
+      spectral.closed_form_spectrum(params, build_h1(params)), the
+      eigvalsh energies and, from an N x N self-energy problem per energy,
+      the N spin rows of the eigenvectors, m = N + N_b. Cost one eigvalsh,
+      O(d^3) with a small constant, plus O(d N_b N^2), and memory O(d^2)
+      for the matrix plus the roots' row chunks. If its certificate fails
+      (near-degenerate states it cannot resolve, or an energy on a coupled
+      frequency), the route falls back to diagonalize(build_h1(params)) and
+      the first N rows of its eigenvector matrix. build_h1 and diagonalize
+      are called through this module's names.
     """
     n = params.shape.n_qubits
     if not uses_secular_route(params):
-        sd = diagonalize(build_h1(params))
-        return sd.eigenvalues, sd.eigenvectors[:n]
+        h = build_h1(params)
+        try:
+            return closed_form_spectrum(params, h)
+        except DiagonalizationError:
+            sd = diagonalize(h)
+            return sd.eigenvalues, sd.eigenvectors[:n]
     energies, weights = symmetric_spectrum(params)
     columns = [np.outer(symmetric_state(n), np.sqrt(weights))]
     columns += [momentum_state(n, k)[:, None] for k in range(1, n)]
@@ -284,13 +303,14 @@ def run_time_series(
     observables) and the fidelity and entropy means over the late window,
     the final quarter of the grid by time. Takes the eigenvalues and the
     spin block from spin_spectrum (secular roots under uniform coupling,
-    the dense eigensolve otherwise), then evaluates the spin amplitudes at
-    every grid point with one nonuniform FFT per spin row; the bath block
-    is never formed. Memory is O(N T + d^2) on the dense route and O(N T)
-    plus the root iteration's chunks on the secular route. p0 is 1 - p1
-    (see observables), so the guard on norm conservation is the Gram check
-    in diagonalize on the dense route and the sum rule sum_j w_j = 1 of the
-    secular weights on the secular one.
+    the certified closed form or, failing it, the dense eigensolve
+    otherwise), then evaluates the spin amplitudes at every grid point with
+    one nonuniform FFT per spin row; the bath block is never formed. Memory
+    is O(N T + d^2) on the dense route and O(N T) plus the root iteration's
+    chunks on the secular route. p0 is 1 - p1 (see observables), so the
+    guard on norm conservation is the closed form's certificate (or the
+    Gram check in diagonalize on its fallback) on the dense route and the
+    sum rule sum_j w_j = 1 of the secular weights on the secular one.
     """
     n = params.shape.n_qubits
     energies, v_s = spin_spectrum(params)

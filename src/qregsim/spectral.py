@@ -1,7 +1,15 @@
-"""Dense Hermitian eigendecomposition and the secular-equation spectrum.
+"""Dense Hermitian eigendecomposition, the dense spectrum without
+eigenvectors, and the secular-equation spectrum.
 
-Two independent routes to the same physics. `diagonalize` wraps a dense
-Hermitian eigensolver and enforces the residual/orthonormality contract.
+Three routes to the same physics. `diagonalize` wraps a dense Hermitian
+eigensolver and enforces the residual/orthonormality contract; it is the
+reference the tests and the acceptance criteria compare against.
+`closed_form_spectrum` serves runs under cosine and explicit couplings: it
+takes the energies from `np.linalg.eigvalsh` and the spin rows of the
+eigenvectors from an N x N self-energy problem per energy, never forming
+the d x d eigenvector matrix, and it certifies its result (eigenvalue
+errors and orthonormality of the implied eigenvectors) or raises, after
+which `dynamics.spin_spectrum` falls back to `diagonalize`.
 Under qubit-independent (uniform) coupling, the test `uses_secular_route`,
 the one-excitation sector splits into the symmetric sector and N - 1 dark
 states at epsilon, and the symmetric sector's N_b + 1 energies are the
@@ -17,13 +25,14 @@ LAPACK dlaed4) that holds each zero as an offset from its nearer pole
 (zeros x poles) work buffers. Uniform-coupling models take their spectrum
 from it and never diagonalize: runs through `dynamics.spin_spectrum`, the
 `spectrum` verb through `sector_energies`, which adds the N - 1 dark states
-to the zeros. Every other coupling uses the dense route, and the two routes
-are cross-checked in the test suite.
+to the zeros. Every other coupling uses the closed form, and all three
+routes are cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .model import ModelParams, UniformCoupling, build_h1, mode_frequencies
 __all__ = [
     "DiagonalizationError",
     "SpectralDecomposition",
+    "closed_form_spectrum",
     "diagonalize",
     "secular_function",
     "secular_roots",
@@ -54,6 +64,16 @@ _TINY = float(np.finfo(float).tiny)
 _SMALLEST = float(np.finfo(float).smallest_subnormal)
 _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-10
+#: Newton steps on each root's branch of the self-energy problem
+_NEWTON_STEPS = 2
+#: exact degeneracy, in units of eps * ||H||: eigenvalues this close form one
+#: cluster, and a mode group's coupling singular value this small decouples it
+_CLUSTER_ULPS = 16
+#: certificate of the closed form (chosen by measurement, see
+#: closed_form_spectrum), the first two in units of eps * ||H||
+_MOVE_ULPS = 64
+_PHASE_ULPS = 2
+_OVERLAP_TOL = 5e-14
 
 
 class DiagonalizationError(RuntimeError):
@@ -117,13 +137,296 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(evals, evecs)
 
 
+def closed_form_spectrum(params: ModelParams, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of h = build_h1(params), ascending, and the N x d spin block
+    of matching eigenvectors, without an eigenvector matrix.
+
+    With the modes' coupling rows G (N_b x N) and frequencies Omega, an
+    eigenvector [v; b] of energy E has b = (E - Omega)^-1 G v and
+    M(E) v = 0, where M(E) = (E - epsilon) I - G^H (E - Omega)^-1 G is the
+    N x N self-energy problem of the bordered matrix (Arbenz, Gander &
+    Golub, Linear Algebra Appl. 104, 1988). The eigenvector's squared norm
+    is K = 1 + ||b||^2, so its spin column is v / sqrt(K). The energies are
+    np.linalg.eigvalsh(h). Each is held as an offset tau from its nearest
+    coupled frequency, every difference E - omega_k formed as tau - delta_k
+    with delta_k = omega_k - omega_near (as in the secular iteration), and
+    takes _NEWTON_STEPS Newton steps tau <- tau - mu / K on the branch mu(E)
+    of M's eigenvalue nearest zero, whose slope is K; a batched N x N eigh
+    gives v before each step, and the final energy keeps the last v. Roots
+    are processed in row chunks that bound the (roots x modes) buffers.
+
+    Exact degeneracies, within a few ulp of ||H||, are solved in closed
+    form. A group of modes at one frequency whose coupling rows have rank r
+    pins (group size - r) eigenvalues at that frequency with no spin weight
+    (repeated frequencies under cosine coupling, zero rows, g0 = 0); their
+    columns are zero. A cluster of k equal energies (the dark spin states of
+    repeated or zero coupling columns) takes the k eigenvectors of M with
+    the smallest |mu|, orthonormalized in the metric of K.
+
+    The result is certified in O(d N_b N), so that NaN fails, or
+    DiagonalizationError is raised. With r_j = [M(E_j) v_j; 0] the exact
+    residual of the normalized eigenvector phi_j and v_j its spin column:
+
+    - Newton moves no energy by more than _MOVE_ULPS ulp of ||H|| from
+      eigvalsh's, whose backward error is of that order;
+    - the spin-weighted eigenvalue error sum_j |v_j|^2 |dE_j|, with |dE_j|
+      at most ||r_j|| and at most |mu_j| |v_j|^2 + ||r_j||^2 / gap_j, is at
+      most _PHASE_ULPS ulp of ||H|| per qubit, the order of eigh's own
+      error, so that the phases of the spin propagator drift no faster than
+      on the dense route;
+    - the phi_j are orthonormal to _OVERLAP_TOL: any two obey
+      |<phi_i|phi_j>| <= (||r_i|| + ||r_j||) / |E_i - E_j|, and the pairs
+      (at most d) for which that bound exceeds _OVERLAP_TOL have their
+      overlap computed.
+
+    The d certified vectors are then an orthonormal eigenbasis, which is
+    the norm guard behind p0 = 1 - p1 on this route.
+    """
+    n = params.shape.n_qubits
+    try:
+        guess = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise DiagonalizationError(f"eigvalsh did not converge: {exc}") from exc
+    if not np.all(np.isfinite(guess)):
+        raise DiagonalizationError("eigvalsh returned a non-finite eigenvalue")
+    ulp = _EPS * max(1.0, -guess[0], guess[-1])  # of ||H||_2
+    tol = _CLUSTER_ULPS * ulp
+    modes = _coupled_modes(h[n:, :n], h.diagonal()[n:].real, tol)
+    free, shared = _unpinned(guess, modes, tol)
+    # an energy on a coupled frequency, or a few ulp from one, can give inf
+    # and NaN: eigh refuses them, and every check is written so NaN fails
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        roots = _branch_roots(guess[free], modes, params.epsilon, tol)
+        energies = guess.copy()  # pinned energies stay eigvalsh's
+        energies[free] = roots.energies
+        move = float(np.max(np.abs(roots.energies - guess[free])))
+        phase = _phase_error(guess, free, roots)
+        overlap = _max_overlap(energies, free, shared, roots, modes)
+    if not (move <= _MOVE_ULPS * ulp and phase <= _PHASE_ULPS * ulp * n
+            and overlap <= _OVERLAP_TOL):
+        raise DiagonalizationError(
+            f"closed form not certified: Newton move {move:.3e}, spin-weighted "
+            f"eigenvalue error {phase:.3e}, eigenvector overlap {overlap:.3e}"
+        )
+    v_s = np.zeros((n, guess.size), dtype=h.dtype)
+    v_s[:, free] = roots.columns
+    order = np.argsort(energies, kind="stable")
+    return energies[order], v_s[:, order]
+
+
+class _Modes(NamedTuple):
+    """The modes that couple to the register (see _coupled_modes)."""
+
+    omegas: np.ndarray  # their frequencies, ascending
+    g: np.ndarray  # their coupling rows
+    gg: np.ndarray  # one row conj(g_k(a)) g_k(b), a and b flattened, per mode
+    poles: np.ndarray  # their distinct frequencies
+    pinned: np.ndarray  # the frequency of each pinned eigenvalue
+    shared: np.ndarray  # whether coupled modes share that frequency
+    deflated: float  # the largest coupling singular value taken as zero
+
+
+def _coupled_modes(g: np.ndarray, omegas: np.ndarray, tol: float) -> _Modes:
+    """Group the modes by frequency. A group whose coupling rows have rank r,
+    counting singular values above tol, pins (size - r) eigenvalues at its
+    frequency: bath states that no spin state reaches. A group of rank 0 is
+    left out; the others keep all their rows, which enter M(E) only through
+    their sum G^H G / (E - omega)."""
+    order = np.argsort(omegas, kind="stable")
+    omegas, g = omegas[order], g[order]
+    poles, starts, counts = np.unique(omegas, return_index=True, return_counts=True)
+    sigma = np.linalg.norm(g[starts], axis=1)
+    rank = (sigma > tol).astype(int)
+    deflated = float(np.max(sigma[sigma <= tol], initial=0.0))
+    for i in np.flatnonzero(counts > 1):
+        s = np.linalg.svd(g[starts[i] : starts[i] + counts[i]], compute_uv=False)
+        rank[i] = np.count_nonzero(s > tol)
+        deflated = max(deflated, float(np.max(s[s <= tol], initial=0.0)))
+    coupled = np.repeat(rank > 0, counts)
+    g = g[coupled]
+    gg = (g.conj()[:, :, None] * g[:, None, :]).reshape(g.shape[0], g.shape[1] ** 2)
+    pinned = np.repeat(np.arange(poles.size), counts - rank)
+    return _Modes(omegas[coupled], g, gg, poles[rank > 0], poles[pinned], rank[pinned] > 0, deflated)
+
+
+def _unpinned(guess: np.ndarray, modes: _Modes, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the energies left once each pinned frequency has taken the
+    nearest energy within tol of it, and of the pinned energies whose
+    frequency coupled modes share."""
+    free = np.ones(guess.size, dtype=bool)
+    shared = np.zeros(guess.size, dtype=bool)
+    for omega, coupled in zip(modes.pinned, modes.shared):
+        lo = np.searchsorted(guess, omega - tol)
+        near = lo + np.flatnonzero(free[lo : np.searchsorted(guess, omega + tol, side="right")])
+        if near.size == 0:
+            raise DiagonalizationError(f"no eigenvalue pinned at the decoupled frequency {omega!r}")
+        k = near[np.argmin(np.abs(guess[near] - omega))]
+        free[k], shared[k] = False, coupled
+    return free, shared
+
+
+class _Roots(NamedTuple):
+    """The energies with spin weight and their spin columns (see _branch_roots)."""
+
+    energies: np.ndarray  # base + tau
+    columns: np.ndarray  # N x m spin columns
+    shift: np.ndarray  # |mu| / K, from E_j to the Rayleigh quotient of phi_j
+    residual: np.ndarray  # ||r_j|| (for a cluster, of the cluster's block)
+    label: np.ndarray  # the cluster of each root, nondecreasing
+    base: np.ndarray  # the frequency each root is held from
+    tau: np.ndarray  # the offset from it
+
+
+def _branch_roots(e0: np.ndarray, modes: _Modes, epsilon: float, tol: float) -> _Roots:
+    """Refine the ascending energies e0 on their branches of M(E) and take
+    their spin columns (see closed_form_spectrum)."""
+    n, size = modes.g.shape[1], e0.size
+    label = np.concatenate([[0], np.cumsum(np.diff(e0) > tol)])
+    members = np.bincount(label)[label]
+    base = _nearest(modes.poles, e0)
+    tau = e0 - base
+    columns = np.empty((n, size), dtype=modes.g.dtype)
+    shift, residual = np.empty(size), np.empty(size)
+    single = np.flatnonzero(members == 1)
+    for rows in _row_chunks(single.size, max(1, modes.omegas.size)):
+        idx = single[rows]
+        delta = _differences(modes.omegas, base[idx])
+        t = tau[idx]
+        for step in range(_NEWTON_STEPS + 1):
+            e_eps = (base[idx] - epsilon) + t
+            r = _reciprocal(t, delta)
+            if step < _NEWTON_STEPS:  # the last step keeps v, whose residual
+                mu, vecs = _self_energy_eigh(r, e_eps, modes.gg, n)  # is exact
+                pick = np.argmin(np.abs(mu), axis=1)
+                v = np.take_along_axis(vecs, pick[:, None, None], axis=2)[:, :, 0]
+            w = v @ modes.g.T
+            b = r * w
+            k = 1.0 + np.einsum("ij,ij->i", b.conj(), b).real
+            mu = e_eps - np.einsum("ij,ij->i", w.conj(), b).real
+            if step < _NEWTON_STEPS:
+                t = t - mu / k
+        tau[idx] = t
+        columns[:, idx] = (v / np.sqrt(k)[:, None]).T
+        shift[idx] = np.abs(mu) / k
+        spin = e_eps[:, None] * v - b @ modes.g.conj()
+        residual[idx] = np.linalg.norm(spin, axis=1) / np.sqrt(k)
+    for c in np.unique(label[members > 1]):
+        idx = np.flatnonzero(label == c)
+        if idx.size > n:
+            raise DiagonalizationError(f"{idx.size} equal energies for {n} spin states")
+        b0 = base[idx[:1]]
+        t = np.array([e0[idx].mean()]) - b0
+        e_eps = (b0 - epsilon) + t
+        r = _reciprocal(t, _differences(modes.omegas, b0))
+        mu, vecs = _self_energy_eigh(r, e_eps, modes.gg, n)
+        q = vecs[0][:, np.argsort(np.abs(mu[0]))[: idx.size]]
+        b = r[0][:, None] * (modes.g @ q)
+        lam, u = np.linalg.eigh(np.eye(idx.size) + b.conj().T @ b)
+        root = (u / np.sqrt(lam)) @ u.conj().T  # K^-1/2 on the cluster
+        columns[:, idx] = q @ root
+        block = np.linalg.norm(e_eps * columns[:, idx] - modes.g.conj().T @ (b @ root))
+        base[idx], tau[idx], shift[idx], residual[idx] = b0, t, block, block
+    return _Roots(base + tau, columns, shift, residual, label, base, tau)
+
+
+def _phase_error(guess: np.ndarray, free: np.ndarray, roots: _Roots) -> float:
+    """sum_j |v_j|^2 |dE_j| over the roots, with |dE_j| bounded by ||r_j||
+    and by |mu_j| |v_j|^2 + ||r_j||^2 / gap_j, each root's gap taken to the
+    eigvalsh energies outside its cluster."""
+    pos = np.flatnonzero(free)
+    first = pos[np.searchsorted(roots.label, roots.label)]
+    last = pos[np.searchsorted(roots.label, roots.label, side="right") - 1]
+    padded = np.concatenate([[-np.inf], guess, [np.inf]])
+    gap = np.minimum(guess[first] - padded[first], padded[last + 2] - guess[last])
+    error = np.fmin(roots.residual, roots.shift + roots.residual**2 / gap)
+    return float(np.sum(np.abs(roots.columns) ** 2, axis=0) @ error)
+
+
+def _nearest(poles: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The nearest of the ascending poles to each e (0 if there are none)."""
+    if poles.size == 0:
+        return np.zeros_like(e)
+    i = np.searchsorted(poles, e)
+    left, right = poles[np.maximum(i - 1, 0)], poles[np.minimum(i, poles.size - 1)]
+    return np.where(e - left <= right - e, left, right)
+
+
+def _reciprocal(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """1 / (E - omega_k) = 1 / (t - delta_k), one row per offset t."""
+    return 1.0 / (t[:, None] - delta)
+
+
+def _self_energy_eigh(r, e_eps, gg, n):
+    """Batched eigh of M = (E - epsilon) I - r @ gg, one N x N matrix per row."""
+    m = -(r @ gg).reshape(-1, n, n)
+    m[:, np.arange(n), np.arange(n)] += e_eps[:, None]
+    if not np.all(np.isfinite(m)):
+        raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
+    return np.linalg.eigh(m)
+
+
+def _max_overlap(
+    energies: np.ndarray, free: np.ndarray, shared: np.ndarray, roots: _Roots, modes: _Modes
+) -> float:
+    """The largest overlap of two eigenvectors whose bound
+    (||r_i|| + ||r_j||) / |E_i - E_j| exceeds _OVERLAP_TOL, computed, or inf
+    if more than d pairs do or one pairs an energy with spin weight and a
+    pinned energy at a frequency that coupled modes share. The pinned
+    eigenvectors are orthonormal bath states, the others of modes no other
+    eigenvector reaches, and those of one cluster are orthonormal by
+    construction."""
+    d = energies.size
+    order = np.argsort(energies, kind="stable")
+    e = energies[order]
+    residual = np.full(d, modes.deflated)
+    residual[free] = roots.residual
+    residual = residual[order]
+    index = np.where(shared, -2, -1)  # -1 exactly orthogonal, -2 not known
+    index[free] = np.arange(roots.label.size)
+    index = index[order]
+    reach = 2.0 * float(np.max(residual)) / _OVERLAP_TOL
+    if not np.isfinite(reach):
+        return np.inf
+    label = np.full(d, -1)
+    label[free] = roots.label
+    label = label[order]
+    pairs = []
+    for step in range(1, d):
+        gap = e[step:] - e[:-step]
+        if not np.any(gap < reach):
+            break
+        bound = (residual[step:] + residual[:-step]) / gap
+        i, j = index[:-step], index[step:]
+        near = ~(bound <= _OVERLAP_TOL) & ((i >= 0) | (j >= 0)) & (label[:-step] != label[step:])
+        if np.any(near & ((i == -2) | (j == -2))):
+            return np.inf
+        near &= (i >= 0) & (j >= 0)
+        pairs.append(np.stack([i[near], j[near]]))
+        if sum(p.shape[1] for p in pairs) > d:
+            return np.inf
+    i, j = np.concatenate(pairs, axis=1) if pairs else np.zeros((2, 0), dtype=int)
+    worst = [0.0]
+    for rows in _row_chunks(i.size, max(1, modes.omegas.size)):
+        a, b = i[rows], j[rows]
+        overlap = np.einsum("ij,ij->j", roots.columns[:, a].conj(), roots.columns[:, b])
+        overlap += np.einsum("ij,ij->i", _bath_part(roots, a, modes).conj(), _bath_part(roots, b, modes))
+        worst.append(np.max(np.abs(overlap)))
+    return float(np.max(worst))
+
+
+def _bath_part(roots: _Roots, idx: np.ndarray, modes: _Modes) -> np.ndarray:
+    """(E - Omega)^-1 G v of the roots idx, one row per root."""
+    r = _reciprocal(roots.tau[idx], _differences(modes.omegas, roots.base[idx]))
+    return r * (roots.columns[:, idx].T @ modes.g.T)
+
+
 def uses_secular_route(params: ModelParams) -> bool:
     """Whether the spectrum comes from the secular equation.
 
     True for qubit-independent (uniform) coupling, under which the
     one-excitation sector splits into the symmetric sector, whose energies
     are the zeros of P, and N - 1 dark states at epsilon. Every other
-    coupling needs the dense eigensolve.
+    coupling takes its energies from a dense eigvalsh (closed_form_spectrum).
     """
     return isinstance(params.coupling, UniformCoupling)
 
@@ -418,11 +721,16 @@ def sector_energies(params: ModelParams) -> tuple[np.ndarray, np.ndarray | None]
 
     Under uniform coupling (`uses_secular_route`) the energies are the
     N_b + 1 zeros of P and the N - 1 dark states at epsilon, with no
-    eigensolve; under any other coupling they are the eigenvalues of
-    diagonalize(build_h1(params)).
+    eigensolve; under any other coupling they are those of
+    closed_form_spectrum(params, build_h1(params)), the energies a run
+    uses, or of diagonalize where that is not certified.
     """
     if not uses_secular_route(params):
-        return diagonalize(build_h1(params)).eigenvalues, None
+        h = build_h1(params)
+        try:
+            return closed_form_spectrum(params, h)[0], None
+        except DiagonalizationError:
+            return diagonalize(h).eigenvalues, None
     roots = secular_roots(params)
     dark = np.full(params.shape.n_qubits - 1, params.epsilon)
     return np.sort(np.concatenate([roots, dark])), roots

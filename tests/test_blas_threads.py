@@ -5,8 +5,9 @@ interpreter with ``OPENBLAS_NUM_THREADS`` set in that subprocess's
 environment only. The secular route (fig1 and the spectrum, uniform
 coupling) makes no thread-dependent BLAS call, so its CSV and sidecar bytes
 are identical. The dense route (fig5, cosine coupling) goes through
-``eigh``, whose blocked reductions sum in an order that depends on the
-thread count: its values agree to 1e-10, not bitwise.
+``eigvalsh`` and a batched N x N ``eigh`` of the self-energy problem, whose
+blocked reductions and GEMMs sum in an order that depends on the thread
+count: its values agree to 1e-10, not bitwise.
 """
 
 import os

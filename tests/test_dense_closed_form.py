@@ -1,0 +1,276 @@
+"""The dense route without eigenvectors: eigvalsh energies and the spin block
+in closed form (spectral.closed_form_spectrum), its certificate and its
+fallback to diagonalize, against evolve + diagonalize and against a
+40-digit eigensolve."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import qregsim.dynamics
+from qregsim import (
+    CosineCoupling,
+    DiagonalizationError,
+    ExplicitCoupling,
+    ExplicitDispersion,
+    ModelParams,
+    RegisterShape,
+    TimeGrid,
+    UniformCoupling,
+    build_h1,
+    build_preset,
+    closed_form_spectrum,
+    diagonalize,
+    evolve,
+    initial_amplitudes,
+    observables,
+    prep_vector,
+    run_time_series,
+    spin_spectrum,
+    symmetric_spectrum,
+    symmetric_state,
+)
+
+TIMES = np.array([0.0, 10.0, 500.0, 2000.0])
+
+#: mode frequencies on a 0.01 grid, so that drawn lists repeat some
+_frequency = st.integers(5, 300).map(lambda k: k / 100)
+
+
+def _cosine(n, g0, xi, epsilon, omegas):
+    return ModelParams(
+        RegisterShape(n, len(omegas)),
+        CosineCoupling(g0, xi),
+        epsilon=epsilon,
+        dispersion=ExplicitDispersion(omegas),
+    )
+
+
+# Three hazard models, each fatal to a weaker form of the route. A root next
+# to a pole whose spin state is nearly dark: without Newton steps its column
+# is 5.6e-11 off.
+NEAR_POLE = _cosine(
+    2, 0.28407061582409954, 7.386384301425365, 0.6745455252707157,
+    [0.6745455252707157, 0.06742310551999195, 0.2514263089348071, 1.4030579278814295,
+     0.16316216742709275, 2.9421319472950564, 1.9119229207103718, 1.7280721609387375,
+     1.8974374305412547, 1.2836846083961297, 2.6629715242350596, 2.1528450678922586],
+)
+# a near-dark pair split by about 1e-10 ||H||, which a cluster threshold of
+# 1e-9 ||H|| merges: the propagator is then 5.5e-7 off at t = 2000
+NEAR_DARK_PAIR = _cosine(
+    4, 0.06406945816961684, 14.568093961548191, 1.2577534465462263,
+    [1.2070744617090767, 1.9788113705067008, 2.1401277352986754, 0.684061401248821,
+     1.6663823659166432, 1.0350181683784991, 2.9945478926526032, 1.410774575069204],
+)
+# strong coupling, which residual bounds of 1e-12 and overlaps of 1e-11 would
+# pass while the propagator is 4e-11 off
+STRONG = _cosine(
+    3, 0.9391665366903619, 11.275530391384471, 1.0610836674760162,
+    [2.779218105533858, 1.0695612784626254, 2.387680026010526, 1.9905159542837776,
+     1.534289330653858, 2.267596783941967, 2.1961910447838116, 2.859366679143721,
+     2.2088481229003936, 0.9297640759471953],
+)
+HAZARDS = {"near_pole": NEAR_POLE, "near_dark_pair": NEAR_DARK_PAIR, "strong": STRONG}
+
+
+@st.composite
+def dense_models(draw):
+    """Cosine and explicit couplings with the degeneracies the route must
+    resolve or refuse: epsilon on a mode, N = 1, repeated frequencies,
+    repeated and zero coupling columns, zero rows and a column 1e-9 weak."""
+    n = draw(st.integers(1, 4))
+    omegas = draw(st.lists(_frequency, min_size=1, max_size=10))
+    omegas += draw(st.sampled_from([[], omegas[:1], omegas[:1] * 2]))
+    nb = len(omegas)
+    epsilon = draw(st.one_of(st.sampled_from(omegas), st.floats(0.05, 3.0)))
+    g0 = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["cosine", "real", "complex"]))
+    if kind == "cosine":
+        return _cosine(n, g0, draw(st.floats(0.5, 20.0)), epsilon, omegas)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((nb, n))
+    if kind == "complex":
+        g = (g + 1j * rng.standard_normal((nb, n))) / np.sqrt(2.0)
+    g *= g0
+    edit = draw(st.sampled_from(["none", "repeated_column", "zero_column", "zero_row", "weak_column"]))
+    if edit == "repeated_column":
+        g[:, -1] = g[:, 0]
+    elif edit == "zero_column":
+        g[:, -1] = 0.0
+    elif edit == "zero_row":
+        g[draw(st.integers(0, nb - 1))] = 0.0
+    elif edit == "weak_column":
+        g[:, -1] *= 1e-9
+    return ModelParams(
+        RegisterShape(n, nb), ExplicitCoupling(g), epsilon=epsilon,
+        dispersion=ExplicitDispersion(omegas),
+    )
+
+
+def _propagators(energies, v_s, times):
+    """Spin block V_s exp(-i E t) V_s^H of the propagator at each time."""
+    return np.einsum("aj,tj,bj->tab", v_s, np.exp(-1j * np.outer(times, energies)), v_s.conj())
+
+
+def _evolved_spin_blocks(params, times):
+    """The same blocks from evolve: column a evolves spin state a."""
+    n = params.shape.n_qubits
+    sd = diagonalize(build_h1(params))
+    columns = [evolve(sd, initial_amplitudes(np.eye(n)[a], params.shape), times)[:, :n]
+               for a in range(n)]
+    return np.stack(columns, axis=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=dense_models())
+@example(params=NEAR_POLE)
+@example(params=NEAR_DARK_PAIR)
+@example(params=STRONG)
+@example(params=_cosine(4, 0.0, 3.0, 1.5, [0.5, 1.5, 1.5, 2.5]))
+def test_certified_or_falls_back(params):
+    # what certifies is the route's spectrum and matches the dense reference
+    # at every time; what does not, falls back to diagonalize
+    n = params.shape.n_qubits
+    h = build_h1(params)
+    energies, v_s = spin_spectrum(params)
+    try:
+        closed = closed_form_spectrum(params, h)
+    except DiagonalizationError:
+        sd = diagonalize(h)
+        assert np.array_equal(energies, sd.eigenvalues)
+        assert np.array_equal(v_s, sd.eigenvectors[:n])
+        return
+    assert np.array_equal(energies, closed[0]) and np.array_equal(v_s, closed[1])
+    assert np.all(np.diff(energies) >= 0.0) and v_s.shape == (n, h.shape[0])
+    got = _propagators(energies, v_s, TIMES)
+    want = _evolved_spin_blocks(params, TIMES)
+    if not np.max(np.abs(got - want)) <= 1e-11:
+        # under strong coupling eigh's own eigenvalue error reaches 1e-11 at
+        # t = 2000 (1.09e-11 on one explicit N = 4 draw, where this route was
+        # 8.7e-13 from the truth); the 40-digit eigensolve then decides
+        want = _oracle_spin_blocks(params, TIMES)
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("g0", [4.141419808267754e-05, 1e-3, 0.3])
+def test_single_qubit_matches_secular_weights(g0):
+    # at N = 1 every coupling is uniform, so the closed form's spin weights
+    # |v_j|^2 are the secular weights 1 / P'(E_j); epsilon on a mode puts
+    # two roots +-g0 from it, where E - epsilon formed from the rounded
+    # energy instead of the offset loses 2e-13 of a weight
+    omegas = [1.72, 0.94, 1.35, 1.28, 1.57, 2.21, 1.61, 2.24]
+    params = _cosine(1, g0, 3.0, 1.28, omegas)
+    uniform = ModelParams(
+        RegisterShape(1, 8), UniformCoupling(g0), epsilon=1.28,
+        dispersion=ExplicitDispersion(omegas),
+    )
+    energies, v_s = closed_form_spectrum(params, build_h1(params))
+    roots, weights = symmetric_spectrum(uniform)
+    assert np.max(np.abs(energies - roots)) <= 1e-15
+    assert np.max(np.abs(np.abs(v_s[0]) ** 2 - weights)) <= 1e-15
+    assert abs(np.sum(np.abs(v_s[0]) ** 2) - 1.0) <= 1e-15
+
+
+def _paper_runs():
+    bath = ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1.0))
+    runs = [("bath_cosine", bath, symmetric_state(4))]
+    for name in ("fig4", "fig5"):
+        for cfg in build_preset(name):
+            runs.append((cfg.output_path, cfg.params, prep_vector(cfg.prep, 2)))
+    return runs
+
+
+@pytest.mark.parametrize("name, params, prep", _paper_runs(), ids=[r[0] for r in _paper_runs()])
+def test_paper_models_need_no_eigenvectors(name, params, prep, monkeypatch):
+    # the gain of the route cannot vanish into its fallback on the models
+    # the benchmark and the cosine presets run
+    def no_eigenvectors(h):
+        raise AssertionError("the dense route fell back to diagonalize")
+
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", no_eigenvectors)
+    series = run_time_series(params, prep, TimeGrid(2000.0, 2001))
+    assert len(series) == 2001
+
+
+@pytest.mark.parametrize("fault", ["shifted", "nan"])
+def test_corrupted_energy_falls_back(fault, monkeypatch):
+    # one eigvalsh energy moved by 1e-9 ||H||, or made NaN: the certificate
+    # refuses it and the route's output is the reference's
+    (cfg, _) = build_preset("fig5")
+    params, prep = cfg.params, prep_vector(cfg.prep, 2)
+    closed_form_spectrum(params, build_h1(params))  # certified when intact
+    real_eigvalsh, real_diagonalize = np.linalg.eigvalsh, qregsim.dynamics.diagonalize
+    calls = []
+
+    def corrupted(h):
+        energies = real_eigvalsh(h).copy()
+        k = energies.size // 2
+        energies[k] = np.nan if fault == "nan" else energies[k] + 1e-9 * np.max(np.abs(energies))
+        return energies
+
+    def counted(h):
+        calls.append(h.shape)
+        return real_diagonalize(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
+    grid = TimeGrid(2000.0, 401)
+    series = run_time_series(params, prep, grid)
+    assert calls == [(202, 202)]
+    c0 = initial_amplitudes(prep, params.shape)
+    want = observables(c0, evolve(diagonalize(build_h1(params)), c0, grid.times()), 2)
+    for got, expect in zip(series.obs, want):
+        assert np.max(np.abs(got - expect)) <= 1e-11
+
+
+def _oracle_spin_blocks(params, times):
+    """Spin blocks of exp(-iHt) from a 40-digit Hermitian eigensolve."""
+    mpmath = pytest.importorskip("mpmath")
+    n, h = params.shape.n_qubits, build_h1(params)
+    d = h.shape[0]
+    with mpmath.workdps(40):
+        energies, vectors = mpmath.eighe(mpmath.matrix(h.astype(complex).tolist()))
+        blocks = []
+        for t in times:
+            phases = [mpmath.expj(-energies[j] * t) for j in range(d)]
+            blocks.append([
+                [complex(mpmath.fsum(vectors[a, j] * phases[j] * mpmath.conj(vectors[b, j])
+                                     for j in range(d))) for b in range(n)]
+                for a in range(n)
+            ])
+    return np.array(blocks)
+
+
+_rng = np.random.default_rng(5)
+ORACLE_MODELS = {
+    **HAZARDS,
+    "cosine_n2": _cosine(2, 0.28407061582409954, 7.386384301425365, 1.0,
+                         NEAR_POLE.dispersion.omegas),
+    "cosine_n3_strong": _cosine(3, 0.9, 2.0, 1.3, NEAR_POLE.dispersion.omegas),
+    "explicit_complex": ModelParams(
+        RegisterShape(3, 12),
+        ExplicitCoupling(0.3 / np.sqrt(2.0) * (_rng.standard_normal((12, 3))
+                                               + 1j * _rng.standard_normal((12, 3)))),
+        epsilon=1.1,
+        dispersion=ExplicitDispersion(NEAR_POLE.dispersion.omegas),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_routes_against_high_precision_oracle(name):
+    # at t = 2000 every route that certifies is within 1e-11 of the truth:
+    # diagonalize whenever its contract holds, the closed form when its
+    # certificate does
+    params = ORACLE_MODELS[name]
+    n, h, t = params.shape.n_qubits, build_h1(params), np.array([2000.0])
+    truth = _oracle_spin_blocks(params, t)
+    sd = diagonalize(h)
+    assert np.max(np.abs(_propagators(sd.eigenvalues, sd.eigenvectors[:n], t) - truth)) <= 1e-11
+    try:
+        energies, v_s = closed_form_spectrum(params, h)
+    except DiagonalizationError:
+        assert name in HAZARDS  # the others are certified
+        return
+    assert np.max(np.abs(_propagators(energies, v_s, t) - truth)) <= 1e-11
