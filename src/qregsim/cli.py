@@ -6,11 +6,9 @@ Verbs:
   spectrum <config>            eigenvalues (and secular roots) as CSV
   check                        run the acceptance suite
 
-Under uniform coupling `spectrum` takes the eigenvalues from the secular
-roots and the N - 1 dark states at epsilon, with no eigensolve
-(`spectral.sector_energies`); any other coupling takes the energies of the
-certified closed form (eigvalsh refined by Newton steps), or of the dense
-eigensolve where that is not certified.
+`run` and `spectrum` take their spectrum from `dynamics.spin_spectrum`,
+whose docstring describes its routes; `spectrum` writes its energies,
+ascending, and on the secular route the symmetric sector's roots.
 """
 
 from __future__ import annotations
@@ -22,14 +20,15 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, format_config, parse_config_file, prep_vector
-from .dynamics import TimeSeries, run_time_series, series_to_csv
+from .dynamics import TimeSeries, run_time_series, series_to_csv, spin_spectrum
 from .presets import PRESET_NAMES, build_preset
-from .spectral import sector_energies
 
 # perfbench/spans.py wraps these layers at their names in this module; the
-# spectrum verb reaches them only through sector_energies, which those
+# spectrum verb reaches them only through spin_spectrum, which those
 # wrappers do not see
 from .model import build_h1  # noqa: F401
 from .spectral import diagonalize, secular_roots  # noqa: F401
@@ -106,7 +105,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             f"output.path must name a directory for the spectrum verb, "
             f"and {out_dir} is an existing file"
         )
-    energies, roots = sector_energies(cfg.params)
+    energies, _, roots = spin_spectrum(cfg.params)
+    energies = np.sort(energies)
     write_atomic(
         out_dir / "eigenvalues.csv",
         "".join(f"{e:.17g}\n" for e in energies),

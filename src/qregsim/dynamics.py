@@ -13,11 +13,8 @@ amplitudes at any times, densely, and is the reference the tests and the
 acceptance criteria compare against. `run_time_series` needs the spin block
 on a uniform grid only, so it evaluates it as one type-1 nonuniform FFT per
 spin row (Gaussian gridding) and never forms the bath block. The
-eigenvalues and spin rows it transforms come from `spin_spectrum`: secular
-roots and weights, with no eigensolve, under uniform coupling; under any
-other, the eigvalsh energies and the spin block in closed form of
-`spectral.closed_form_spectrum`, with no eigenvector matrix, or the dense
-eigensolve `diagonalize` where the closed form is not certified.
+eigenvalues and spin rows it transforms come from `spin_spectrum`, the one
+place that picks a spectrum route and whose docstring describes the routes.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from .spectral import (
 
 __all__ = [
     "Observables",
+    "Spectrum",
     "TimeGrid",
     "TimeSeries",
     "RelaxationFit",
@@ -172,12 +170,9 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
     at most 1) and the leaked weight p0 = 1 - p1. Only the first n_qubits
     entries of each row are read, so c may be full amplitude rows or spin
     blocks alone. p0 + p1 = 1 therefore holds by construction and says
-    nothing about norm drift. Its guard is the spectrum's own check: the
-    certificate of `spectral.closed_form_spectrum` (eigenvectors
-    orthonormal to 5e-14), or on its fallback the Gram check in
-    `diagonalize` (to 1e-10), for cosine and explicit couplings; the sum
-    rule sum_j w_j = 1 (to 1e-10) on the secular route. Every evolved state
-    has unit norm to that tolerance.
+    nothing about norm drift. Its guard is the check of the spectrum's route
+    (see spin_spectrum), so every evolved state has unit norm to that
+    route's tolerance.
     D(t) = sum_alpha C_alpha(t) conj(C_alpha(0)); for the half-and-half
     superposition of the reference state with the spin preparation the
     register coherence is D/2. For a pure spin preparation c0 the fidelity
@@ -200,47 +195,64 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
     )
 
 
-def spin_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues E_j and the N x m spin block V_s of matching eigenvectors.
+class Spectrum(NamedTuple):
+    """All N + N_b one-excitation energies, the N x (N + N_b) spin block of
+    matching eigenvectors, and on the secular route the N_b + 1 energies of
+    the symmetric sector (None on the others); see spin_spectrum."""
 
-    Only these enter the register dynamics: the spin amplitudes evolve as
-    C(t) = V_s diag(exp(-i E t)) V_s^H C(0). The route is chosen here, and
-    only here, by spectral.uses_secular_route:
+    energies: np.ndarray
+    spin: np.ndarray
+    roots: np.ndarray | None
+
+
+def spin_spectrum(params: ModelParams) -> Spectrum:
+    """The spectrum of the one-excitation sector as the register sees it.
+
+    Only the energies E_j and the spin block V_s of matching eigenvectors
+    enter the register dynamics: the spin amplitudes evolve as
+    C(t) = V_s diag(exp(-i E t)) V_s^H C(0). Every route gives all N + N_b
+    energies and an N x (N + N_b) spin block. The route is chosen here, and
+    only here, by spectral.uses_secular_route, and the fallback to
+    diagonalize is taken here alone:
 
     - uniform coupling, the secular route: no eigensolve. The symmetric
-      spin state s = (1, ..., 1) / sqrt(N) spreads over the zeros E_j of
-      the secular function with weights w_j = 1 / P'(E_j)
-      (spectral.symmetric_spectrum), each giving the column sqrt(w_j) s;
-      the N - 1 momentum states (sector.momentum_state), orthonormal and
-      orthogonal to s, are dark and give N - 1 columns at epsilon. Pinned
-      roots of degenerate frequencies carry no spin weight and are left
-      out, so m = (distinct frequencies) + N; with g0 = 0 (or N g0^2
-      below the normal float range), s is one column at epsilon and m = N.
+      spin state s = (1, ..., 1) / sqrt(N) spreads over the N_b + 1
+      energies E_j of the symmetric sector with weights w_j = 1 / P'(E_j)
+      (spectral.symmetric_spectrum, which checks the trace identity and the
+      sum rule sum_j w_j = 1 to 1e-10), each giving the column sqrt(w_j) s;
+      pinned roots of repeated frequencies carry w_j = 0 and so zero
+      columns, and with g0 = 0 (or N g0^2 below the normal float range) only
+      the energy nearest epsilon carries s. The N - 1 momentum states
+      (sector.momentum_state), orthonormal and orthogonal to s, are dark and
+      give N - 1 columns at epsilon, last. roots holds the N_b + 1 energies.
       Cost O(N_b^2) per root iteration, memory bounded by the iteration's
       row chunks.
     - every other coupling, the dense route without eigenvectors:
-      spectral.closed_form_spectrum(params, build_h1(params)), the
-      eigvalsh energies and, from an N x N self-energy problem per energy,
-      the N spin rows of the eigenvectors, m = N + N_b. Cost one eigvalsh,
-      O(d^3) with a small constant, plus O(d N_b N^2), and memory O(d^2)
-      for the matrix plus the roots' row chunks. If its certificate fails
-      (near-degenerate states it cannot resolve, or an energy on a coupled
-      frequency), the route falls back to diagonalize(build_h1(params)) and
-      the first N rows of its eigenvector matrix. build_h1 and diagonalize
-      are called through this module's names.
+      spectral.closed_form_spectrum(params, build_h1(params)), the eigvalsh
+      energies, ascending, and, from an N x N self-energy problem per
+      energy, the N spin rows of the eigenvectors, certified to
+      orthonormality 5e-14. Cost one eigvalsh, O(d^3) with a small
+      constant, plus O(d N_b N^2), and memory O(d^2) for the matrix plus the
+      roots' row chunks. If its certificate fails (near-degenerate states it
+      cannot resolve, or an energy on a coupled frequency), the route falls
+      back to diagonalize(build_h1(params)), whose Gram check holds its
+      eigenvectors orthonormal to 1e-10, and the first N rows of its
+      eigenvector matrix. roots is None. build_h1 and diagonalize are
+      called through this module's names.
     """
     n = params.shape.n_qubits
-    if not uses_secular_route(params):
-        h = build_h1(params)
-        try:
-            return closed_form_spectrum(params, h)
-        except DiagonalizationError:
-            sd = diagonalize(h)
-            return sd.eigenvalues, sd.eigenvectors[:n]
-    energies, weights = symmetric_spectrum(params)
-    columns = [np.outer(symmetric_state(n), np.sqrt(weights))]
-    columns += [momentum_state(n, k)[:, None] for k in range(1, n)]
-    return np.concatenate([energies, np.full(n - 1, params.epsilon)]), np.hstack(columns)
+    if uses_secular_route(params):
+        roots, weights = symmetric_spectrum(params)
+        columns = [np.outer(symmetric_state(n), np.sqrt(weights))]
+        columns += [momentum_state(n, k)[:, None] for k in range(1, n)]
+        energies = np.concatenate([roots, np.full(n - 1, params.epsilon)])
+        return Spectrum(energies, np.hstack(columns), roots)
+    h = build_h1(params)
+    try:
+        return Spectrum(*closed_form_spectrum(params, h), None)
+    except DiagonalizationError:
+        sd = diagonalize(h)
+        return Spectrum(sd.eigenvalues, sd.eigenvectors[:n], None)
 
 
 def _spin_amplitudes(
@@ -249,12 +261,12 @@ def _spin_amplitudes(
     """Spin block of the evolved amplitudes at every grid time, shape (T, N).
 
     C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V_s^H prep, x_j = E_j dt
-    and V_s the N x m spin block of spin_spectrum: a type-1 nonuniform FFT of
-    the m points x_j onto the modes k = 0..T-1. Each point is spread onto an
-    oversampled periodic grid of M = 2T cells with the Gaussian
-    exp(-(x - x_m)^2 / 4 tau); one FFT per spin row then gives the Fourier
-    coefficients of the spread sum, and dividing by the Gaussian's own
-    coefficients recovers the exact sum. The modes are shifted by
+    and V_s the N x m spin block of spin_spectrum (m = N + N_b): a type-1
+    nonuniform FFT of the m points x_j onto the modes k = 0..T-1. Each point
+    is spread onto an oversampled periodic grid of M = 2T cells with the
+    Gaussian exp(-(x - x_m)^2 / 4 tau); one FFT per spin row then gives the
+    Fourier coefficients of the spread sum, and dividing by the Gaussian's
+    own coefficients recovers the exact sum. The modes are shifted by
     k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the deconvolution
     factor stays below exp(4 pi / 3). Cost O(N m w + N M log M), memory
     O(N M) (w = the spreading half-width), against O(T d^2) for evolve.
@@ -302,18 +314,14 @@ def run_time_series(
     Returns the grid times, the observables at every grid time (see
     observables) and the fidelity and entropy means over the late window,
     the final quarter of the grid by time. Takes the eigenvalues and the
-    spin block from spin_spectrum (secular roots under uniform coupling,
-    the certified closed form or, failing it, the dense eigensolve
-    otherwise), then evaluates the spin amplitudes at every grid point with
-    one nonuniform FFT per spin row; the bath block is never formed. Memory
-    is O(N T + d^2) on the dense route and O(N T) plus the root iteration's
-    chunks on the secular route. p0 is 1 - p1 (see observables), so the
-    guard on norm conservation is the closed form's certificate (or the
-    Gram check in diagonalize on its fallback) on the dense route and the
-    sum rule sum_j w_j = 1 of the secular weights on the secular one.
+    spin block from spin_spectrum, then evaluates the spin amplitudes at
+    every grid point with one nonuniform FFT per spin row; the bath block is
+    never formed. Memory is O(N T) plus the spectrum's (see spin_spectrum).
+    p0 is 1 - p1 (see observables), so the guard on norm conservation is the
+    check of the spectrum's route.
     """
     n = params.shape.n_qubits
-    energies, v_s = spin_spectrum(params)
+    energies, v_s, _ = spin_spectrum(params)
     c0 = initial_amplitudes(prep, params.shape)
     obs = observables(c0, _spin_amplitudes(energies, v_s, c0[:n], grid), n)
 

@@ -1,32 +1,26 @@
 """Dense Hermitian eigendecomposition, the dense spectrum without
 eigenvectors, and the secular-equation spectrum.
 
-Three routes to the same physics. `diagonalize` wraps a dense Hermitian
-eigensolver and enforces the residual/orthonormality contract; it is the
-reference the tests and the acceptance criteria compare against.
-`closed_form_spectrum` serves runs under cosine and explicit couplings: it
-takes the energies from `np.linalg.eigvalsh` and the spin rows of the
-eigenvectors from an N x N self-energy problem per energy, never forming
-the d x d eigenvector matrix, and it certifies its result (eigenvalue
-errors and orthonormality of the implied eigenvectors) or raises, after
-which `dynamics.spin_spectrum` falls back to `diagonalize`.
-Under qubit-independent (uniform) coupling, the test `uses_secular_route`,
-the one-excitation sector splits into the symmetric sector and N - 1 dark
-states at epsilon, and the symmetric sector's N_b + 1 energies are the
-zeros of the rational secular equation
+Three routes to the same physics; `dynamics.spin_spectrum` picks one per
+model and describes each. `diagonalize` wraps a dense Hermitian eigensolver
+and enforces the residual/orthonormality contract; it is the reference the
+tests and the acceptance criteria compare against, and the fallback of the
+closed form. `closed_form_spectrum` takes the energies from
+`np.linalg.eigvalsh` and the spin rows of the eigenvectors from an N x N
+self-energy problem per energy, never forming the d x d eigenvector matrix,
+and certifies its result or raises. Under qubit-independent (uniform)
+coupling, the test `uses_secular_route`, the symmetric sector's N_b + 1
+energies are the zeros of the rational secular equation
 
-    P(E) = E - epsilon - N * sum_k |g_k|^2 / (E - omega_k) = 0.
+    P(E) = E - epsilon - N * sum_k |g_k|^2 / (E - omega_k) = 0
 
-`secular_roots` returns them and `symmetric_spectrum` pairs them with the
-weights w_j = 1 / P'(E_j) of the symmetric spin state. Both come from one
-safeguarded rational iteration (R.-C. Li's middle way, the method of
-LAPACK dlaed4) that holds each zero as an offset from its nearer pole
+(and the pinned energies of repeated frequencies). `symmetric_spectrum`
+returns them with the weights w_j = 1 / P'(E_j) of the symmetric spin state,
+from one safeguarded rational iteration (R.-C. Li's middle way, the method
+of LAPACK dlaed4) that holds each zero as an offset from its nearer pole
 (Gu & Eisenstat's stable reconstruction), in row chunks that bound the
-(zeros x poles) work buffers. Uniform-coupling models take their spectrum
-from it and never diagonalize: runs through `dynamics.spin_spectrum`, the
-`spectrum` verb through `sector_energies`, which adds the N - 1 dark states
-to the zeros. Every other coupling uses the closed form, and all three
-routes are cross-checked in the test suite.
+(zeros x poles) work buffers. All three routes are cross-checked in the
+test suite.
 """
 
 from __future__ import annotations
@@ -36,16 +30,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, UniformCoupling, build_h1, mode_frequencies
+from .model import ModelParams, UniformCoupling, mode_frequencies
 
 __all__ = [
     "DiagonalizationError",
     "SpectralDecomposition",
     "closed_form_spectrum",
     "diagonalize",
-    "secular_function",
     "secular_roots",
-    "sector_energies",
     "symmetric_spectrum",
     "uses_secular_route",
 ]
@@ -421,13 +413,9 @@ def _bath_part(roots: _Roots, idx: np.ndarray, modes: _Modes) -> np.ndarray:
 
 
 def uses_secular_route(params: ModelParams) -> bool:
-    """Whether the spectrum comes from the secular equation.
-
-    True for qubit-independent (uniform) coupling, under which the
-    one-excitation sector splits into the symmetric sector, whose energies
-    are the zeros of P, and N - 1 dark states at epsilon. Every other
-    coupling takes its energies from a dense eigvalsh (closed_form_spectrum).
-    """
+    """Whether the spectrum comes from the secular equation: true for
+    qubit-independent (uniform) coupling. dynamics.spin_spectrum, the one
+    place that picks a route, describes the routes."""
     return isinstance(params.coupling, UniformCoupling)
 
 
@@ -469,12 +457,6 @@ def _differences(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     out[...] = values
     out -= np.asarray(shifts)[..., None]
     return out
-
-
-def secular_function(params: ModelParams, e: float | np.ndarray):
-    """P(E) for uniform coupling; vectorized over E. Poles sit at the omega_k."""
-    poles, _, sqrt_w = _secular_poles(params)
-    return _secular_p(np.asarray(e, dtype=float), params.epsilon, poles, sqrt_w**2)
 
 
 def _row_chunks(n_rows: int, n_cols: int):
@@ -672,91 +654,72 @@ def _secular_energies(
 
 
 def secular_roots(params: ModelParams) -> np.ndarray:
-    """All N_b + 1 zeros of the secular function, in ascending order.
+    """All N_b + 1 energies of the symmetric sector, ascending:
+    symmetric_spectrum(params)[0]."""
+    return symmetric_spectrum(params)[0]
 
-    P rises strictly from -inf to +inf between adjacent distinct poles, so
-    each such open interval holds exactly one zero; one more lies below the
-    lowest pole and one above the highest. With W the total weight and
-    R = sqrt(W) + 1, P(min(epsilon, omega_1) - R) < -1 and
-    P(max(epsilon, omega_max) + R) > 1, which closes the two outer brackets.
-    The zeros are found by the safeguarded rational iteration of
-    _solve_secular, all brackets at once (in row chunks that bound the
-    (zeros x poles) buffer), as an offset from the nearer pole to a few ulp
-    of that offset. Degenerate frequencies are merged into one pole of
-    combined weight and contribute the frequency itself as a root with
-    multiplicity (group size - 1); with zero coupling every pole cancels
-    and the frequencies themselves are returned alongside epsilon.
 
-    The zeros are the spectrum of the symmetric sector's arrowhead matrix
-    H_sym, so they must sum to its trace epsilon + sum_k omega_k:
-    DiagonalizationError if they miss it by more than
-    1e-10 * max(1, ||H_sym||_F), with
-    ||H_sym||_F^2 = epsilon^2 + sum_k omega_k^2 + 2 N N_b g0^2, or if the
-    sum is NaN.
+def symmetric_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The N_b + 1 energies E_j of the symmetric sector, ascending, and the
+    weights w_j = |<phi_j|s>|^2 of the symmetric spin state on them.
+
+    s = (1, ..., 1) / sqrt(N) couples to mode k with strength sqrt(N) g0. A
+    k-fold frequency is one pole of P and keeps (k - 1) energies pinned on
+    itself, bath states that s does not reach (w = 0). P rises strictly from
+    -inf to +inf between adjacent distinct poles, so each such open interval
+    holds exactly one zero; one more lies below the lowest pole and one above
+    the highest. With W the total weight and R = sqrt(W) + 1,
+    P(min(epsilon, omega_1) - R) < -1 and P(max(epsilon, omega_max) + R) > 1,
+    which closes the two outer brackets. The safeguarded rational iteration
+    of _solve_secular finds every zero at once, as an offset from its nearer
+    pole to a few ulp of that offset, and w_j = 1 / P'(E_j) comes from the
+    same offsets. With g0 = 0 every pole cancels and the energies are the
+    frequencies and epsilon.
+
+    When the weight N g0^2 of a mode lies below the normal float range (g0 =
+    0 included), s is an eigenstate at epsilon to within
+    sqrt(N) |g0| t < 1.5e-154 t in the dynamics, and 1 / P' of the zeros an
+    ulp from their poles is meaningless: the zero nearest epsilon takes
+    w = 1 and every other energy w = 0.
+
+    Two checks, written so that NaN fails, raise DiagonalizationError:
+
+    - trace: the energies are the spectrum of the symmetric sector's
+      arrowhead matrix H_sym, so they sum to epsilon + sum_k omega_k, to
+      1e-10 * max(1, ||H_sym||_F) with
+      ||H_sym||_F^2 = epsilon^2 + sum_k omega_k^2 + 2 N N_b g0^2;
+    - sum rule: sum w_j = 1 to 1e-10, like the Gram check in diagonalize,
+      which keeps every evolved state normalized.
+
+    The weights also obey sum w_j E_j = epsilon and
+    sum w_j E_j^2 = epsilon^2 + N N_b g0^2.
     """
-    eps = params.epsilon
     poles, counts, sqrt_w = _secular_poles(params)
-    # Degenerate groups keep (count - 1) roots pinned at the frequency itself.
-    pinned = np.repeat(poles, counts - 1)
-    if params.coupling.g0 == 0.0:
-        roots = np.concatenate([pinned, poles, [eps]])
-    else:
-        roots = np.concatenate([pinned, _secular_energies(poles, sqrt_w, eps)[0]])
-    roots.sort()
+    eps, g0 = params.epsilon, params.coupling.g0
     n, nb = params.shape.n_qubits, params.shape.n_modes
-    frobenius_sq = eps**2 + poles**2 @ counts + 2.0 * n * nb * params.coupling.g0**2
+    if g0 == 0.0:
+        zeros, slope = np.append(poles, eps), None
+    else:
+        zeros, slope = _secular_energies(poles, sqrt_w, eps)
+    if n * g0**2 < _TINY:
+        weights = np.zeros(zeros.size)
+        weights[np.argmin(np.abs(zeros - eps))] = 1.0
+    else:
+        weights = 1.0 / slope
+    pinned = np.repeat(poles, counts - 1)
+    energies = np.concatenate([pinned, zeros])
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    weights = np.concatenate([np.zeros(pinned.size), weights])[order]
+
+    frobenius_sq = eps**2 + poles**2 @ counts + 2.0 * n * nb * g0**2
     scale = max(1.0, float(np.sqrt(frobenius_sq)))
-    defect = abs(float(roots.sum()) - (eps + float(poles @ counts)))
+    defect = abs(float(energies.sum()) - (eps + float(poles @ counts)))
     if not defect <= _RESIDUAL_RTOL * scale:  # written so that NaN fails
         raise DiagonalizationError(
             f"secular roots miss the trace by {defect:.3e}, "
             f"more than {_RESIDUAL_RTOL:.0e} * {scale:.3e}"
         )
-    return roots
-
-
-def sector_energies(params: ModelParams) -> tuple[np.ndarray, np.ndarray | None]:
-    """All N + N_b one-excitation energies, ascending, and the secular roots
-    they were assembled from (None on the dense route).
-
-    Under uniform coupling (`uses_secular_route`) the energies are the
-    N_b + 1 zeros of P and the N - 1 dark states at epsilon, with no
-    eigensolve; under any other coupling they are those of
-    closed_form_spectrum(params, build_h1(params)), the energies a run
-    uses, or of diagonalize where that is not certified.
-    """
-    if not uses_secular_route(params):
-        h = build_h1(params)
-        try:
-            return closed_form_spectrum(params, h)[0], None
-        except DiagonalizationError:
-            return diagonalize(h).eigenvalues, None
-    roots = secular_roots(params)
-    dark = np.full(params.shape.n_qubits - 1, params.epsilon)
-    return np.sort(np.concatenate([roots, dark])), roots
-
-
-def symmetric_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Energies E_j and weights w_j = |<phi_j|s>|^2 of the symmetric spin state.
-
-    s = (1, ..., 1) / sqrt(N) couples to mode k with strength sqrt(N) g0, so
-    its spectral measure sits on the zeros of P, ascending, with
-    w_j = 1 / P'(E_j) computed from the zeros' offsets to the poles. A
-    pinned root of a degenerate frequency carries no weight and is left
-    out. With zero coupling s is itself an eigenstate: E = [epsilon],
-    w = [1]. So it is, to within sqrt(N) |g0| t < 1.5e-154 t in the
-    dynamics, when the weight N g0^2 of a mode lies below the normal float
-    range, where the roots' offsets and weights would be subnormal. The
-    weights obey sum w_j = 1, sum w_j E_j = epsilon and
-    sum w_j E_j^2 = epsilon^2 + N N_b g0^2; the first, which keeps every
-    evolved state normalized, is checked like the Gram matrix in
-    diagonalize: DiagonalizationError if it is missed by more than 1e-10.
-    """
-    poles, _, sqrt_w = _secular_poles(params)
-    if params.shape.n_qubits * params.coupling.g0**2 < _TINY:
-        return np.array([params.epsilon]), np.ones(1)
-    energies, slope = _secular_energies(poles, sqrt_w, params.epsilon)
-    weights = 1.0 / slope
     defect = abs(float(weights.sum()) - 1.0)
     if not defect <= _ORTHO_TOL:  # written so that NaN fails
         raise DiagonalizationError(f"secular weights miss sum 1 by {defect:.3e}")

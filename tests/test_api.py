@@ -1,6 +1,9 @@
 import importlib
+import importlib.util
 import pkgutil
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +32,19 @@ def test_package_exports_each_library_name_once():
         if not attr.startswith("_") and not isinstance(getattr(qregsim, attr), types.ModuleType)
     }
     assert public == set(declared)
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    # perfbench's tracer wraps each (module, attribute) of its LAYERS table;
+    # a moved or deleted name would otherwise fail only a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in spans.LAYERS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert spans.LAYERS and missing == []

@@ -19,7 +19,6 @@ from qregsim import (
     observables,
     run_time_series,
     secular_roots,
-    sector_energies,
     spin_spectrum,
     symmetric_spectrum,
 )
@@ -61,6 +60,8 @@ def _model(n, omegas, g0, epsilon=1.0):
 @example(params=_model(3, [0.5, 0.5, 0.5 + 1e-12, 2.0], 0.3, epsilon=0.5))
 @example(params=_model(4, [1.0, 3.0, 3.0], 0.0, epsilon=3.0))
 @example(params=_model(1, [0.05, 0.06], 1e-10, epsilon=0.05))  # roots within an ulp of a pole
+@example(params=_model(2, [0.3, 1.0, 2.0], 1e-158, epsilon=0.5))  # N g0^2 subnormal
+@example(params=_model(2, [1.0, 1.0, 2.0], 1e-160, epsilon=1.0))
 def test_secular_roots_match_dense_spectrum(params):
     n, nb = params.shape.n_qubits, params.shape.n_modes
     roots = secular_roots(params)
@@ -73,8 +74,9 @@ def test_secular_roots_match_dense_spectrum(params):
     assert np.max(np.abs(np.delete(evals, dark) - roots)) < 1e-8
 
     # the spectrum verb's energies: the same roots plus the dark states
-    energies, sector_roots = sector_energies(params)
-    assert np.array_equal(sector_roots, roots)
+    energies, _, spectrum_roots = spin_spectrum(params)
+    assert np.array_equal(spectrum_roots, roots)
+    energies = np.sort(energies)
     assert np.all(np.abs(energies - evals) <= 1e-10 * np.maximum(1.0, np.abs(evals)))
 
     omegas = params.dispersion.omegas
@@ -94,12 +96,20 @@ def test_secular_roots_match_dense_spectrum(params):
 @example(params=_model(2, [0.4, 0.4, 0.4, 1.2], 1e-10, epsilon=0.4))
 @example(params=_model(3, [0.5, 0.5, 0.5 + 1e-12, 2.0], 0.3, epsilon=0.5))
 @example(params=_model(4, [1.0, 3.0, 3.0], 0.0, epsilon=3.0))
+@example(params=_model(2, [0.3, 1.0, 2.0], 1e-158, epsilon=0.5))  # N g0^2 subnormal
+@example(params=_model(2, [1.0, 1.0, 2.0], 1e-160, epsilon=1.0))
 def test_secular_weights_obey_sum_rules(params):
     # w_j = |<phi_j|s>|^2 is the spectral measure of the symmetric spin state
     # s, so its moments are <s|H^k|s>: 1, epsilon, epsilon^2 + N N_b g0^2
     n, nb = params.shape.n_qubits, params.shape.n_modes
     energies, w = symmetric_spectrum(params)
-    assert np.all(w >= 0.0) and np.all(np.diff(energies) > 0.0)
+    assert energies.shape == w.shape == (nb + 1,) and np.all(w >= 0.0)
+    # ascending, strictly where s has weight; a k-fold frequency keeps k - 1
+    # energies without weight on itself
+    assert np.all(np.diff(energies) >= 0.0) and np.all(np.diff(energies[w > 0.0]) > 0.0)
+    poles, counts = np.unique(params.dispersion.omegas, return_counts=True)
+    unweighted = [int(np.sum((energies == p) & (w == 0.0))) for p in poles]
+    assert np.all(np.array(unweighted) >= counts - 1)
     eps = params.epsilon
     for moment, want in (
         (w.sum(), 1.0),
@@ -116,15 +126,15 @@ def test_secular_weights_obey_sum_rules(params):
 @example(params=_model(2, [0.4, 0.4, 0.4, 1.2], 1e-10, epsilon=0.4))
 @example(params=_model(3, [0.5, 0.5, 0.5 + 1e-12, 2.0], 0.3, epsilon=0.5))
 @example(params=_model(4, [1.0, 3.0, 3.0], 0.0, epsilon=3.0))
+@example(params=_model(2, [0.3, 1.0, 2.0], 1e-158, epsilon=0.5))  # N g0^2 subnormal
+@example(params=_model(2, [1.0, 1.0, 2.0], 1e-160, epsilon=1.0))
 def test_secular_spin_block_matches_dense_route(params):
     # the spin block of exp(-iHt), V_s diag(exp(-iEt)) V_s^H, does not depend
     # on how degenerate eigenvectors are chosen, so the two routes must agree
     n = params.shape.n_qubits
-    energies, v_s = spin_spectrum(params)
-    # the secular route: one column per distinct frequency plus N, or N
-    # alone when the mode weight N g0^2 is zero or subnormal
-    coupled = n * params.coupling.g0**2 >= np.finfo(float).tiny
-    assert v_s.shape == (n, np.unique(params.dispersion.omegas).size * coupled + n)
+    energies, v_s, _ = spin_spectrum(params)
+    # one column per one-excitation state, those without spin weight zero
+    assert v_s.shape == (n, params.shape.n_modes + n)
     sd = diagonalize(build_h1(params))
     dense = sd.eigenvectors[:n]
     for t in (0.0, 0.7, 13.0, 400.0):
