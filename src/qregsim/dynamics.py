@@ -233,9 +233,11 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
       energy, the N spin rows of the eigenvectors, certified to
       orthonormality 5e-14. Cost one eigvalsh, O(d^3) with a small
       constant, plus O(d N_b N^2), and memory O(d^2) for the matrix plus the
-      roots' row chunks. If its certificate fails (near-degenerate states it
-      cannot resolve, or an energy on a coupled frequency), the route falls
-      back to diagonalize(build_h1(params)), whose Gram check holds its
+      roots' row chunks. If it refuses an exact degeneracy (two modes at
+      one frequency, an uncoupled mode, g0 = 0 included, or an exact
+      cluster of energies) or its certificate fails (near-degenerate states
+      it cannot resolve, or an energy on a coupled frequency), the route
+      falls back to diagonalize(build_h1(params)), whose Gram check holds its
       eigenvectors orthonormal to 1e-10, and the first N rows of its
       eigenvector matrix. roots is None. build_h1 and diagonalize are
       called through this module's names.

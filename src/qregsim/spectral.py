@@ -58,8 +58,8 @@ _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-10
 #: Newton steps on each root's branch of the self-energy problem
 _NEWTON_STEPS = 2
-#: exact degeneracy, in units of eps * ||H||: eigenvalues this close form one
-#: cluster, and a mode group's coupling singular value this small decouples it
+#: exact degeneracy, in units of eps * ||H||: the closed form refuses two
+#: eigenvalues this close and a mode's coupling row this weak
 _CLUSTER_ULPS = 16
 #: certificate of the closed form (chosen by measurement, see
 #: closed_form_spectrum), the first two in units of eps * ||H||
@@ -147,13 +147,13 @@ def closed_form_spectrum(params: ModelParams, h: np.ndarray) -> tuple[np.ndarray
     gives v before each step, and the final energy keeps the last v. Roots
     are processed in row chunks that bound the (roots x modes) buffers.
 
-    Exact degeneracies, within a few ulp of ||H||, are solved in closed
-    form. A group of modes at one frequency whose coupling rows have rank r
-    pins (group size - r) eigenvalues at that frequency with no spin weight
-    (repeated frequencies under cosine coupling, zero rows, g0 = 0); their
-    columns are zero. A cluster of k equal energies (the dark spin states of
-    repeated or zero coupling columns) takes the k eigenvectors of M with
-    the smallest |mu|, orthonormalized in the metric of K.
+    Only nondegenerate spectra are served. DiagonalizationError is raised
+    before any Newton step if two modes share a frequency, if a mode's
+    coupling row has norm at most _CLUSTER_ULPS ulp of ||H|| (an uncoupled
+    mode, g0 = 0 included), or if two eigvalsh energies lie within that
+    same tolerance (an exact cluster, such as the dark spin states of
+    repeated or zero coupling columns): each leaves an eigenvector that the
+    self-energy problem does not determine.
 
     The result is certified in O(d N_b N), so that NaN fails, or
     DiagonalizationError is raised. With r_j = [M(E_j) v_j; 0] the exact
@@ -184,104 +184,67 @@ def closed_form_spectrum(params: ModelParams, h: np.ndarray) -> tuple[np.ndarray
     ulp = _EPS * max(1.0, -guess[0], guess[-1])  # of ||H||_2
     tol = _CLUSTER_ULPS * ulp
     modes = _coupled_modes(h[n:, :n], h.diagonal()[n:].real, tol)
-    free, shared = _unpinned(guess, modes, tol)
+    if np.any(np.diff(guess) <= tol):
+        raise DiagonalizationError("closed form refused: an exact eigenvalue cluster")
     # an energy on a coupled frequency, or a few ulp from one, can give inf
     # and NaN: eigh refuses them, and every check is written so NaN fails
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        roots = _branch_roots(guess[free], modes, params.epsilon, tol)
-        energies = guess.copy()  # pinned energies stay eigvalsh's
-        energies[free] = roots.energies
-        move = float(np.max(np.abs(roots.energies - guess[free])))
-        phase = _phase_error(guess, free, roots)
-        overlap = _max_overlap(energies, free, shared, roots, modes)
+        roots = _branch_roots(guess, modes, params.epsilon)
+        move = float(np.max(np.abs(roots.energies - guess)))
+        phase = _phase_error(guess, roots)
+        overlap = _max_overlap(roots, modes)
     if not (move <= _MOVE_ULPS * ulp and phase <= _PHASE_ULPS * ulp * n
             and overlap <= _OVERLAP_TOL):
         raise DiagonalizationError(
             f"closed form not certified: Newton move {move:.3e}, spin-weighted "
             f"eigenvalue error {phase:.3e}, eigenvector overlap {overlap:.3e}"
         )
-    v_s = np.zeros((n, guess.size), dtype=h.dtype)
-    v_s[:, free] = roots.columns
-    order = np.argsort(energies, kind="stable")
-    return energies[order], v_s[:, order]
+    order = np.argsort(roots.energies, kind="stable")
+    return roots.energies[order], roots.columns[:, order]
 
 
 class _Modes(NamedTuple):
-    """The modes that couple to the register (see _coupled_modes)."""
+    """The modes, sorted by frequency (see _coupled_modes)."""
 
-    omegas: np.ndarray  # their frequencies, ascending
+    omegas: np.ndarray  # their frequencies, ascending and distinct
     g: np.ndarray  # their coupling rows
     gg: np.ndarray  # one row conj(g_k(a)) g_k(b), a and b flattened, per mode
-    poles: np.ndarray  # their distinct frequencies
-    pinned: np.ndarray  # the frequency of each pinned eigenvalue
-    shared: np.ndarray  # whether coupled modes share that frequency
-    deflated: float  # the largest coupling singular value taken as zero
 
 
 def _coupled_modes(g: np.ndarray, omegas: np.ndarray, tol: float) -> _Modes:
-    """Group the modes by frequency. A group whose coupling rows have rank r,
-    counting singular values above tol, pins (size - r) eigenvalues at its
-    frequency: bath states that no spin state reaches. A group of rank 0 is
-    left out; the others keep all their rows, which enter M(E) only through
-    their sum G^H G / (E - omega)."""
+    """The modes sorted by frequency, or DiagonalizationError if two share a
+    frequency or a coupling row has norm at most tol: either pins a bath
+    state that no spin state reaches."""
     order = np.argsort(omegas, kind="stable")
     omegas, g = omegas[order], g[order]
-    poles, starts, counts = np.unique(omegas, return_index=True, return_counts=True)
-    sigma = np.linalg.norm(g[starts], axis=1)
-    rank = (sigma > tol).astype(int)
-    deflated = float(np.max(sigma[sigma <= tol], initial=0.0))
-    for i in np.flatnonzero(counts > 1):
-        s = np.linalg.svd(g[starts[i] : starts[i] + counts[i]], compute_uv=False)
-        rank[i] = np.count_nonzero(s > tol)
-        deflated = max(deflated, float(np.max(s[s <= tol], initial=0.0)))
-    coupled = np.repeat(rank > 0, counts)
-    g = g[coupled]
+    if np.any(np.diff(omegas) == 0.0):
+        raise DiagonalizationError("closed form refused: two modes share a frequency")
+    if not np.all(np.linalg.norm(g, axis=1) > tol):
+        raise DiagonalizationError("closed form refused: a mode is uncoupled")
     gg = (g.conj()[:, :, None] * g[:, None, :]).reshape(g.shape[0], g.shape[1] ** 2)
-    pinned = np.repeat(np.arange(poles.size), counts - rank)
-    return _Modes(omegas[coupled], g, gg, poles[rank > 0], poles[pinned], rank[pinned] > 0, deflated)
-
-
-def _unpinned(guess: np.ndarray, modes: _Modes, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the energies left once each pinned frequency has taken the
-    nearest energy within tol of it, and of the pinned energies whose
-    frequency coupled modes share."""
-    free = np.ones(guess.size, dtype=bool)
-    shared = np.zeros(guess.size, dtype=bool)
-    for omega, coupled in zip(modes.pinned, modes.shared):
-        lo = np.searchsorted(guess, omega - tol)
-        near = lo + np.flatnonzero(free[lo : np.searchsorted(guess, omega + tol, side="right")])
-        if near.size == 0:
-            raise DiagonalizationError(f"no eigenvalue pinned at the decoupled frequency {omega!r}")
-        k = near[np.argmin(np.abs(guess[near] - omega))]
-        free[k], shared[k] = False, coupled
-    return free, shared
+    return _Modes(omegas, g, gg)
 
 
 class _Roots(NamedTuple):
-    """The energies with spin weight and their spin columns (see _branch_roots)."""
+    """The energies and their spin columns (see _branch_roots)."""
 
     energies: np.ndarray  # base + tau
-    columns: np.ndarray  # N x m spin columns
+    columns: np.ndarray  # N x d spin columns
     shift: np.ndarray  # |mu| / K, from E_j to the Rayleigh quotient of phi_j
-    residual: np.ndarray  # ||r_j|| (for a cluster, of the cluster's block)
-    label: np.ndarray  # the cluster of each root, nondecreasing
+    residual: np.ndarray  # ||r_j||
     base: np.ndarray  # the frequency each root is held from
     tau: np.ndarray  # the offset from it
 
 
-def _branch_roots(e0: np.ndarray, modes: _Modes, epsilon: float, tol: float) -> _Roots:
+def _branch_roots(e0: np.ndarray, modes: _Modes, epsilon: float) -> _Roots:
     """Refine the ascending energies e0 on their branches of M(E) and take
     their spin columns (see closed_form_spectrum)."""
     n, size = modes.g.shape[1], e0.size
-    label = np.concatenate([[0], np.cumsum(np.diff(e0) > tol)])
-    members = np.bincount(label)[label]
-    base = _nearest(modes.poles, e0)
+    base = _nearest(modes.omegas, e0)
     tau = e0 - base
     columns = np.empty((n, size), dtype=modes.g.dtype)
     shift, residual = np.empty(size), np.empty(size)
-    single = np.flatnonzero(members == 1)
-    for rows in _row_chunks(single.size, max(1, modes.omegas.size)):
-        idx = single[rows]
+    for idx in _row_chunks(size, modes.omegas.size):
         delta = _differences(modes.omegas, base[idx])
         t = tau[idx]
         for step in range(_NEWTON_STEPS + 1):
@@ -302,42 +265,20 @@ def _branch_roots(e0: np.ndarray, modes: _Modes, epsilon: float, tol: float) -> 
         shift[idx] = np.abs(mu) / k
         spin = e_eps[:, None] * v - b @ modes.g.conj()
         residual[idx] = np.linalg.norm(spin, axis=1) / np.sqrt(k)
-    for c in np.unique(label[members > 1]):
-        idx = np.flatnonzero(label == c)
-        if idx.size > n:
-            raise DiagonalizationError(f"{idx.size} equal energies for {n} spin states")
-        b0 = base[idx[:1]]
-        t = np.array([e0[idx].mean()]) - b0
-        e_eps = (b0 - epsilon) + t
-        r = _reciprocal(t, _differences(modes.omegas, b0))
-        mu, vecs = _self_energy_eigh(r, e_eps, modes.gg, n)
-        q = vecs[0][:, np.argsort(np.abs(mu[0]))[: idx.size]]
-        b = r[0][:, None] * (modes.g @ q)
-        lam, u = np.linalg.eigh(np.eye(idx.size) + b.conj().T @ b)
-        root = (u / np.sqrt(lam)) @ u.conj().T  # K^-1/2 on the cluster
-        columns[:, idx] = q @ root
-        block = np.linalg.norm(e_eps * columns[:, idx] - modes.g.conj().T @ (b @ root))
-        base[idx], tau[idx], shift[idx], residual[idx] = b0, t, block, block
-    return _Roots(base + tau, columns, shift, residual, label, base, tau)
+    return _Roots(base + tau, columns, shift, residual, base, tau)
 
 
-def _phase_error(guess: np.ndarray, free: np.ndarray, roots: _Roots) -> float:
+def _phase_error(guess: np.ndarray, roots: _Roots) -> float:
     """sum_j |v_j|^2 |dE_j| over the roots, with |dE_j| bounded by ||r_j||
     and by |mu_j| |v_j|^2 + ||r_j||^2 / gap_j, each root's gap taken to the
-    eigvalsh energies outside its cluster."""
-    pos = np.flatnonzero(free)
-    first = pos[np.searchsorted(roots.label, roots.label)]
-    last = pos[np.searchsorted(roots.label, roots.label, side="right") - 1]
-    padded = np.concatenate([[-np.inf], guess, [np.inf]])
-    gap = np.minimum(guess[first] - padded[first], padded[last + 2] - guess[last])
+    neighbouring eigvalsh energies."""
+    gap = np.minimum(np.diff(guess, prepend=-np.inf), np.diff(guess, append=np.inf))
     error = np.fmin(roots.residual, roots.shift + roots.residual**2 / gap)
     return float(np.sum(np.abs(roots.columns) ** 2, axis=0) @ error)
 
 
 def _nearest(poles: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The nearest of the ascending poles to each e (0 if there are none)."""
-    if poles.size == 0:
-        return np.zeros_like(e)
+    """The nearest of the ascending poles to each e."""
     i = np.searchsorted(poles, e)
     left, right = poles[np.maximum(i - 1, 0)], poles[np.minimum(i, poles.size - 1)]
     return np.where(e - left <= right - e, left, right)
@@ -357,48 +298,28 @@ def _self_energy_eigh(r, e_eps, gg, n):
     return np.linalg.eigh(m)
 
 
-def _max_overlap(
-    energies: np.ndarray, free: np.ndarray, shared: np.ndarray, roots: _Roots, modes: _Modes
-) -> float:
+def _max_overlap(roots: _Roots, modes: _Modes) -> float:
     """The largest overlap of two eigenvectors whose bound
     (||r_i|| + ||r_j||) / |E_i - E_j| exceeds _OVERLAP_TOL, computed, or inf
-    if more than d pairs do or one pairs an energy with spin weight and a
-    pinned energy at a frequency that coupled modes share. The pinned
-    eigenvectors are orthonormal bath states, the others of modes no other
-    eigenvector reaches, and those of one cluster are orthonormal by
-    construction."""
-    d = energies.size
-    order = np.argsort(energies, kind="stable")
-    e = energies[order]
-    residual = np.full(d, modes.deflated)
-    residual[free] = roots.residual
-    residual = residual[order]
-    index = np.where(shared, -2, -1)  # -1 exactly orthogonal, -2 not known
-    index[free] = np.arange(roots.label.size)
-    index = index[order]
+    if more than d pairs do."""
+    d = roots.energies.size
+    order = np.argsort(roots.energies, kind="stable")
+    e, residual = roots.energies[order], roots.residual[order]
     reach = 2.0 * float(np.max(residual)) / _OVERLAP_TOL
     if not np.isfinite(reach):
         return np.inf
-    label = np.full(d, -1)
-    label[free] = roots.label
-    label = label[order]
     pairs = []
     for step in range(1, d):
         gap = e[step:] - e[:-step]
         if not np.any(gap < reach):
             break
-        bound = (residual[step:] + residual[:-step]) / gap
-        i, j = index[:-step], index[step:]
-        near = ~(bound <= _OVERLAP_TOL) & ((i >= 0) | (j >= 0)) & (label[:-step] != label[step:])
-        if np.any(near & ((i == -2) | (j == -2))):
-            return np.inf
-        near &= (i >= 0) & (j >= 0)
-        pairs.append(np.stack([i[near], j[near]]))
+        near = ~((residual[step:] + residual[:-step]) / gap <= _OVERLAP_TOL)
+        pairs.append(np.stack([order[:-step][near], order[step:][near]]))
         if sum(p.shape[1] for p in pairs) > d:
             return np.inf
     i, j = np.concatenate(pairs, axis=1) if pairs else np.zeros((2, 0), dtype=int)
     worst = [0.0]
-    for rows in _row_chunks(i.size, max(1, modes.omegas.size)):
+    for rows in _row_chunks(i.size, modes.omegas.size):
         a, b = i[rows], j[rows]
         overlap = np.einsum("ij,ij->j", roots.columns[:, a].conj(), roots.columns[:, b])
         overlap += np.einsum("ij,ij->i", _bath_part(roots, a, modes).conj(), _bath_part(roots, b, modes))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qregsim.dynamics
+import qregsim.spectral
 from qregsim import (
     CosineCoupling,
     DiagonalizationError,
@@ -24,6 +25,7 @@ from qregsim import (
     diagonalize,
     evolve,
     initial_amplitudes,
+    momentum_state,
     observables,
     prep_vector,
     run_time_series,
@@ -31,6 +33,8 @@ from qregsim import (
     symmetric_spectrum,
     symmetric_state,
 )
+
+from oracle import oracle_spin_blocks
 
 TIMES = np.array([0.0, 10.0, 500.0, 2000.0])
 
@@ -76,9 +80,11 @@ HAZARDS = {"near_pole": NEAR_POLE, "near_dark_pair": NEAR_DARK_PAIR, "strong": S
 
 @st.composite
 def dense_models(draw):
-    """Cosine and explicit couplings with the degeneracies the route must
-    resolve or refuse: epsilon on a mode, N = 1, repeated frequencies,
-    repeated and zero coupling columns, zero rows and a column 1e-9 weak."""
+    """Cosine and explicit couplings with the hazards the route must resolve
+    or refuse by its certificate (epsilon on a mode, N = 1, a column 1e-9
+    weak) and the exact degeneracies it refuses outright: repeated
+    frequencies, zero rows (g0 = 0 included), and repeated and zero coupling
+    columns, whose dark spin states form exact clusters."""
     n = draw(st.integers(1, 4))
     omegas = draw(st.lists(_frequency, min_size=1, max_size=10))
     omegas += draw(st.sampled_from([[], omegas[:1], omegas[:1] * 2]))
@@ -149,7 +155,7 @@ def test_certified_or_falls_back(params):
         # under strong coupling eigh's own eigenvalue error reaches 1e-11 at
         # t = 2000 (1.09e-11 on one explicit N = 4 draw, where this route was
         # 8.7e-13 from the truth); the 40-digit eigensolve then decides
-        want = _oracle_spin_blocks(params, TIMES)
+        want = oracle_spin_blocks(params, TIMES)
     assert np.max(np.abs(got - want)) <= 1e-11
 
 
@@ -178,6 +184,12 @@ def _paper_runs():
     for name in ("fig4", "fig5"):
         for cfg in build_preset(name):
             runs.append((cfg.output_path, cfg.params, prep_vector(cfg.prep, 2)))
+    # the cosine models of acceptance criterion 9; at xi = 1e8 the couplings
+    # are nearly flat, so the antisymmetric spin state is nearly dark, but it
+    # forms no exact cluster
+    for xi in (1.0, 5.0, 10.0, 1e8):
+        params = ModelParams(RegisterShape(2, 200), CosineCoupling(0.01, xi))
+        runs.append((f"criterion_9_xi{xi:g}", params, momentum_state(2, 1)))
     return runs
 
 
@@ -191,6 +203,45 @@ def test_paper_models_need_no_eigenvectors(name, params, prep, monkeypatch):
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", no_eigenvectors)
     series = run_time_series(params, prep, TimeGrid(2000.0, 2001))
     assert len(series) == 2001
+
+
+# exact degeneracies, each refused before any Newton step: (model, reason)
+DEGENERATE = {
+    "repeated_frequency": (_cosine(2, 0.05, 3.0, 1.2, [0.5, 1.0, 1.0, 1.5]), "share a frequency"),
+    "zero_row": (
+        ModelParams(
+            RegisterShape(2, 3), ExplicitCoupling([[0.05, 0.02], [0.0, 0.0], [0.03, -0.04]]),
+            epsilon=1.2, dispersion=ExplicitDispersion([0.5, 1.0, 1.5]),
+        ),
+        "uncoupled",
+    ),
+    # the cosine is exactly 1, which leaves two dark spin states at epsilon
+    "exact_cluster": (_cosine(3, 0.05, 1e300, 1.2, [0.5, 1.0, 1.5, 2.0]), "cluster"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_exact_degeneracy_falls_back(name, monkeypatch):
+    params, reason = DEGENERATE[name]
+    n, h = params.shape.n_qubits, build_h1(params)
+    real_diagonalize, calls = qregsim.dynamics.diagonalize, []
+
+    def no_newton(*args):
+        raise AssertionError("a Newton step on an exact degeneracy")
+
+    def counted(h):
+        calls.append(h.shape)
+        return real_diagonalize(h)
+
+    monkeypatch.setattr(qregsim.spectral, "_branch_roots", no_newton)
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
+    with pytest.raises(DiagonalizationError, match=reason):
+        closed_form_spectrum(params, h)
+    energies, v_s, _ = spin_spectrum(params)
+    sd = real_diagonalize(h)
+    assert calls == [h.shape]
+    assert np.array_equal(energies, sd.eigenvalues)
+    assert np.array_equal(v_s, sd.eigenvectors[:n])
 
 
 @pytest.mark.parametrize("fault", ["shifted", "nan"])
@@ -224,24 +275,6 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
         assert np.max(np.abs(got - expect)) <= 1e-11
 
 
-def _oracle_spin_blocks(params, times):
-    """Spin blocks of exp(-iHt) from a 40-digit Hermitian eigensolve."""
-    mpmath = pytest.importorskip("mpmath")
-    n, h = params.shape.n_qubits, build_h1(params)
-    d = h.shape[0]
-    with mpmath.workdps(40):
-        energies, vectors = mpmath.eighe(mpmath.matrix(h.astype(complex).tolist()))
-        blocks = []
-        for t in times:
-            phases = [mpmath.expj(-energies[j] * t) for j in range(d)]
-            blocks.append([
-                [complex(mpmath.fsum(vectors[a, j] * phases[j] * mpmath.conj(vectors[b, j])
-                                     for j in range(d))) for b in range(n)]
-                for a in range(n)
-            ])
-    return np.array(blocks)
-
-
 _rng = np.random.default_rng(5)
 ORACLE_MODELS = {
     **HAZARDS,
@@ -265,7 +298,7 @@ def test_routes_against_high_precision_oracle(name):
     # certificate does
     params = ORACLE_MODELS[name]
     n, h, t = params.shape.n_qubits, build_h1(params), np.array([2000.0])
-    truth = _oracle_spin_blocks(params, t)
+    truth = oracle_spin_blocks(params, t)
     sd = diagonalize(h)
     assert np.max(np.abs(_propagators(sd.eigenvalues, sd.eigenvectors[:n], t) - truth)) <= 1e-11
     try:

@@ -33,6 +33,8 @@ from qregsim import (
     symmetric_state,
 )
 
+from oracle import oracle_spin_blocks
+
 # frozen oracle: -0.75*log2(0.75) - 0.25*log2(0.25)
 ENTROPY_AT_THREE_QUARTERS = 0.8112781244591328
 
@@ -80,6 +82,17 @@ def _on_mode(g0, omegas=(0.5, 1.0, 1.5)):
         epsilon=1.0 if 1.0 in omegas else omegas[0],
         dispersion=ExplicitDispersion(list(omegas)),
     )
+
+
+#: strong cosine coupling on which the dense reference misses at t = 2000:
+#: its entropy is 1.08e-11 from the NUFFT route's, which is 1.3e-12 from a
+#: 40-digit eigensolve
+STRONG_COSINE = ModelParams(
+    RegisterShape(3, 11),
+    CosineCoupling(0.9383373702435103, 4.114013376703427),
+    epsilon=0.5278463178466498,
+    dispersion=ExplicitDispersion([2.01, 2.36, 2.23, 1.23, 0.16, 2.27, 1.08, 1.8, 0.21, 1.7, 1.72]),
+)
 
 
 @st.composite
@@ -314,6 +327,7 @@ class TestRunTimeSeries:
     @example(params=_on_mode(1e-9), prep_seed=0, grid=TimeGrid(2000.0, 401))
     @example(params=_on_mode(0.0), prep_seed=0, grid=TimeGrid(2000.0, 401))
     @example(params=_on_mode(0.05, [0.8, 0.8, 0.8, 1.3]), prep_seed=1, grid=TimeGrid(500.0, 301))
+    @example(params=STRONG_COSINE, prep_seed=3978335621, grid=TimeGrid(2000.0, 40))
     def test_matches_dense_route(self, params, prep_seed, grid):
         # the gridded NUFFT of the spin block against evolve + observables;
         # uniform couplings take the secular route, the others the dense one
@@ -325,13 +339,11 @@ class TestRunTimeSeries:
         c0 = initial_amplitudes(prep, params.shape)
         want = observables(c0, evolve(diagonalize(build_h1(params)), c0, grid.times()), n)
         assert np.array_equal(series.times, grid.times())
-        for got, expect in (
-            (series.obs.d, want.d),
-            (series.obs.fidelity, want.fidelity),
-            (series.obs.p1, want.p1),
-            (series.obs.p0, want.p0),
-            (series.obs.entropy_bits, want.entropy_bits),
-        ):
+        if not all(np.max(np.abs(got - expect)) <= 1e-11 for got, expect in zip(series.obs, want)):
+            # under strong coupling eigh's own eigenvalue error reaches 1e-11
+            # at t = 2000; the 40-digit eigensolve then decides
+            want = observables(c0, oracle_spin_blocks(params, grid.times()) @ prep, n)
+        for got, expect in zip(series.obs, want):
             assert np.max(np.abs(got - expect)) <= 1e-11
 
     def test_complex_couplings_conserve_probability(self):

@@ -33,6 +33,21 @@ MODELS = {
         None,
         0,
     ),
+    # an exact cluster: the cosine is exactly 1, which leaves two dark spin
+    # states at epsilon, so the closed form refuses and diagonalize serves
+    "cosine_flat": (
+        ["register.n_qubits = 3", "register.n_modes = 8", "coupling.type = cosine",
+         "coupling.g0 = 0.05", "coupling.xi = 1e300"],
+        None,
+        1,
+    ),
+    # every mode uncoupled: refused as well
+    "cosine_uncoupled": (
+        ["register.n_qubits = 3", "register.n_modes = 5", "coupling.type = cosine",
+         "coupling.g0 = 0", "coupling.xi = 1"],
+        None,
+        1,
+    ),
     # near-dark pairs the closed form cannot resolve: one diagonalize call
     "cosine_fallback": (
         ["register.n_qubits = 4", "register.n_modes = 200", "coupling.type = cosine",
