@@ -24,6 +24,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, format_config, parse_config_file, prep_vector
+from .csvformat import format_rows
 from .dynamics import TimeSeries, run_time_series, series_to_csv, spin_spectrum
 from .presets import PRESET_NAMES, build_preset
 
@@ -107,16 +108,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         )
     energies, _, roots = spin_spectrum(cfg.params)
     energies = np.sort(energies)
-    write_atomic(
-        out_dir / "eigenvalues.csv",
-        "".join(f"{e:.17g}\n" for e in energies),
-    )
+    write_atomic(out_dir / "eigenvalues.csv", format_rows(energies[:, None]))
     print(f"wrote {out_dir / 'eigenvalues.csv'} ({energies.size} values)")
     if roots is not None:
-        write_atomic(
-            out_dir / "secular_roots.csv",
-            "".join(f"{r:.17g}\n" for r in roots),
-        )
+        write_atomic(out_dir / "secular_roots.csv", format_rows(roots[:, None]))
         print(f"wrote {out_dir / 'secular_roots.csv'} ({roots.size} values)")
     else:
         print("secular roots skipped: the secular equation needs uniform coupling")

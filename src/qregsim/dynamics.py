@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvformat import format_rows
 from .model import ModelParams, build_h1
 from .sector import RegisterShape, momentum_state, symmetric_state
 from .spectral import (
@@ -338,18 +339,23 @@ def run_time_series(
 
 
 def series_to_csv(series: TimeSeries) -> str:
-    """CSV text: header then one row per time, 17 significant digits.
+    """CSV text: header then one row per time, each value as ``"%.17g" % x``.
 
     The columns are the times and the observables of ``series.obs``, with
-    D split into d_re and d_im.
+    D split into d_re and d_im. `csvformat.format_rows` writes the rows
+    with numpy, `csvformat.BLOCK_ROWS` rows at a time. It takes the 17
+    digits of a value from a double-double product |x| 10^(16 - k) whose
+    rounding is certified: the product is within 1e-14 of exact, so a
+    fraction farther than 1e-6 from 1/2 rounds as the exact value does.
+    Values it cannot certify fall back to ``"%.17g" % x``: +-0, non-finite
+    values, magnitudes outside [1e-290, 1e300] and fractions within 1e-6
+    of 1/2 (possible ties). The bytes are those of the per-value ``%``.
     """
     obs = series.obs
     stack = np.column_stack(
         (series.times, obs.fidelity, obs.entropy_bits, obs.p0, obs.p1, obs.d.real, obs.d.imag)
     )
-    row = ",".join(["%.17g"] * stack.shape[1])
-    body = "\n".join([row] * len(stack)) % tuple(stack.ravel().tolist())
-    return f"{CSV_HEADER}\n{body}\n"
+    return f"{CSV_HEADER}\n{format_rows(stack)}"
 
 
 class RelaxationFitError(RuntimeError):

@@ -33,6 +33,8 @@ from qregsim import (
     symmetric_state,
 )
 
+from qregsim.csvformat import BLOCK_ROWS, format_rows
+
 from oracle import oracle_spin_blocks
 
 # frozen oracle: -0.75*log2(0.75) - 0.25*log2(0.25)
@@ -452,34 +454,129 @@ class TestCsv:
         assert np.array_equal(parsed[:, 1], series.obs.fidelity)
         assert np.array_equal(parsed[:, 3], series.obs.p0)
 
-    def test_matches_per_value_format(self):
-        # reference: the per-value f-string formatting of every cell
-        n_steps = 9
-        edge = np.array([-0.0, 0.0, 5e-324, 1e-320, 1e300, -1e300, 3.0, -2.0, 0.1])
+    @staticmethod
+    def _series(n_steps, edge):
+        # every column cycles through edge, each from its own offset, and d_re
+        # holds random values across 60 decades
         rng = np.random.default_rng(4)
         # set the parts one by one: re + 1j * im would turn -0.0 parts into 0.0
         d = np.empty(n_steps, dtype=complex)
         d.real = rng.standard_normal(n_steps) * 10.0 ** rng.integers(-30, 30, n_steps)
-        d.imag = np.roll(edge, 3)
+        d.imag = np.resize(np.roll(edge, 3), n_steps)
         obs = Observables(
             d=d,
-            fidelity=edge,
+            fidelity=np.resize(edge, n_steps),
             p1=np.ones(n_steps),
             p0=rng.uniform(0.0, 1.0, n_steps),
-            entropy_bits=edge[::-1].copy(),
+            entropy_bits=np.resize(edge[::-1], n_steps),
         )
-        series = TimeSeries(
+        return TimeSeries(
             times=TimeGrid(2000.0, n_steps).times(),
             obs=obs,
             late_fidelity_mean=0.0,
             late_entropy_mean=0.0,
         )
-        cols = (series.times, obs.fidelity, obs.entropy_bits, obs.p0, obs.p1, d.real, d.imag)
-        want = "\n".join(
-            ["t,fidelity,entropy_bits,p0,p1,d_re,d_im"]
-            + [",".join(f"{x:.17g}" for x in row) for row in zip(*cols)]
+
+    @staticmethod
+    def _per_value(series):
+        # reference: the per-value f-string formatting of every cell, as
+        # lines, which pytest compares far faster than one long string
+        obs = series.obs
+        cols = (
+            series.times, obs.fidelity, obs.entropy_bits, obs.p0, obs.p1, obs.d.real, obs.d.imag
         )
-        assert series_to_csv(series) == want + "\n"
+        return ["t,fidelity,entropy_bits,p0,p1,d_re,d_im"] + [
+            ",".join(f"{x:.17g}" for x in row) for row in zip(*cols)
+        ]
+
+    def _assert_per_value(self, series):
+        text = series_to_csv(series)
+        assert text.endswith("\n")
+        assert text[:-1].split("\n") == self._per_value(series)
+
+    def test_matches_per_value_format(self):
+        edge = np.array([-0.0, 0.0, 5e-324, 1e-320, 1e300, -1e300, 3.0, -2.0, 0.1])
+        # series shorter than, equal to and just past one and two row blocks
+        for n_steps in (9, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+            self._assert_per_value(self._series(n_steps, edge))
+
+    def test_all_fallback_series(self):
+        # no value takes the numpy route; pyproject.toml turns any numpy
+        # RuntimeWarning (log10 of 0, casting inf or nan to int) into an error
+        edge = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
+        series = self._series(12, edge)
+        series.obs.d.real[:] = edge[[1, 2, 3, 4, 5, 0] * 2]
+        series.obs.p0[:] = np.resize(edge, 12)
+        series.obs.p1[:] = -5e-324
+        series.times[:] = np.resize(edge[::-1], 12)
+        self._assert_per_value(series)
+
+
+def _cells(values):
+    return format_rows(np.asarray(values, dtype=float)[:, None]).split("\n")[:-1]
+
+
+def _switch_points():
+    """Values where the digits or the notation of ``%.17g`` change.
+
+    For every decimal exponent k: 10^k and the carry point
+    (10^17 - 1/2) 10^(k - 16), where 17 nines round up to 10^(k + 1), each
+    with its two neighbours; the
+    fixed/exponential switches 1e-5, 1e-4, 1e16 and 1e17 and their neighbours;
+    signed zeros, infinities, nan and subnormals.
+    """
+    centres = [float(f"1e{k}") for k in range(-324, 309)]
+    centres += [float(f"99999999999999999.5e{k - 16}") for k in range(-324, 309)]
+    centres += [1e-5, 1e-4, 1e16, 1e17]
+    centres = np.array(centres)
+    values = np.concatenate(
+        (centres, np.nextafter(centres, 0.0), np.nextafter(centres, np.inf))
+    )
+    # zero, infinity, nan, the smallest subnormal, a subnormal, the largest
+    # subnormal and the smallest normal
+    special = [0.0, np.inf, np.nan, 5e-324, 1e-320]
+    special += [2.2250738585072009e-308, 2.2250738585072014e-308]
+    return np.concatenate((values, -values, special, np.negative(special)))
+
+
+def _exact_ties():
+    """Doubles whose 18th significant digit is a 5 with nothing after it.
+
+    m / 2^j with m odd has the decimal digits of m 5^j, the last a 5; the
+    m here give 18 of them, so ``%.17g`` rounds an exact tie (half to even).
+    """
+    ties = []
+    for j in range(3, 26):
+        low = -(-(10**17) // 5**j) | 1  # the least odd m with 18 digits
+        for m in range(low, low + 40, 2):
+            if m * 5**j < 10**18 and m < 2**53:
+                ties.append(math.ldexp(float(m), -j))
+    return np.array(ties)
+
+
+class TestFormatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern_matches_percent_format(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        cells = _cells(x)
+        assert cells == ["%.17g" % v for v in x.tolist()]
+        assert cells == [format(v, ".17g") for v in x.tolist()]
+
+    @pytest.mark.parametrize("values", [_switch_points(), _exact_ties()], ids=["switch", "ties"])
+    def test_sweep_matches_percent_format(self, values):
+        assert values.size > 300
+        cells = _cells(values)
+        assert cells == ["%.17g" % v for v in values.tolist()]
+        assert cells == [format(v, ".17g") for v in values.tolist()]
+
+    def test_known_cells(self):
+        # written out by hand: exact ties round half to even (.25 down to
+        # .2, .75 up to .8), cells are joined by "," and every row ends in "\n"
+        values = np.array([[0.5, -2.0, 1e22], [1234567890123456.25, 1234567890123456.75, 2e-7]])
+        assert format_rows(values) == (
+            "0.5,-2,1e+22\n1234567890123456.2,1234567890123456.8,1.9999999999999999e-07\n"
+        )
 
 
 class TestRelaxationFit:
