@@ -229,18 +229,20 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
       Cost O(N_b^2) per root iteration, memory bounded by the iteration's
       row chunks.
     - every other coupling, the dense route without eigenvectors:
-      spectral.closed_form_spectrum(params, build_h1(params)), the eigvalsh
-      energies, ascending, and, from an N x N self-energy problem per
-      energy, the N spin rows of the eigenvectors, certified to
-      orthonormality 5e-14. Cost one eigvalsh, O(d^3) with a small
-      constant, plus O(d N_b N^2), and memory O(d^2) for the matrix plus the
-      roots' row chunks. If it refuses an exact degeneracy (two modes at
-      one frequency, an uncoupled mode, g0 = 0 included, or an exact
-      cluster of energies) or its certificate fails (near-degenerate states
-      it cannot resolve, or an energy on a coupled frequency), the route
-      falls back to diagonalize(build_h1(params)), whose Gram check holds its
+      spectral.closed_form_spectrum(params), all N + N_b energies,
+      ascending, counted between adjacent mode frequencies by inertia and
+      refined on the branches of the N x N self-energy problem, and from
+      that problem the N spin rows of the eigenvectors, certified to
+      orthonormality 5e-14. Cost O(d N_b N^2) time and O(chunk N_b) memory
+      for the row chunks of its iteration; no d x d matrix is formed. If it
+      refuses an exact degeneracy (two modes at one frequency, an uncoupled
+      mode, g0 = 0 included, or an exact cluster of energies) or its
+      certificate fails (near-degenerate states it cannot resolve, or an
+      energy on a coupled frequency), the route falls back to
+      diagonalize(build_h1(params)), whose Gram check holds its
       eigenvectors orthonormal to 1e-10, and the first N rows of its
-      eigenvector matrix. roots is None. build_h1 and diagonalize are
+      eigenvector matrix: H is built on this fallback alone, at O(d^2)
+      memory and O(d^3) time. roots is None. build_h1 and diagonalize are
       called through this module's names.
     """
     n = params.shape.n_qubits
@@ -250,11 +252,10 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
         columns += [momentum_state(n, k)[:, None] for k in range(1, n)]
         energies = np.concatenate([roots, np.full(n - 1, params.epsilon)])
         return Spectrum(energies, np.hstack(columns), roots)
-    h = build_h1(params)
     try:
-        return Spectrum(*closed_form_spectrum(params, h), None)
+        return Spectrum(*closed_form_spectrum(params), None)
     except DiagonalizationError:
-        sd = diagonalize(h)
+        sd = diagonalize(build_h1(params))
         return Spectrum(sd.eigenvalues, sd.eigenvectors[:n], None)
 
 

@@ -17,9 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # fractions (and decimal with it) loads only when used
+    from fractions import Fraction
 
 __all__ = [
     "RegisterShape",
@@ -113,6 +116,8 @@ def enumerate_basis(shape: RegisterShape, excitations: int) -> tuple[BasisLabel,
 
 def su2_spin_ladder(n_qubits: int) -> list[Fraction]:
     """Admissible total-spin values S for N spins: s, s+1, ..., N/2."""
+    from fractions import Fraction
+
     start = Fraction(n_qubits % 2, 2)
     return [start + k for k in range(n_qubits // 2 + 1)]
 
@@ -124,6 +129,8 @@ def su2_multiplicity(spin: float | Fraction, n_qubits: int) -> int:
     arithmetic as C(N, N/2-S) - C(N, N/2-S-1). S must sit on the ladder
     s, s+1, ..., N/2 with s = 0 (N even) or 1/2 (N odd).
     """
+    from fractions import Fraction
+
     if n_qubits < 1:
         raise ValueError("n_qubits must be positive")
     two_s_exact = 2 * Fraction(spin)

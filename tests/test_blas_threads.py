@@ -4,10 +4,13 @@ Each side runs ``qregsim preset`` and ``qregsim spectrum`` in its own
 interpreter with ``OPENBLAS_NUM_THREADS`` set in that subprocess's
 environment only. The secular route (fig1 and the spectrum, uniform
 coupling) makes no thread-dependent BLAS call, so its CSV and sidecar bytes
-are identical. The dense route (fig5, cosine coupling) goes through
-``eigvalsh`` and a batched N x N ``eigh`` of the self-energy problem, whose
-blocked reductions and GEMMs sum in an order that depends on the thread
-count: its values agree to 1e-10, not bitwise.
+are identical. The dense route (fig5, cosine coupling) goes through GEMMs
+of row chunks of the (energies x modes) arrays with the coupling table and
+batched N x N ``eigh`` and solves of the self-energy problem. No d x d
+matrix is formed, and at fig5's size (N_b = 200) its bytes were identical
+under 1 and 2 threads. Larger GEMMs may sum in an order that depends on the
+thread count (at N_b = 1000 the spectrum moved by 7e-16), so the bound
+stays 1e-10, not bitwise.
 """
 
 import os

@@ -1,7 +1,10 @@
-"""The dense route without eigenvectors: eigvalsh energies and the spin block
-in closed form (spectral.closed_form_spectrum), its certificate and its
-fallback to diagonalize, against evolve + diagonalize and against a
-40-digit eigensolve."""
+"""The dense route without eigenvectors: energies counted by inertia and
+refined on the branches of the self-energy problem, with the spin block in
+closed form (spectral.closed_form_spectrum), its certificate and its
+fallback to diagonalize, against evolve + diagonalize, against eigvalsh and
+against a 40-digit eigensolve."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qregsim.dynamics
+import qregsim.model
 import qregsim.spectral
 from qregsim import (
     CosineCoupling,
@@ -141,7 +145,7 @@ def test_certified_or_falls_back(params):
     h = build_h1(params)
     energies, v_s, _ = spin_spectrum(params)
     try:
-        closed = closed_form_spectrum(params, h)
+        closed = closed_form_spectrum(params)
     except DiagonalizationError:
         sd = diagonalize(h)
         assert np.array_equal(energies, sd.eigenvalues)
@@ -171,7 +175,7 @@ def test_single_qubit_matches_secular_weights(g0):
         RegisterShape(1, 8), UniformCoupling(g0), epsilon=1.28,
         dispersion=ExplicitDispersion(omegas),
     )
-    energies, v_s = closed_form_spectrum(params, build_h1(params))
+    energies, v_s = closed_form_spectrum(params)
     roots, weights = symmetric_spectrum(uniform)
     assert np.max(np.abs(energies - roots)) <= 1e-15
     assert np.max(np.abs(np.abs(v_s[0]) ** 2 - weights)) <= 1e-15
@@ -226,17 +230,18 @@ def test_exact_degeneracy_falls_back(name, monkeypatch):
     n, h = params.shape.n_qubits, build_h1(params)
     real_diagonalize, calls = qregsim.dynamics.diagonalize, []
 
-    def no_newton(*args):
-        raise AssertionError("a Newton step on an exact degeneracy")
+    def no_step(*args):
+        raise AssertionError("a count or a refinement step on an exact degeneracy")
 
     def counted(h):
         calls.append(h.shape)
         return real_diagonalize(h)
 
-    monkeypatch.setattr(qregsim.spectral, "_branch_roots", no_newton)
+    monkeypatch.setattr(qregsim.spectral, "_count", no_step)
+    monkeypatch.setattr(qregsim.spectral, "_refine", no_step)
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
     with pytest.raises(DiagonalizationError, match=reason):
-        closed_form_spectrum(params, h)
+        closed_form_spectrum(params)
     energies, v_s, _ = spin_spectrum(params)
     sd = real_diagonalize(h)
     assert calls == [h.shape]
@@ -246,26 +251,30 @@ def test_exact_degeneracy_falls_back(name, monkeypatch):
 
 @pytest.mark.parametrize("fault", ["shifted", "nan"])
 def test_corrupted_energy_falls_back(fault, monkeypatch):
-    # one eigvalsh energy moved by 1e-9 ||H||, or made NaN: the certificate
-    # refuses it and the route's output is the reference's
+    # one converged energy moved by 1e-9 ||H||, or made NaN, between the
+    # refinement and the certificate: the certificate refuses it and the
+    # route's output is the reference's
     (cfg, _) = build_preset("fig5")
     params, prep = cfg.params, prep_vector(cfg.prep, 2)
-    closed_form_spectrum(params, build_h1(params))  # certified when intact
-    real_eigvalsh, real_diagonalize = np.linalg.eigvalsh, qregsim.dynamics.diagonalize
+    closed_form_spectrum(params)  # certified when intact
+    norm = np.linalg.norm(build_h1(params), 2)
+    real_refine, real_diagonalize = qregsim.spectral._refine, qregsim.dynamics.diagonalize
     calls = []
 
-    def corrupted(h):
-        energies = real_eigvalsh(h).copy()
-        k = energies.size // 2
-        energies[k] = np.nan if fault == "nan" else energies[k] + 1e-9 * np.max(np.abs(energies))
-        return energies
+    def corrupted(*args):
+        tau, vectors = real_refine(*args)
+        k = tau.size // 2
+        tau[k] = np.nan if fault == "nan" else tau[k] + 1e-9 * norm
+        return tau, vectors
 
     def counted(h):
         calls.append(h.shape)
         return real_diagonalize(h)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
+    monkeypatch.setattr(qregsim.spectral, "_refine", corrupted)
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
+    with pytest.raises(DiagonalizationError):
+        closed_form_spectrum(params)
     grid = TimeGrid(2000.0, 401)
     series = run_time_series(params, prep, grid)
     assert calls == [(202, 202)]
@@ -273,6 +282,53 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
     want = observables(c0, evolve(diagonalize(build_h1(params)), c0, grid.times()), 2)
     for got, expect in zip(series.obs, want):
         assert np.max(np.abs(got - expect)) <= 1e-11
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=dense_models())
+@example(params=NEAR_POLE)
+@example(params=NEAR_DARK_PAIR)
+@example(params=STRONG)
+def test_counts_and_energies_against_eigvalsh(params):
+    # on every model the route serves, the inertia count below each coupled
+    # frequency is eigvalsh's, and every energy lies within 64 ulp of ||H||_2
+    # of eigvalsh's, eigvalsh's own backward error. An eigvalsh energy that
+    # close to a frequency leaves eigvalsh's count ambiguous (epsilon on a
+    # mode and g ~ 1e-11 put an energy 4.5e-22 above the other mode, which
+    # eigvalsh rounds below it); the count then lies between the counts at
+    # omega_k -+ 64 ulp.
+    try:
+        energies, _ = closed_form_spectrum(params)
+    except DiagonalizationError:
+        return
+    want = np.linalg.eigvalsh(build_h1(params))
+    tol = 64 * np.finfo(float).eps * max(1.0, -want[0], want[-1])
+    assert np.max(np.abs(energies - want)) <= tol
+    order = np.argsort(params.dispersion.omegas, kind="stable")
+    omegas = params.dispersion.omegas[order]
+    modes = qregsim.spectral._coupled_modes(qregsim.model.coupling_matrix(params)[order], omegas, 0.0)
+    below, _ = qregsim.spectral._count(modes, params.epsilon)
+    low, high = np.searchsorted(want, omegas - tol), np.searchsorted(want, omegas + tol)
+    assert np.all((low <= below) & (below <= high))
+    assert np.array_equal(below[low == high], low[low == high])
+
+
+def test_no_dense_matrix_on_the_certified_route(monkeypatch):
+    # cosine coupling at d = 3004: the route builds no d x d matrix (one
+    # float64 copy is 72 MB) and peaks below a quarter of one
+    def no_matrix(params):
+        raise AssertionError("the certified route built H")
+
+    monkeypatch.setattr(qregsim.dynamics, "build_h1", no_matrix)
+    params = ModelParams(RegisterShape(4, 3000), CosineCoupling(0.01, 1.0))
+    tracemalloc.start()
+    try:
+        energies, v_s, _ = spin_spectrum(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energies.shape == (3004,) and v_s.shape == (4, 3004)
+    assert peak <= 3004**2 * 8 / 4
 
 
 _rng = np.random.default_rng(5)
@@ -302,7 +358,7 @@ def test_routes_against_high_precision_oracle(name):
     sd = diagonalize(h)
     assert np.max(np.abs(_propagators(sd.eigenvalues, sd.eigenvectors[:n], t) - truth)) <= 1e-11
     try:
-        energies, v_s = closed_form_spectrum(params, h)
+        energies, v_s = closed_form_spectrum(params)
     except DiagonalizationError:
         assert name in HAZARDS  # the others are certified
         return

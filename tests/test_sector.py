@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qregsim
 from qregsim import (
     BasisLabel,
     RegisterShape,
@@ -185,3 +190,14 @@ class TestSpinStates:
             states += [momentum_state(n, m) for m in range(1, n)]
         for psi in states:
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    # fractions, and decimal through it, cost milliseconds at start-up in
+    # every qregsim process; only the su(2) ladder and multiplicity use it
+    src = str(Path(qregsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qregsim.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]

@@ -48,12 +48,14 @@ MODELS = {
         None,
         1,
     ),
-    # near-dark pairs the closed form cannot resolve: one diagonalize call
-    "cosine_fallback": (
+    # near-dark pairs (overlaps of 1e-13 when each eigenvector comes from an
+    # N x N eigh), which the deflated eigenvectors of near-pole energies
+    # resolve: certified, 1.1e-13 from the 40-digit propagator at t = 2000
+    "cosine_near_dark": (
         ["register.n_qubits = 4", "register.n_modes = 200", "coupling.type = cosine",
          "coupling.g0 = 0.01", "coupling.xi = 5"],
         None,
-        1,
+        0,
     ),
 }
 
