@@ -15,6 +15,7 @@ from .matexp import *
 from .model import *
 from .presets import *
 from .sector import *
+from .selfenergy import *
 from .spectral import *
 
 __version__ = "0.1.0"

@@ -27,10 +27,10 @@ import numpy as np
 from .csvformat import format_rows
 from .model import ModelParams, build_h1
 from .sector import RegisterShape, momentum_state, symmetric_state
+from .selfenergy import closed_form_spectrum
 from .spectral import (
     DiagonalizationError,
     SpectralDecomposition,
-    closed_form_spectrum,
     diagonalize,
     symmetric_spectrum,
     uses_secular_route,
@@ -229,7 +229,7 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
       Cost O(N_b^2) per root iteration, memory bounded by the iteration's
       row chunks.
     - every other coupling, the dense route without eigenvectors:
-      spectral.closed_form_spectrum(params), all N + N_b energies,
+      selfenergy.closed_form_spectrum(params), all N + N_b energies,
       ascending, counted between adjacent mode frequencies by inertia and
       refined on the branches of the N x N self-energy problem, and from
       that problem the N spin rows of the eigenvectors, certified to

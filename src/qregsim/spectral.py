@@ -1,18 +1,14 @@
-"""Dense Hermitian eigendecomposition, the dense spectrum without
-eigenvectors, and the secular-equation spectrum.
+"""Dense Hermitian eigendecomposition and the secular-equation spectrum.
 
-Three routes to the same physics; `dynamics.spin_spectrum` picks one per
+Three routes reach the same physics; `dynamics.spin_spectrum` picks one per
 model and describes each. `diagonalize` wraps a dense Hermitian eigensolver
 and enforces the residual/orthonormality contract; it is the reference the
 tests and the acceptance criteria compare against, and the fallback of the
-closed form. `closed_form_spectrum` counts the energies between adjacent
-mode frequencies by inertia (Haynsworth), refines each on its branch of the
-N x N self-energy problem M(E) with the same safeguarded rational iteration
-as the secular route, and takes the spin rows of the eigenvectors from
-M(E); it never forms a d x d matrix (O(d N_b N^2) time, O(chunk N_b)
-memory) and certifies its result or raises. Under qubit-independent (uniform)
-coupling, the test `uses_secular_route`, the symmetric sector's N_b + 1
-energies are the zeros of the rational secular equation
+dense route without eigenvectors, `selfenergy.closed_form_spectrum`, which
+shares this module's safeguarded rational iteration (`_iterate`) and row
+chunks. Under qubit-independent (uniform) coupling, the test
+`uses_secular_route`, the symmetric sector's N_b + 1 energies are the zeros
+of the rational secular equation
 
     P(E) = E - epsilon - N * sum_k |g_k|^2 / (E - omega_k) = 0
 
@@ -32,12 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, UniformCoupling, coupling_matrix, mode_frequencies
+from .model import ModelParams, UniformCoupling, mode_frequencies
 
 __all__ = [
     "DiagonalizationError",
     "SpectralDecomposition",
-    "closed_form_spectrum",
     "diagonalize",
     "secular_roots",
     "symmetric_spectrum",
@@ -58,13 +53,6 @@ _TINY = float(np.finfo(float).tiny)
 _SMALLEST = float(np.finfo(float).smallest_subnormal)
 _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-10
-#: exact degeneracy, in units of eps * ||H||: the closed form refuses two
-#: eigenvalues this close and a mode's coupling row this weak
-_CLUSTER_ULPS = 16
-#: certificate of the closed form (chosen by measurement, see
-#: closed_form_spectrum), the first in units of eps * ||H||
-_PHASE_ULPS = 2
-_OVERLAP_TOL = 5e-14
 
 
 class DiagonalizationError(RuntimeError):
@@ -126,459 +114,6 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
             f"eigenvectors not orthonormal (Gram defect {gram_defect:.3e})"
         )
     return SpectralDecomposition(evals, evecs)
-
-
-def closed_form_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of build_h1(params), ascending, and the N x d spin block
-    of matching eigenvectors, without forming any d x d matrix.
-
-    With the modes' coupling rows G (N_b x N) and frequencies Omega, an
-    eigenvector [v; b] of energy E has b = (E - Omega)^-1 G v and
-    M(E) v = 0, where M(E) = (E - epsilon) I - G^H (E - Omega)^-1 G is the
-    N x N self-energy problem of the bordered matrix (Arbenz, Gander &
-    Golub, Linear Algebra Appl. 104, 1988). The eigenvector's squared norm
-    is K = 1 + ||b||^2, so its spin column is v / sqrt(K). Between two
-    adjacent coupled frequencies the sorted eigenvalues mu_1(E) <= ... <=
-    mu_N(E) of M rise with slope at least 1, so each crosses zero at most
-    once there. The energies are found in three steps:
-
-    - count (_count): by Haynsworth inertia additivity (Linear Algebra
-      Appl. 1, 1968), #{E_j < omega_k} = (k - 1) + #{positive eigenvalues of
-      B_k = [[A_k, u_k], [u_k^H, 0]]}, where A_k is M(omega_k) without the
-      pole of mode k and u_k = conj(g_k). The counts give the number of
-      energies in each gap between adjacent frequencies (and below the
-      lowest and above the highest) and the branch mu_i that vanishes at
-      each (_brackets);
-    - start: tau_k = u_k^H A_k^-1 u_k, the first-order offset from omega_k
-      of the energy attached to it, taken to second order (_count), where it
-      lands in the half of a one-energy gap on its own side; otherwise the
-      middle of the half of the gap that the sign of the branch at the
-      gap's midpoint picks (an outer energy starts mid-bracket);
-    - refine (_refine): each energy is held as an offset tau from the pole
-      of its half, every difference E - omega_k formed as tau - delta_k
-      (as in the secular iteration), and takes the safeguarded steps of
-      _iterate on f_v(E) = E - epsilon - sum_k |(G v)_k|^2 / (E - omega_k),
-      whose value and slope K match mu_i's at the iterate, with v the
-      branch's eigenvector from a batched N x N eigh there; the sign of
-      mu_i keeps the bracket. Each energy keeps its last evaluation, where
-      the step had fallen to a few ulp of tau. Its eigenvector is then
-      formed at that energy, deflated of the pole it is held from where
-      that is the more accurate (_branch_roots).
-
-    Cost O(d N_b N^2) time and O(chunk N_b) memory, chunk being the rows of
-    _row_chunks: the count, every step and the certificate run in row
-    chunks, and nothing of size d x d is formed.
-
-    Only nondegenerate spectra are served. DiagonalizationError is raised
-    before the count if two modes share a frequency, if a mode's coupling
-    row has norm at most _CLUSTER_ULPS ulp of the bound
-    max(1, epsilon, omega_max) + ||G||_2 on ||H|| (an uncoupled mode, g0 = 0
-    included), or if G has at least two singular values that small (two or
-    more dark spin states at epsilon, an exact cluster): each leaves an
-    eigenvector that the self-energy problem does not determine. Two
-    converged energies within _CLUSTER_ULPS ulp of ||H|| are refused too.
-
-    The result is certified in O(d N_b N), so that NaN fails, or
-    DiagonalizationError is raised. With r_j = (H - E_j) phi_j the residual
-    of the normalized eigenvector phi_j, formed from E_j and the spin part
-    of phi_j (see _branch_roots), v_j its spin column and mu_j its Rayleigh
-    quotient less E_j:
-
-    - completeness: every energy ends strictly inside the gap its count
-      gave it, and the energies ascend, so they are the d eigenvalues;
-    - the spin-weighted eigenvalue error sum_j |v_j|^2 |dE_j|, with |dE_j|
-      at most ||r_j|| and at most |mu_j| + ||r_j||^2 / gap_j (the
-      gaps to the neighbouring energies of this route), is at most
-      _PHASE_ULPS ulp of ||H|| per qubit, the order of eigh's own error, so
-      that the phases of the spin propagator drift no faster than on the
-      dense route;
-    - the phi_j are orthonormal to _OVERLAP_TOL: any two obey
-      |<phi_i|phi_j>| <= (||r_i|| + ||r_j||) / |E_i - E_j|, and the pairs
-      (at most d) for which that bound exceeds _OVERLAP_TOL have their
-      overlap computed.
-
-    The d certified vectors are then an orthonormal eigenbasis, which is
-    the norm guard behind p0 = 1 - p1 on this route.
-    """
-    n, epsilon = params.shape.n_qubits, params.epsilon
-    g, omegas = coupling_matrix(params), mode_frequencies(params)
-    sigma = np.linalg.svd(g, compute_uv=False)  # ||G||_2 = sigma[0]
-    tol = _CLUSTER_ULPS * _EPS * (max(1.0, epsilon, float(np.max(omegas))) + sigma[0])
-    modes = _coupled_modes(g, omegas, tol)
-    if n - np.count_nonzero(sigma > tol) >= 2:
-        raise DiagonalizationError("closed form refused: an exact eigenvalue cluster of dark spin states")
-    # an energy on a coupled frequency, or a few ulp from one, can give inf
-    # and NaN: eigh refuses them, and every check is written so NaN fails
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        brackets = _brackets(modes, epsilon, *_count(modes, epsilon), float(sigma[0]) + 1.0)
-        roots = _branch_roots(brackets, *_refine(brackets, modes, epsilon), modes, epsilon)
-        energies = roots.energies
-        ulp = _EPS * max(1.0, -energies[0], energies[-1])  # of ||H||_2
-        if not np.all(np.diff(energies) > _CLUSTER_ULPS * ulp):
-            raise DiagonalizationError(
-                "closed form refused: an exact eigenvalue cluster, or energies out of order"
-            )
-        inside = np.where(
-            brackets.side == 0,
-            (roots.tau / brackets.delta_far > 0.0) & (np.abs(roots.tau) < np.abs(brackets.delta_far)),
-            brackets.side * roots.tau > 0.0,
-        )
-        phase = _phase_error(energies, roots)
-        overlap = _max_overlap(roots, modes)
-    if not (np.all(inside) and phase <= _PHASE_ULPS * ulp * n and overlap <= _OVERLAP_TOL):
-        raise DiagonalizationError(
-            f"closed form not certified: {np.count_nonzero(~inside)} energies outside their "
-            f"counted gaps, spin-weighted eigenvalue error {phase:.3e}, "
-            f"eigenvector overlap {overlap:.3e}"
-        )
-    return energies, roots.columns
-
-
-class _Modes(NamedTuple):
-    """The modes, sorted by frequency (see _coupled_modes)."""
-
-    omegas: np.ndarray  # their frequencies, ascending and distinct
-    g: np.ndarray  # their coupling rows
-    gg: np.ndarray  # one row conj(g_k(a)) g_k(b), a and b flattened, per mode
-
-
-def _coupled_modes(g: np.ndarray, omegas: np.ndarray, tol: float) -> _Modes:
-    """The modes sorted by frequency, or DiagonalizationError if two share a
-    frequency or a coupling row has norm at most tol: either pins a bath
-    state that no spin state reaches."""
-    order = np.argsort(omegas, kind="stable")
-    omegas, g = omegas[order], g[order]
-    if np.any(np.diff(omegas) == 0.0):
-        raise DiagonalizationError("closed form refused: two modes share a frequency")
-    if not np.all(np.linalg.norm(g, axis=1) > tol):
-        raise DiagonalizationError("closed form refused: a mode is uncoupled")
-    gg = (g.conj()[:, :, None] * g[:, None, :]).reshape(g.shape[0], g.shape[1] ** 2)
-    return _Modes(omegas, g, gg)
-
-
-def _count(modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """For each coupled frequency omega_k, #{E_j < omega_k} and the offset
-    from omega_k of the energy attached to it, to second order (see
-    closed_form_spectrum).
-
-    A_k = (omega_k - epsilon) I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)
-    is one GEMM of a row chunk of the Cauchy matrix (diagonal 0) with the gg
-    table. Haynsworth additivity on the pivot A_k gives B_k the inertia of
-    A_k plus that of its Schur complement -tau_k, so one batched N x N eigh
-    A_k = Q diag(lambda) Q^H gives both tau_k = sum_i |q_i^H u_k|^2 / lambda_i
-    and #{positive eigenvalues of B_k} = #{lambda_i > 0} + [tau_k < 0]. A
-    bordered matrix with a zero corner and u_k != 0 has at least one
-    eigenvalue of each sign; counts that break this, or that fall from one
-    frequency to the next, and a singular A_k (tau_k not finite) raise
-    DiagonalizationError. With M(omega_k + x) = A_k + x D_k - u_k u_k^H / x
-    + O(x^2), the offset solves x = u_k^H (A_k + x D_k)^-1 u_k, and one
-    Newton step from tau_k gives tau_k / (1 + z^H D_k z) with z = A_k^-1 u_k;
-    D_k = I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)^2 is one
-    more GEMM, of the squared Cauchy chunk.
-    """
-    nb, n = modes.g.shape
-    below = np.empty(nb, dtype=np.intp)
-    tau = np.empty(nb)
-    for rows in _row_chunks(nb, nb):
-        k = np.arange(nb)[rows]
-        cauchy = _differences(modes.omegas, modes.omegas[rows])
-        cauchy[np.arange(k.size), k] = np.inf
-        np.divide(1.0, cauchy, out=cauchy)
-        a = (cauchy @ modes.gg).reshape(-1, n, n)
-        a[:, np.arange(n), np.arange(n)] += (modes.omegas[rows] - epsilon)[:, None]
-        lam, q = np.linalg.eigh(a)
-        proj = np.einsum("kai,ka->ki", q, modes.g[rows])  # conj(Q^H u_k)
-        t = np.sum(np.abs(proj) ** 2 / lam, axis=1)
-        below[rows] = k + np.count_nonzero(lam > 0.0, axis=1) + (t < 0.0)
-        z = np.einsum("kai,ki->ka", q, proj.conj() / lam)
-        np.multiply(cauchy, cauchy, out=cauchy)
-        slope = (cauchy @ modes.gg).reshape(-1, n, n)  # D_k - I
-        s = np.einsum("ka,kab,kb->k", z.conj(), slope, z).real + np.einsum("ka,ka->k", z.conj(), z).real
-        tau[rows] = t / (1.0 + s)
-    positive = below - np.arange(nb)
-    if not (np.all(np.isfinite(tau)) and np.all((positive >= 1) & (positive <= n))
-            and np.all(np.diff(below) >= 0)):
-        raise DiagonalizationError("closed form not certified: inconsistent energy count")
-    return below, tau
-
-
-class _Brackets(NamedTuple):
-    """One row per energy, ascending (see _brackets)."""
-
-    origin: np.ndarray  # the index of the frequency it is held from, the pole of its half
-    base: np.ndarray  # that frequency
-    tau: np.ndarray  # its start offset from base
-    lo: np.ndarray  # its bracket (lo, hi), as offsets from base
-    hi: np.ndarray
-    delta_far: np.ndarray  # the gap's other frequency, from base (0 outside)
-    far_left: np.ndarray  # base is the gap's right-hand frequency
-    side: np.ndarray  # -1 below the lowest frequency, 1 above the highest, else 0
-    branch: np.ndarray  # the index i of the sorted branch mu_i that vanishes at it
-
-
-def _brackets(
-    modes: _Modes, epsilon: float, below: np.ndarray, tau_k: np.ndarray, reach: float
-) -> _Brackets:
-    """The energies' gaps, branches, brackets and starts, from the counts
-    #{E_j < omega_k} and the offsets tau_k of _count.
-
-    Energy j (0-based) has left_j = #{omega_k < E_j} and vanishes on branch
-    N - 1 - j + left_j: M(E) has that many negative eigenvalues just below
-    E_j. Outside the frequencies the bracket reaches reach >= ||G||_2 beyond
-    min(epsilon, omega_min) and max(epsilon, omega_max), past every energy.
-    An energy that does not start from tau_k evaluates its branch at its
-    gap's midpoint once (one eigh per row, in row chunks) to pick its half.
-    """
-    omegas = modes.omegas
-    nb, n = modes.g.shape
-    j = np.arange(nb + n)
-    left = np.searchsorted(below, j, side="right")
-    branch = n - 1 - j + left
-    side = np.where(left == 0, -1, np.where(left == nb, 1, 0))
-    lower, upper = np.maximum(left - 1, 0), np.minimum(left, nb - 1)
-    width = omegas[upper] - omegas[lower]  # 0 outside the frequencies
-    half = 0.5 * width
-    t_low, t_up = tau_k[lower], tau_k[upper]
-    lone = np.bincount(left, minlength=nb + 1)[left] == 1
-    from_low = lone & (t_low > 0.0) & ((t_low < half) | (side > 0))
-    from_up = lone & (t_up < 0.0) & ((t_up > -half) | (side < 0))
-    up = from_up & ~from_low
-    lo, hi = np.where(up, -width, 0.0), np.where(up, 0.0, width)
-    lo[side < 0] = min(epsilon, omegas[0]) - reach - omegas[0]
-    hi[side > 0] = max(epsilon, omegas[-1]) + reach - omegas[-1]
-    start = np.where(up, t_up, t_low)
-    use_tau = (from_low ^ from_up) & (start > lo) & (start < hi)
-    tau = np.where(use_tau, start, 0.5 * (lo + hi))
-    origin = np.where(up, upper, lower)
-    base = omegas[origin]
-    delta_far = np.where(up, -width, width)
-
-    mid = np.flatnonzero(~use_tau & (side == 0))
-    for rows in _row_chunks(mid.size, nb):
-        i = mid[rows]
-        r = _reciprocal(tau[i], _differences(omegas, base[i]))
-        mu = _self_energy_eigh(r, (base[i] - epsilon) + tau[i], modes.gg, n)[0]
-        right = mu[np.arange(i.size), branch[i]] < 0.0
-        i_r, i_l = i[right], i[~right]
-        origin[i_r], delta_far[i_r], up[i_r] = upper[i_r], -width[i_r], True
-        base[i_r] = omegas[upper[i_r]]
-        lo[i_r], hi[i_r], tau[i_r] = -half[i_r], 0.0, -0.5 * half[i_r]
-        hi[i_l], tau[i_l] = half[i_l], 0.5 * half[i_l]
-    return _Brackets(origin, base, tau, lo, hi, delta_far, up, side, branch)
-
-
-def _branch_evaluate(modes: _Modes, epsilon: float, rows: int, offsets: np.ndarray, vectors: np.ndarray):
-    """evaluate(tau, base, branch, position) of _iterate on the branches: at
-    E = base + tau the counted branch's v, then f_v(E) = E - epsilon -
-    sum_k W_k / (E - omega_k) with W_k = |(G v)_k|^2, the sum of its pole
-    terms' slopes W_k / (E - omega_k)^2 and that sum over the poles left of
-    tau. Each call also stores tau and v at the rows' positions in offsets
-    and vectors, so that every energy keeps its last evaluation, whose v is
-    exact there. The (rows x modes) arrays live in three buffers allocated
-    once: a fresh array of that size costs more than the pass that fills
-    it."""
-    r_buf = np.empty((rows, modes.omegas.size))
-    q_buf = np.empty_like(r_buf)
-    w_buf = np.empty_like(r_buf, dtype=modes.g.dtype)
-    g_t, n = modes.g.T, modes.g.shape[1]
-
-    def evaluate(tau, base, branch, position):
-        r, q, w = r_buf[: tau.size], q_buf[: tau.size], w_buf[: tau.size]
-        np.subtract(modes.omegas, base[:, None], out=r)  # delta_k, as in _differences
-        np.subtract(tau[:, None], r, out=r)
-        np.reciprocal(r, out=r)  # 1 / (E - omega_k)
-        e_eps = (base - epsilon) + tau
-        v = _self_energy_eigh(r, e_eps, modes.gg, n)[1][np.arange(tau.size), :, branch]
-        offsets[position], vectors[position] = tau, v
-        np.matmul(v, g_t, out=w)
-        if w.dtype.kind == "c":
-            np.abs(w, out=q)
-            w = q
-        np.multiply(w, w, out=q)
-        q *= r
-        f = e_eps - q.sum(axis=1)
-        d_all = np.einsum("ij,ij->i", q, r)
-        np.maximum(q, 0.0, out=q)  # the poles left of tau
-        return f, d_all, np.einsum("ij,ij->i", q, r)
-
-    return evaluate
-
-
-def _refine(brackets: _Brackets, modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each energy's offset from brackets.base at the last evaluation of the
-    safeguarded iteration of _iterate (row chunks), where its step had
-    fallen to a few ulp of the offset or its bracket had collapsed, and the
-    branch's eigenvector v there, one row per energy."""
-    size = brackets.tau.size
-    offsets, vectors = np.empty(size), np.empty((size, modes.g.shape[1]), dtype=modes.g.dtype)
-    chunks = _row_chunks(size, modes.omegas.size)
-    evaluate = _branch_evaluate(modes, epsilon, min(chunks[0].stop, size), offsets, vectors)
-    for rows in chunks:
-        data = (brackets.base[rows], brackets.branch[rows], np.arange(size)[rows])
-        _iterate(
-            evaluate, data, brackets.tau[rows], brackets.lo[rows], brackets.hi[rows],
-            brackets.delta_far[rows], brackets.far_left[rows], brackets.side[rows],
-        )
-    return offsets, vectors
-
-
-class _Roots(NamedTuple):
-    """The energies and their spin columns (see _branch_roots)."""
-
-    energies: np.ndarray  # base + tau
-    columns: np.ndarray  # N x d spin columns
-    shift: np.ndarray  # |mu_j|, from E_j to the Rayleigh quotient of phi_j
-    residual: np.ndarray  # ||r_j||
-    base: np.ndarray  # the frequency each root is held from
-    tau: np.ndarray  # the offset from it
-    origin: np.ndarray  # the index of that frequency
-    bath: np.ndarray  # the component of phi_j on that frequency's mode
-
-
-def _branch_roots(
-    brackets: _Brackets, tau: np.ndarray, vectors: np.ndarray, modes: _Modes, epsilon: float
-) -> _Roots:
-    """The energies base + tau, the spin columns of their eigenvectors and
-    the exact residuals of these pairs (see closed_form_spectrum).
-
-    Each eigenvector is [y; b] / c, with b_k = (g_k . y) / (E - omega_k)
-    except at the energy's origin omega_o, whose component b_o is its own,
-    and c the norm. It is taken deflated: y = R(E)^-1 u_o and b_o = 1, with
-    R(E) = M(E) + u_o u_o^H / tau the self-energy without the origin's pole,
-    which is the eigenvector wherever tau = u_o^H R(E)^-1 u_o, that is
-    M(E) y = 0 (Gu & Eisenstat's remedy for the eigenvectors of a secular
-    equation). Taken from the branch's v instead, y = v and b_o =
-    (g_o . v) / tau, a ratio of two small numbers, carry the rounding of v,
-    eps ||M(E)|| absolute, divided by tau. But R(E) is nearly singular for
-    a nearly dark state, so where the deflated residual exceeds eps |E|,
-    the pair with v (the row of vectors) is formed too, and the one with
-    the smaller residual is kept. Either way the residual of the pair is
-    [R y - u_o b_o; 0; tau b_o - g_o . y] / c (zero on the other modes by
-    construction), formed without dividing by tau, and the pair's Rayleigh
-    quotient lies y^H (R y - u_o b_o) + conj(b_o) (tau b_o - g_o . y), over
-    c^2, from E.
-    """
-    (nb, n), size = modes.g.shape, tau.size
-    columns = np.empty((n, size), dtype=modes.g.dtype)
-    bath = np.empty(size, dtype=modes.g.dtype)
-    shift, residual = np.empty(size), np.empty(size)
-    chunks = _row_chunks(size, nb)
-    rows = min(chunks[0].stop, size)
-    r_buf = np.empty((rows, nb))
-    w_buf, b_buf = np.empty((2, rows, nb), dtype=modes.g.dtype)
-    for idx in chunks:
-        t, o = tau[idx], brackets.origin[idx]
-        m, base = t.size, brackets.base[idx]
-        e_eps = (base - epsilon) + t
-        r = r_buf[:m]
-        np.subtract(modes.omegas, base[:, None], out=r)  # delta_k, as in _differences
-        np.subtract(t[:, None], r, out=r)
-        np.reciprocal(r, out=r)
-        r_o = r[np.arange(m), o]
-        r[np.arange(m), o] = 0.0
-        regular = np.negative(r @ modes.gg).reshape(-1, n, n)
-        regular[:, np.arange(n), np.arange(n)] += e_eps[:, None]
-        if not np.all(np.isfinite(regular)):
-            raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
-        u = modes.g[o].conj()
-        try:
-            y = np.linalg.solve(regular, u[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # an exactly singular R(E)
-            y = np.full(u.shape, np.nan, dtype=u.dtype)
-        b_o = np.ones(m, dtype=modes.g.dtype)
-        pair = _pair(y, b_o, r, o, e_eps, t, modes, w_buf[:m], b_buf[:m])
-        redo = np.flatnonzero(~(pair[-1] <= (_EPS * (base + t)) ** 2))
-        if redo.size:
-            v = vectors[idx][redo]
-            b_v = r_o[redo] * np.einsum("ij,ij->i", modes.g[o[redo]], v)
-            other = _pair(v, b_v, r[redo], o[redo], e_eps[redo], t[redo], modes)
-            keep = ~(other[-1] >= pair[-1][redo])  # written so that a NaN loses
-            better = redo[keep]
-            y[better], b_o[better] = v[keep], b_v[keep]
-            for a, a_other in zip(pair, other):
-                a[better] = a_other[keep]
-        c2, spin, pole, res2 = pair
-        columns[:, idx] = (y / np.sqrt(c2)[:, None]).T
-        bath[idx] = b_o / np.sqrt(c2)
-        quotient = np.einsum("ij,ij->i", y.conj(), spin) + b_o.conj() * pole
-        shift[idx] = np.abs(quotient) / c2
-        residual[idx] = np.sqrt(res2)
-    return _Roots(brackets.base + tau, columns, shift, residual, brackets.base, tau, brackets.origin, bath)
-
-
-def _pair(y, b_o, r, o, e_eps, t, modes, w=None, b=None):
-    """For unnormalized eigenvectors [y; b] with origin components b_o (see
-    _branch_roots, r = 1 / (E - omega_k), 0 at the origin): the squared
-    norm c^2, the spin residual R y - u_o b_o, the origin's residual
-    tau b_o - g_o . y and the normalized squared residual. w and b are
-    optional (rows x modes) buffers for G y and b."""
-    w = np.matmul(y, modes.g.T, out=w)
-    b = np.multiply(r, w, out=b)
-    spin = e_eps[:, None] * y - b @ modes.g.conj() - modes.g[o].conj() * b_o[:, None]
-    pole = t * b_o - w[np.arange(t.size), o]
-    c2 = (
-        np.einsum("ij,ij->i", y.conj(), y).real + np.einsum("ij,ij->i", b.conj(), b).real
-        + np.abs(b_o) ** 2
-    )
-    return c2, spin, pole, (np.einsum("ij,ij->i", spin.conj(), spin).real + np.abs(pole) ** 2) / c2
-
-
-def _phase_error(energies: np.ndarray, roots: _Roots) -> float:
-    """sum_j |v_j|^2 |dE_j| over the roots, with |dE_j| bounded by ||r_j||
-    and by |mu_j| + ||r_j||^2 / gap_j, each root's gap taken to its
-    neighbours among the ascending energies."""
-    gap = np.minimum(np.diff(energies, prepend=-np.inf), np.diff(energies, append=np.inf))
-    error = np.fmin(roots.residual, roots.shift + roots.residual**2 / gap)
-    return float(np.sum(np.abs(roots.columns) ** 2, axis=0) @ error)
-
-
-def _reciprocal(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """1 / (E - omega_k) = 1 / (t - delta_k), one row per offset t."""
-    return 1.0 / (t[:, None] - delta)
-
-
-def _self_energy_eigh(r, e_eps, gg, n):
-    """Batched eigh of M = (E - epsilon) I - r @ gg, one N x N matrix per row."""
-    m = -(r @ gg).reshape(-1, n, n)
-    m[:, np.arange(n), np.arange(n)] += e_eps[:, None]
-    if not np.all(np.isfinite(m)):
-        raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
-    return np.linalg.eigh(m)
-
-
-def _max_overlap(roots: _Roots, modes: _Modes) -> float:
-    """The largest overlap of two eigenvectors whose bound
-    (||r_i|| + ||r_j||) / |E_i - E_j| exceeds _OVERLAP_TOL, computed, or inf
-    if more than d pairs do. The energies ascend."""
-    e, residual, d = roots.energies, roots.residual, roots.energies.size
-    reach = 2.0 * float(np.max(residual)) / _OVERLAP_TOL
-    if not np.isfinite(reach):
-        return np.inf
-    pairs = []
-    for step in range(1, d):
-        gap = e[step:] - e[:-step]
-        if not np.any(gap < reach):
-            break
-        near = np.flatnonzero(~((residual[step:] + residual[:-step]) / gap <= _OVERLAP_TOL))
-        pairs.append(np.stack([near, near + step]))
-        if sum(p.shape[1] for p in pairs) > d:
-            return np.inf
-    i, j = np.concatenate(pairs, axis=1) if pairs else np.zeros((2, 0), dtype=int)
-    worst = [0.0]
-    for rows in _row_chunks(i.size, modes.omegas.size):
-        a, b = i[rows], j[rows]
-        overlap = np.einsum("ij,ij->j", roots.columns[:, a].conj(), roots.columns[:, b])
-        overlap += np.einsum("ij,ij->i", _bath_part(roots, a, modes).conj(), _bath_part(roots, b, modes))
-        worst.append(np.max(np.abs(overlap)))
-    return float(np.max(worst))
-
-
-def _bath_part(roots: _Roots, idx: np.ndarray, modes: _Modes) -> np.ndarray:
-    """(E - Omega)^-1 G v of the roots idx, one row per root."""
-    r = _reciprocal(roots.tau[idx], _differences(modes.omegas, roots.base[idx]))
-    b = r * (roots.columns[:, idx].T @ modes.g.T)
-    b[np.arange(idx.size), roots.origin[idx]] = roots.bath[idx]
-    return b
 
 
 def uses_secular_route(params: ModelParams) -> bool:

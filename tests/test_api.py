@@ -12,7 +12,7 @@ import qregsim
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qregsim.__path__, "qregsim."))
 
 #: the modules whose public names the package re-exports
-LIBRARY = ("config", "dynamics", "matexp", "model", "presets", "sector", "spectral")
+LIBRARY = ("config", "dynamics", "matexp", "model", "presets", "sector", "selfenergy", "spectral")
 
 
 @pytest.mark.parametrize("name", MODULES)

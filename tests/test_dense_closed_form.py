@@ -1,6 +1,6 @@
 """The dense route without eigenvectors: energies counted by inertia and
 refined on the branches of the self-energy problem, with the spin block in
-closed form (spectral.closed_form_spectrum), its certificate and its
+closed form (selfenergy.closed_form_spectrum), its certificate and its
 fallback to diagonalize, against evolve + diagonalize, against eigvalsh and
 against a 40-digit eigensolve."""
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qregsim.dynamics
 import qregsim.model
-import qregsim.spectral
+import qregsim.selfenergy
 from qregsim import (
     CosineCoupling,
     DiagonalizationError,
@@ -200,11 +200,15 @@ def _paper_runs():
 @pytest.mark.parametrize("name, params, prep", _paper_runs(), ids=[r[0] for r in _paper_runs()])
 def test_paper_models_need_no_eigenvectors(name, params, prep, monkeypatch):
     # the gain of the route cannot vanish into its fallback on the models
-    # the benchmark and the cosine presets run
+    # the benchmark and the cosine presets run, and the route builds no H
     def no_eigenvectors(h):
         raise AssertionError("the dense route fell back to diagonalize")
 
+    def no_matrix(params):
+        raise AssertionError("the dense route built H")
+
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", no_eigenvectors)
+    monkeypatch.setattr(qregsim.dynamics, "build_h1", no_matrix)
     series = run_time_series(params, prep, TimeGrid(2000.0, 2001))
     assert len(series) == 2001
 
@@ -237,8 +241,8 @@ def test_exact_degeneracy_falls_back(name, monkeypatch):
         calls.append(h.shape)
         return real_diagonalize(h)
 
-    monkeypatch.setattr(qregsim.spectral, "_count", no_step)
-    monkeypatch.setattr(qregsim.spectral, "_refine", no_step)
+    monkeypatch.setattr(qregsim.selfenergy, "_count", no_step)
+    monkeypatch.setattr(qregsim.selfenergy, "_refine", no_step)
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
     with pytest.raises(DiagonalizationError, match=reason):
         closed_form_spectrum(params)
@@ -258,7 +262,7 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
     params, prep = cfg.params, prep_vector(cfg.prep, 2)
     closed_form_spectrum(params)  # certified when intact
     norm = np.linalg.norm(build_h1(params), 2)
-    real_refine, real_diagonalize = qregsim.spectral._refine, qregsim.dynamics.diagonalize
+    real_refine, real_diagonalize = qregsim.selfenergy._refine, qregsim.dynamics.diagonalize
     calls = []
 
     def corrupted(*args):
@@ -271,7 +275,7 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
         calls.append(h.shape)
         return real_diagonalize(h)
 
-    monkeypatch.setattr(qregsim.spectral, "_refine", corrupted)
+    monkeypatch.setattr(qregsim.selfenergy, "_refine", corrupted)
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
     with pytest.raises(DiagonalizationError):
         closed_form_spectrum(params)
@@ -306,8 +310,8 @@ def test_counts_and_energies_against_eigvalsh(params):
     assert np.max(np.abs(energies - want)) <= tol
     order = np.argsort(params.dispersion.omegas, kind="stable")
     omegas = params.dispersion.omegas[order]
-    modes = qregsim.spectral._coupled_modes(qregsim.model.coupling_matrix(params)[order], omegas, 0.0)
-    below, _ = qregsim.spectral._count(modes, params.epsilon)
+    modes = qregsim.selfenergy._coupled_modes(qregsim.model.coupling_matrix(params)[order], omegas, 0.0)
+    below, _ = qregsim.selfenergy._count(modes, params.epsilon)
     low, high = np.searchsorted(want, omegas - tol), np.searchsorted(want, omegas + tol)
     assert np.all((low <= below) & (below <= high))
     assert np.array_equal(below[low == high], low[low == high])
