@@ -259,7 +259,7 @@ def _brackets(
     mid = np.flatnonzero(~use_tau & (side == 0))
     for rows in _row_chunks(mid.size, nb):
         i = mid[rows]
-        r = _reciprocal(tau[i], _differences(omegas, base[i]))
+        r = _reciprocal(tau[i], omegas, base[i])
         mu = _self_energy_eigh(r, (base[i] - epsilon) + tau[i], modes.gg, n)[0]
         right = mu[np.arange(i.size), branch[i]] < 0.0
         i_r, i_l = i[right], i[~right]
@@ -286,10 +286,8 @@ def _branch_evaluate(modes: _Modes, epsilon: float, rows: int, offsets: np.ndarr
     g_t, n = modes.g.T, modes.g.shape[1]
 
     def evaluate(tau, base, branch, position):
-        r, q, w = r_buf[: tau.size], q_buf[: tau.size], w_buf[: tau.size]
-        np.subtract(modes.omegas, base[:, None], out=r)  # delta_k, as in _differences
-        np.subtract(tau[:, None], r, out=r)
-        np.reciprocal(r, out=r)  # 1 / (E - omega_k)
+        q, w = q_buf[: tau.size], w_buf[: tau.size]
+        r = _reciprocal(tau, modes.omegas, base, r_buf[: tau.size])
         e_eps = (base - epsilon) + tau
         v = _self_energy_eigh(r, e_eps, modes.gg, n)[1][np.arange(tau.size), :, branch]
         offsets[position], vectors[position] = tau, v
@@ -373,10 +371,7 @@ def _branch_roots(
         t, o = tau[idx], brackets.origin[idx]
         m, base = t.size, brackets.base[idx]
         e_eps = (base - epsilon) + t
-        r = r_buf[:m]
-        np.subtract(modes.omegas, base[:, None], out=r)  # delta_k, as in _differences
-        np.subtract(t[:, None], r, out=r)
-        np.reciprocal(r, out=r)
+        r = _reciprocal(t, modes.omegas, base, r_buf[:m])
         r_o = r[np.arange(m), o]
         r[np.arange(m), o] = 0.0
         regular = np.negative(r @ modes.gg).reshape(-1, n, n)
@@ -435,9 +430,13 @@ def _phase_error(energies: np.ndarray, roots: _Roots) -> float:
     return float(np.sum(np.abs(roots.columns) ** 2, axis=0) @ error)
 
 
-def _reciprocal(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """1 / (E - omega_k) = 1 / (t - delta_k), one row per offset t."""
-    return 1.0 / (t[:, None] - delta)
+def _reciprocal(t, omegas, base, out=None):
+    """1 / (E - omega_k) = 1 / (t - delta_k) with delta_k = omega_k - base
+    (formed as _differences forms it), one row per offset t from its base,
+    in out if given."""
+    r = np.subtract(omegas, base[:, None], out=out)
+    np.subtract(t[:, None], r, out=r)
+    return np.reciprocal(r, out=r)
 
 
 def _self_energy_eigh(r, e_eps, gg, n):
@@ -478,7 +477,7 @@ def _max_overlap(roots: _Roots, modes: _Modes) -> float:
 
 def _bath_part(roots: _Roots, idx: np.ndarray, modes: _Modes) -> np.ndarray:
     """(E - Omega)^-1 G v of the roots idx, one row per root."""
-    r = _reciprocal(roots.tau[idx], _differences(modes.omegas, roots.base[idx]))
+    r = _reciprocal(roots.tau[idx], modes.omegas, roots.base[idx])
     b = r * (roots.columns[:, idx].T @ modes.g.T)
     b[np.arange(idx.size), roots.origin[idx]] = roots.bath[idx]
     return b
