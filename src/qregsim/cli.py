@@ -8,7 +8,8 @@ Verbs:
 
 `run` and `spectrum` take their spectrum from `dynamics.spin_spectrum`,
 whose docstring describes its routes; `spectrum` writes its energies,
-ascending, and on the secular route the symmetric sector's roots.
+ascending, and for a coupling of rank at most one (uniform coupling among
+others) the N_b + 1 roots of its secular equation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, format_config, parse_config_file, prep_vector
@@ -107,14 +106,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             f"and {out_dir} is an existing file"
         )
     energies, _, roots = spin_spectrum(cfg.params)
-    energies = np.sort(energies)
     write_atomic(out_dir / "eigenvalues.csv", format_rows(energies[:, None]))
     print(f"wrote {out_dir / 'eigenvalues.csv'} ({energies.size} values)")
     if roots is not None:
         write_atomic(out_dir / "secular_roots.csv", format_rows(roots[:, None]))
         print(f"wrote {out_dir / 'secular_roots.csv'} ({roots.size} values)")
     else:
-        print("secular roots skipped: the secular equation needs uniform coupling")
+        print("secular roots skipped: the secular equation needs a coupling of rank one")
     return 0
 
 

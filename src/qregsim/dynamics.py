@@ -26,14 +26,15 @@ import numpy as np
 
 from .csvformat import format_rows
 from .model import ModelParams, build_h1
-from .sector import RegisterShape, momentum_state, symmetric_state
-from .selfenergy import closed_form_spectrum
+from .sector import RegisterShape
+from .selfenergy import _closed_form
 from .spectral import (
     DiagonalizationError,
     SpectralDecomposition,
+    _assemble,
+    _deflate,
+    _secular_spectrum,
     diagonalize,
-    symmetric_spectrum,
-    uses_secular_route,
 )
 
 __all__ = [
@@ -197,9 +198,10 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
 
 
 class Spectrum(NamedTuple):
-    """All N + N_b one-excitation energies, the N x (N + N_b) spin block of
-    matching eigenvectors, and on the secular route the N_b + 1 energies of
-    the symmetric sector (None on the others); see spin_spectrum."""
+    """All N + N_b one-excitation energies, ascending, the N x (N + N_b) spin
+    block of matching eigenvectors, and for a coupling of rank one the
+    N_b + 1 energies of the sector it reaches (else None); see
+    spin_spectrum."""
 
     energies: np.ndarray
     spin: np.ndarray
@@ -211,52 +213,39 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
 
     Only the energies E_j and the spin block V_s of matching eigenvectors
     enter the register dynamics: the spin amplitudes evolve as
-    C(t) = V_s diag(exp(-i E t)) V_s^H C(0). Every route gives all N + N_b
-    energies and an N x (N + N_b) spin block. The route is chosen here, and
-    only here, by spectral.uses_secular_route, and the fallback to
-    diagonalize is taken here alone:
+    C(t) = V_s diag(exp(-i E t)) V_s^H C(0). The solver is picked here, and
+    only here, by the rank r of the coupling G after spectral._deflate has
+    taken out the dark spin states (ker G, the paper's decoherence-free
+    states, at epsilon) and the bath states no spin state reaches (pinned
+    at their frequencies), which spectral._assemble appends again:
 
-    - uniform coupling, the secular route: no eigensolve. The symmetric
-      spin state s = (1, ..., 1) / sqrt(N) spreads over the N_b + 1
-      energies E_j of the symmetric sector with weights w_j = 1 / P'(E_j)
-      (spectral.symmetric_spectrum, which checks the trace identity and the
-      sum rule sum_j w_j = 1 to 1e-10), each giving the column sqrt(w_j) s;
-      pinned roots of repeated frequencies carry w_j = 0 and so zero
-      columns, and with g0 = 0 (or N g0^2 below the normal float range) only
-      the energy nearest epsilon carries s. The N - 1 momentum states
-      (sector.momentum_state), orthonormal and orthogonal to s, are dark and
-      give N - 1 columns at epsilon, last. roots holds the N_b + 1 energies.
-      Cost O(N_b^2) per root iteration, memory bounded by the iteration's
-      row chunks.
-    - every other coupling, the dense route without eigenvectors:
-      selfenergy.closed_form_spectrum(params), all N + N_b energies,
-      ascending, counted between adjacent mode frequencies by inertia and
-      refined on the branches of the N x N self-energy problem, and from
-      that problem the N spin rows of the eigenvectors, certified to
-      orthonormality 5e-14. Cost O(d N_b N^2) time and O(chunk N_b) memory
-      for the row chunks of its iteration; no d x d matrix is formed. If it
-      refuses an exact degeneracy (two modes at one frequency, an uncoupled
-      mode, g0 = 0 included, or an exact cluster of energies) or its
-      certificate fails (near-degenerate states it cannot resolve, or an
-      energy on a coupled frequency), the route falls back to
-      diagonalize(build_h1(params)), whose Gram check holds its
-      eigenvectors orthonormal to 1e-10, and the first N rows of its
-      eigenvector matrix: H is built on this fallback alone, at O(d^2)
-      memory and O(d^3) time. roots is None. build_h1 and diagonalize are
-      called through this module's names.
+    - r = 1 (uniform coupling, or any G = c u^T): the coupled spin state s
+      spreads over the zeros E_j of the secular equation with weights
+      w_j = 1 / P'(E_j) (spectral._secular_spectrum, with its trace and sum
+      rule checks), each giving the column sqrt(w_j) s. No eigensolve, and
+      no solve at all when no mode stays coupled (g0 = 0 among others).
+      roots holds the zeros and the pinned frequencies. O(N_b^2) time per
+      root iteration, memory bounded by its row chunks;
+    - r >= 2: selfenergy._closed_form on the reduced problem, certified to
+      orthonormality 5e-14. O(d N_b r^2) time, O(chunk N_b) memory.
+
+    If the deflation refuses a model (modes at one frequency that reach two
+    spin directions), or a check or the certificate fails (near-degenerate
+    states the closed form cannot resolve), the route falls back to
+    diagonalize(build_h1(params)), called through this module's names, and
+    the first N rows of its eigenvectors, orthonormal to 1e-10: H is built
+    on this fallback alone, at O(d^2) memory and O(d^3) time.
     """
-    n = params.shape.n_qubits
-    if uses_secular_route(params):
-        roots, weights = symmetric_spectrum(params)
-        columns = [np.outer(symmetric_state(n), np.sqrt(weights))]
-        columns += [momentum_state(n, k)[:, None] for k in range(1, n)]
-        energies = np.concatenate([roots, np.full(n - 1, params.epsilon)])
-        return Spectrum(energies, np.hstack(columns), roots)
     try:
-        return Spectrum(*closed_form_spectrum(params), None)
+        model = _deflate(params)
+        if model.g.shape[1] > 1:  # the deflated rank r
+            return Spectrum(*_assemble(model, *_closed_form(model)), None)
+        zeros, weights = _secular_spectrum(model)
+        roots = np.sort(np.concatenate([zeros, model.pinned]))
+        return Spectrum(*_assemble(model, zeros, np.sqrt(weights)[None]), roots)
     except DiagonalizationError:
         sd = diagonalize(build_h1(params))
-        return Spectrum(sd.eigenvalues, sd.eigenvectors[:n], None)
+        return Spectrum(sd.eigenvalues, sd.eigenvectors[:params.shape.n_qubits], None)
 
 
 def _spin_amplitudes(

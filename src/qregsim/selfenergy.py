@@ -1,14 +1,16 @@
-"""The dense spectrum without eigenvectors, from the N x N self-energy
+"""The dense spectrum without eigenvectors, from the r x r self-energy
 problem.
 
-`closed_form_spectrum` serves every coupling that is not uniform: it counts
-the energies between adjacent mode frequencies by inertia (Haynsworth),
-refines each on its branch of the self-energy M(E) with the secular route's
+`closed_form_spectrum` serves every coupling of rank r >= 2 after
+`spectral._deflate` has taken its exact degeneracies out: it counts the
+energies between adjacent mode frequencies by inertia (Haynsworth), refines
+each on its branch of the self-energy M(E) with the secular route's
 safeguarded rational iteration (`spectral._iterate`), and takes the spin
-rows of the eigenvectors from M(E). It never forms a d x d matrix
-(O(d N_b N^2) time, O(chunk N_b) memory), and it certifies its result or
-raises DiagonalizationError, on which `dynamics.spin_spectrum` falls back to
-`spectral.diagonalize`.
+rows of the eigenvectors from M(E). It never forms a d x d matrix: the
+count, every step and the certificate run in the row chunks of
+`spectral._row_chunks`, O(d N_b r^2) time and O(chunk N_b) memory. It
+certifies its result or raises DiagonalizationError, on which
+`dynamics.spin_spectrum` falls back to `spectral.diagonalize`.
 """
 
 from __future__ import annotations
@@ -17,14 +19,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, coupling_matrix, mode_frequencies
-from .spectral import _EPS, DiagonalizationError, _differences, _iterate, _row_chunks
+from .model import ModelParams
+from .spectral import (
+    _CLUSTER_ULPS,
+    _EPS,
+    DiagonalizationError,
+    _assemble,
+    _deflate,
+    _Deflated,
+    _differences,
+    _iterate,
+    _row_chunks,
+)
 
 __all__ = ["closed_form_spectrum"]
 
-#: exact degeneracy, in units of eps * ||H||: the closed form refuses two
-#: eigenvalues this close and a mode's coupling row this weak
-_CLUSTER_ULPS = 16
 #: certificate of the closed form (chosen by measurement, see
 #: closed_form_spectrum), the first in units of eps * ||H||
 _PHASE_ULPS = 2
@@ -33,17 +42,20 @@ _OVERLAP_TOL = 5e-14
 
 def closed_form_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of build_h1(params), ascending, and the N x d spin block
-    of matching eigenvectors, without forming any d x d matrix.
+    of matching eigenvectors, without forming any d x d matrix: the closed
+    form of the problem that spectral._deflate reduces the model to, at any
+    rank r, with the dark and pinned eigenpairs appended (spectral._assemble).
 
-    With the modes' coupling rows G (N_b x N) and frequencies Omega, an
+    With the reduced problem's coupling rows G (N_b' x r, distinct
+    frequencies Omega, each row above the deflation threshold), an
     eigenvector [v; b] of energy E has b = (E - Omega)^-1 G v and
     M(E) v = 0, where M(E) = (E - epsilon) I - G^H (E - Omega)^-1 G is the
-    N x N self-energy problem of the bordered matrix (Arbenz, Gander &
+    r x r self-energy problem of the bordered matrix (Arbenz, Gander &
     Golub, Linear Algebra Appl. 104, 1988). The eigenvector's squared norm
     is K = 1 + ||b||^2, so its spin column is v / sqrt(K). Between two
-    adjacent coupled frequencies the sorted eigenvalues mu_1(E) <= ... <=
-    mu_N(E) of M rise with slope at least 1, so each crosses zero at most
-    once there. The energies are found in three steps:
+    adjacent frequencies the sorted eigenvalues mu_1(E) <= ... <= mu_r(E)
+    of M rise with slope at least 1, so each crosses zero at most once
+    there. The energies are found in three steps:
 
     - count (_count): by Haynsworth inertia additivity (Linear Algebra
       Appl. 1, 1968), #{E_j < omega_k} = (k - 1) + #{positive eigenvalues of
@@ -62,39 +74,28 @@ def closed_form_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
       (as in the secular iteration), and takes the safeguarded steps of
       _iterate on f_v(E) = E - epsilon - sum_k |(G v)_k|^2 / (E - omega_k),
       whose value and slope K match mu_i's at the iterate, with v the
-      branch's eigenvector from a batched N x N eigh there; the sign of
+      branch's eigenvector from a batched r x r eigh there; the sign of
       mu_i keeps the bracket. Each energy keeps its last evaluation, where
       the step had fallen to a few ulp of tau. Its eigenvector is then
       formed at that energy, deflated of the pole it is held from where
       that is the more accurate (_branch_roots).
 
-    Cost O(d N_b N^2) time and O(chunk N_b) memory, chunk being the rows of
-    _row_chunks: the count, every step and the certificate run in row
-    chunks, and nothing of size d x d is formed.
-
-    Only nondegenerate spectra are served. DiagonalizationError is raised
-    before the count if two modes share a frequency, if a mode's coupling
-    row has norm at most _CLUSTER_ULPS ulp of the bound
-    max(1, epsilon, omega_max) + ||G||_2 on ||H|| (an uncoupled mode, g0 = 0
-    included), or if G has at least two singular values that small (two or
-    more dark spin states at epsilon, an exact cluster): each leaves an
-    eigenvector that the self-energy problem does not determine. Two
-    converged energies within _CLUSTER_ULPS ulp of ||H|| are refused too.
-
-    The result is certified in O(d N_b N), so that NaN fails, or
+    The result is certified in O(d N_b r), so that NaN fails, or
     DiagonalizationError is raised. With r_j = (H - E_j) phi_j the residual
     of the normalized eigenvector phi_j, formed from E_j and the spin part
     of phi_j (see _branch_roots), v_j its spin column and mu_j its Rayleigh
     quotient less E_j:
 
     - completeness: every energy ends strictly inside the gap its count
-      gave it, and the energies ascend, so they are the d eigenvalues;
+      gave it, and the energies ascend at least _CLUSTER_ULPS ulp of ||H||
+      apart, so they are the d eigenvalues and each eigenvector is
+      determined;
     - the spin-weighted eigenvalue error sum_j |v_j|^2 |dE_j|, with |dE_j|
       at most ||r_j|| and at most |mu_j| + ||r_j||^2 / gap_j (the
       gaps to the neighbouring energies of this route), is at most
-      _PHASE_ULPS ulp of ||H|| per qubit, the order of eigh's own error, so
-      that the phases of the spin propagator drift no faster than on the
-      dense route;
+      _PHASE_ULPS ulp of ||H|| per spin direction, the order of eigh's own
+      error, so that the phases of the spin propagator drift no faster than
+      on the dense route;
     - the phi_j are orthonormal to _OVERLAP_TOL: any two obey
       |<phi_i|phi_j>| <= (||r_i|| + ||r_j||) / |E_i - E_j|, and the pairs
       (at most d) for which that bound exceeds _OVERLAP_TOL have their
@@ -103,60 +104,56 @@ def closed_form_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     The d certified vectors are then an orthonormal eigenbasis, which is
     the norm guard behind p0 = 1 - p1 on this route.
     """
-    n, epsilon = params.shape.n_qubits, params.epsilon
-    g, omegas = coupling_matrix(params), mode_frequencies(params)
-    sigma = np.linalg.svd(g, compute_uv=False)  # ||G||_2 = sigma[0]
-    tol = _CLUSTER_ULPS * _EPS * (max(1.0, epsilon, float(np.max(omegas))) + sigma[0])
-    modes = _coupled_modes(g, omegas, tol)
-    if n - np.count_nonzero(sigma > tol) >= 2:
-        raise DiagonalizationError("closed form refused: an exact eigenvalue cluster of dark spin states")
+    model = _deflate(params)
+    return _assemble(model, *_closed_form(model))
+
+
+def _closed_form(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced problem's energies, ascending, and the r x (N_b' + r)
+    spin columns of its eigenvectors in model.basis (see
+    closed_form_spectrum)."""
+    epsilon, r = model.epsilon, model.g.shape[1]
+    if not model.omegas.size:  # no coupled mode: M(E) = (E - epsilon) I
+        return np.full(r, epsilon), np.eye(r)
+    modes = _coupled_modes(model)
     # an energy on a coupled frequency, or a few ulp from one, can give inf
     # and NaN: eigh refuses them, and every check is written so NaN fails
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        brackets = _brackets(modes, epsilon, *_count(modes, epsilon), float(sigma[0]) + 1.0)
+        brackets = _brackets(modes, epsilon, *_count(modes, epsilon), model.norm + 1.0)
         roots = _branch_roots(brackets, *_refine(brackets, modes, epsilon), modes, epsilon)
         energies = roots.energies
         ulp = _EPS * max(1.0, -energies[0], energies[-1])  # of ||H||_2
-        if not np.all(np.diff(energies) > _CLUSTER_ULPS * ulp):
-            raise DiagonalizationError(
-                "closed form refused: an exact eigenvalue cluster, or energies out of order"
-            )
         inside = np.where(
             brackets.side == 0,
             (roots.tau / brackets.delta_far > 0.0) & (np.abs(roots.tau) < np.abs(brackets.delta_far)),
             brackets.side * roots.tau > 0.0,
         )
+        apart = np.diff(energies) > _CLUSTER_ULPS * ulp
         phase = _phase_error(energies, roots)
         overlap = _max_overlap(roots, modes)
-    if not (np.all(inside) and phase <= _PHASE_ULPS * ulp * n and overlap <= _OVERLAP_TOL):
+    if not (np.all(inside) and np.all(apart) and phase <= _PHASE_ULPS * ulp * r
+            and overlap <= _OVERLAP_TOL):
         raise DiagonalizationError(
             f"closed form not certified: {np.count_nonzero(~inside)} energies outside their "
-            f"counted gaps, spin-weighted eigenvalue error {phase:.3e}, "
-            f"eigenvector overlap {overlap:.3e}"
+            f"counted gaps, {np.count_nonzero(~apart)} gaps under {_CLUSTER_ULPS} ulp, "
+            f"spin-weighted eigenvalue error {phase:.3e}, eigenvector overlap {overlap:.3e}"
         )
     return energies, roots.columns
 
 
 class _Modes(NamedTuple):
-    """The modes, sorted by frequency (see _coupled_modes)."""
+    """The reduced problem's coupled modes, sorted by frequency."""
 
     omegas: np.ndarray  # their frequencies, ascending and distinct
     g: np.ndarray  # their coupling rows
     gg: np.ndarray  # one row conj(g_k(a)) g_k(b), a and b flattened, per mode
 
 
-def _coupled_modes(g: np.ndarray, omegas: np.ndarray, tol: float) -> _Modes:
-    """The modes sorted by frequency, or DiagonalizationError if two share a
-    frequency or a coupling row has norm at most tol: either pins a bath
-    state that no spin state reaches."""
-    order = np.argsort(omegas, kind="stable")
-    omegas, g = omegas[order], g[order]
-    if np.any(np.diff(omegas) == 0.0):
-        raise DiagonalizationError("closed form refused: two modes share a frequency")
-    if not np.all(np.linalg.norm(g, axis=1) > tol):
-        raise DiagonalizationError("closed form refused: a mode is uncoupled")
+def _coupled_modes(model: _Deflated) -> _Modes:
+    """The reduced problem's modes, with their gg table."""
+    g = model.g
     gg = (g.conj()[:, :, None] * g[:, None, :]).reshape(g.shape[0], g.shape[1] ** 2)
-    return _Modes(omegas, g, gg)
+    return _Modes(model.omegas, g, gg)
 
 
 def _count(modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +164,7 @@ def _count(modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     A_k = (omega_k - epsilon) I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)
     is one GEMM of a row chunk of the Cauchy matrix (diagonal 0) with the gg
     table. Haynsworth additivity on the pivot A_k gives B_k the inertia of
-    A_k plus that of its Schur complement -tau_k, so one batched N x N eigh
+    A_k plus that of its Schur complement -tau_k, so one batched r x r eigh
     A_k = Q diag(lambda) Q^H gives both tau_k = sum_i |q_i^H u_k|^2 / lambda_i
     and #{positive eigenvalues of B_k} = #{lambda_i > 0} + [tau_k < 0]. A
     bordered matrix with a zero corner and u_k != 0 has at least one
@@ -226,7 +223,7 @@ def _brackets(
     #{E_j < omega_k} and the offsets tau_k of _count.
 
     Energy j (0-based) has left_j = #{omega_k < E_j} and vanishes on branch
-    N - 1 - j + left_j: M(E) has that many negative eigenvalues just below
+    r - 1 - j + left_j: M(E) has that many negative eigenvalues just below
     E_j. Outside the frequencies the bracket reaches reach >= ||G||_2 beyond
     min(epsilon, omega_min) and max(epsilon, omega_max), past every energy.
     An energy that does not start from tau_k evaluates its branch at its
@@ -327,7 +324,7 @@ class _Roots(NamedTuple):
     """The energies and their spin columns (see _branch_roots)."""
 
     energies: np.ndarray  # base + tau
-    columns: np.ndarray  # N x d spin columns
+    columns: np.ndarray  # r x d spin columns, in the reduced basis
     shift: np.ndarray  # |mu_j|, from E_j to the Rayleigh quotient of phi_j
     residual: np.ndarray  # ||r_j||
     base: np.ndarray  # the frequency each root is held from
@@ -440,7 +437,7 @@ def _reciprocal(t, omegas, base, out=None):
 
 
 def _self_energy_eigh(r, e_eps, gg, n):
-    """Batched eigh of M = (E - epsilon) I - r @ gg, one N x N matrix per row."""
+    """Batched eigh of M = (E - epsilon) I - r @ gg, one r x r matrix per row."""
     m = -(r @ gg).reshape(-1, n, n)
     m[:, np.arange(n), np.arange(n)] += e_eps[:, None]
     if not np.all(np.isfinite(m)):

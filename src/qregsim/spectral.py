@@ -1,24 +1,19 @@
-"""Dense Hermitian eigendecomposition and the secular-equation spectrum.
+"""Dense eigendecomposition, exact deflation and the rank-one spectrum.
 
-Three routes reach the same physics; `dynamics.spin_spectrum` picks one per
-model and describes each. `diagonalize` wraps a dense Hermitian eigensolver
-and enforces the residual/orthonormality contract; it is the reference the
-tests and the acceptance criteria compare against, and the fallback of the
-dense route without eigenvectors, `selfenergy.closed_form_spectrum`, which
-shares this module's safeguarded rational iteration (`_iterate`) and row
-chunks. Under qubit-independent (uniform) coupling, the test
-`uses_secular_route`, the symmetric sector's N_b + 1 energies are the zeros
-of the rational secular equation
-
-    P(E) = E - epsilon - N * sum_k |g_k|^2 / (E - omega_k) = 0
-
-(and the pinned energies of repeated frequencies). `symmetric_spectrum`
-returns them with the weights w_j = 1 / P'(E_j) of the symmetric spin state,
-from one safeguarded rational iteration (R.-C. Li's middle way, the method
-of LAPACK dlaed4) that holds each zero as an offset from its nearer pole
-(Gu & Eisenstat's stable reconstruction), in row chunks that bound the
-(zeros x poles) work buffers. All three routes are cross-checked in the
-test suite.
+`diagonalize` wraps a dense Hermitian eigensolver and enforces the
+residual/orthonormality contract; it is the reference the tests and the
+acceptance criteria compare against, and the fallback of
+`dynamics.spin_spectrum`, the one place that picks a solver. In front of
+both solvers `_deflate` takes out every exact degeneracy (as LAPACK dlaed2
+does; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995): the spin states
+the bath cannot reach (ker G, the paper's decoherence-free states) and the
+bath states no spin state reaches; `_assemble` appends them again. At rank
+one the reduced problem's energies are the zeros of the secular equation
+P(E) = E - epsilon - sum_k |g_k|^2 / (E - omega_k), found by one
+safeguarded rational iteration (`_iterate`: R.-C. Li's middle way, the
+method of LAPACK dlaed4) that holds each zero as an offset from its nearer
+pole, in row chunks that bound its (zeros x poles) buffers;
+`selfenergy.closed_form_spectrum` shares both at higher rank.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, UniformCoupling, mode_frequencies
+from .model import ModelParams, coupling_matrix, mode_frequencies
 
 __all__ = [
     "DiagonalizationError",
@@ -36,7 +31,6 @@ __all__ = [
     "diagonalize",
     "secular_roots",
     "symmetric_spectrum",
-    "uses_secular_route",
 ]
 
 #: a (zeros x poles) work buffer of either iteration holds about this
@@ -49,10 +43,13 @@ _CHUNK_ROWS = 64
 _MODEL_STEPS = 30
 _MAX_STEPS = 200
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 _SMALLEST = float(np.finfo(float).smallest_subnormal)
 _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-10
+#: exact degeneracy, in units of eps * ||H||: _deflate takes out singular
+#: values of G and coupling blocks this weak, and the closed form refuses
+#: two eigenvalues this close
+_CLUSTER_ULPS = 16
 
 
 class DiagonalizationError(RuntimeError):
@@ -116,38 +113,79 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(evals, evecs)
 
 
-def uses_secular_route(params: ModelParams) -> bool:
-    """Whether the spectrum comes from the secular equation: true for
-    qubit-independent (uniform) coupling. dynamics.spin_spectrum, the one
-    place that picks a route, describes the routes."""
-    return isinstance(params.coupling, UniformCoupling)
+class _Deflated(NamedTuple):
+    """A model with its exact degeneracies taken out (see _deflate)."""
+
+    basis: np.ndarray  # N x r: the spin directions the bath reaches
+    dark: np.ndarray  # N x (N - r): the dark spin states, eigenvectors at epsilon
+    omegas: np.ndarray  # the coupled modes' frequencies, ascending and distinct
+    g: np.ndarray  # their coupling rows in the basis, one per mode (modes x r)
+    pinned: np.ndarray  # the frequencies of the bath states no spin state reaches
+    epsilon: float
+    norm: float  # ||G||_2
 
 
-def _secular_poles(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct pole frequencies, their multiplicities and the square roots
-    of their weights in P.
+def _deflate(params: ModelParams) -> _Deflated:
+    """The reduced problem of a model, nondegenerate by construction, and the
+    eigenpairs taken out of it. Each step changes H by at most about tol,
+    _CLUSTER_ULPS ulp of the bound max(1, epsilon, omega_max) + ||G||_2 on
+    ||H||, the order of eigh's own backward error:
 
-    Each mode couples to the symmetric spin state with strength
-    sqrt(N) |g0|, so a k-fold frequency carries weight k N |g0|^2. The root
-    is formed without squaring g0, which keeps it exact where N g0^2 would
-    fall into the subnormal range (g0 below about 1e-154).
+    - spin side: the right singular vectors of G, from the SVD of its
+      min(N_b, N) x N factor R = Q^H G, of singular value at most tol are
+      dark, eigenvectors at epsilon; the others (at least one) are the
+      basis, in which the coupling rows are taken. With none dark the basis
+      is the identity and G is kept as it is;
+    - bath side: the m modes at one frequency are rotated by the SVD of
+      their m x r block. Rank one leaves one coupled mode (the row
+      sigma_1 w_1^H) and m - 1 bath states pinned at the frequency, rank
+      zero pins all m (m = 1: an uncoupled mode), and rank two or more
+      raises DiagonalizationError. With no mode left coupled, the basis
+      keeps its first direction only, whose secular equation is E = epsilon.
     """
-    if not uses_secular_route(params):
-        raise ValueError("the secular equation presumes qubit-independent coupling")
-    poles, counts = np.unique(mode_frequencies(params), return_counts=True)
-    return poles, counts, np.sqrt(params.shape.n_qubits * counts) * abs(params.coupling.g0)
+    n, epsilon = params.shape.n_qubits, params.epsilon
+    g, omegas = coupling_matrix(params), mode_frequencies(params)
+    _, sigma, vh = np.linalg.svd(np.linalg.qr(g, mode="r"))
+    tol = _CLUSTER_ULPS * _EPS * (max(1.0, epsilon, float(np.max(omegas))) + sigma[0])
+    rank = max(1, int(np.count_nonzero(sigma > tol)))
+    spin = vh.conj().T if rank < n else np.eye(n)
+    if rank < n:
+        g = g @ spin[:, :rank]
+    order = np.argsort(omegas, kind="stable")
+    omegas, g = omegas[order], g[order]
+    coupled = np.linalg.norm(g, axis=1) > tol
+    repeat = np.flatnonzero(np.diff(omegas) == 0.0)  # mode k + 1 is at mode k's frequency
+    for k in repeat[np.diff(repeat, prepend=-2) > 1]:  # the first mode of each such group
+        m = int(np.searchsorted(omegas, omegas[k], side="right")) - k
+        _, s, wh = np.linalg.svd(g[k : k + m])
+        if np.count_nonzero(s > tol) > 1:
+            raise DiagonalizationError(
+                f"deflation refused: {m} modes at frequency {float(omegas[k])!r} "
+                "reach two spin directions"
+            )
+        coupled[k : k + m] = False
+        if s[0] > tol:
+            g[k], coupled[k] = s[0] * wh[0], True
+    rank = rank if coupled.any() else 1
+    return _Deflated(
+        spin[:, :rank], spin[:, rank:], omegas[coupled], g[coupled, :rank], omegas[~coupled],
+        epsilon, float(sigma[0]),
+    )
 
 
-def _secular_p(
-    e: np.ndarray, epsilon: float, poles: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """P(E) = E - epsilon - sum_k weights_k / (E - poles_k), over an array of E.
-
-    The (E, pole) terms are divided in place in one e.shape + poles.shape buffer.
-    """
-    buf = _differences(poles, e)
-    np.divide(weights, buf, out=buf)
-    return e - epsilon + buf.sum(axis=-1)
+def _assemble(
+    model: _Deflated, energies: np.ndarray, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """All N + N_b energies, ascending, and the N x (N + N_b) spin block, from
+    the reduced problem's energies and spin columns (in model.basis): the
+    pinned bath states, at their frequencies with no spin weight, and the
+    dark spin states, at epsilon, are appended."""
+    n, r = model.basis.shape
+    spin = columns if r == n else model.basis @ columns
+    energies = np.concatenate([energies, model.pinned, np.full(n - r, model.epsilon)])
+    spin = np.hstack([spin, np.zeros((n, model.pinned.size)), model.dark])
+    order = np.argsort(energies, kind="stable")
+    return energies[order], spin[:, order]
 
 
 def _differences(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -169,21 +207,25 @@ def _row_chunks(n_rows: int, n_cols: int):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _solve_secular(
+def _secular_energies(
     poles: np.ndarray, sqrt_w: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zeros of P over the n_p + 1 brackets of n_p distinct poles, as offsets.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n_p + 1 zeros of P over n_p distinct poles, ascending, and the
+    slope P' at each.
 
-    Returns (origin, tau, slope): zero j is poles[origin[j]] + tau[j] and
-    slope[j] is P'(zero j). Zero j lies between poles j - 1 and j (below the
-    first pole for j = 0, above the last for j = n_p). Its origin is the
-    nearer of the two poles, chosen by the sign of P at the gap midpoint;
-    an outer zero takes the outermost pole. Every difference E - omega_k is
-    formed as tau - delta_k with delta_k = omega_k - omega_origin computed
-    once, so a zero an ulp from its pole keeps its full relative accuracy.
-    An interior iteration starts from the zero of the model that keeps the
-    gap's two poles exact and freezes the other terms at the midpoint; an
-    outer one starts mid-bracket.
+    Every weight W_k lies above the deflation threshold, so P rises strictly
+    from -inf to +inf between adjacent poles: zero j lies between poles
+    j - 1 and j, and the outer brackets end sqrt(sum_k W_k) + 1 beyond
+    min(epsilon, omega_1) and max(epsilon, omega_max). Each zero is held as
+    an offset tau from its origin, the nearer pole of its gap by the sign
+    of P at the midpoint (an outer zero takes the outermost pole), and every
+    E - omega_k is formed as tau - delta_k with delta_k = omega_k -
+    omega_origin, so a zero an ulp from its pole keeps its full relative
+    accuracy. An interior iteration starts from the zero of the model that
+    keeps the gap's two poles exact and freezes the other terms at the
+    midpoint; an outer one starts mid-bracket. A zero within half an ulp of
+    its origin is returned as the neighbouring float on its own side, so
+    every zero stays strictly inside its open bracket (1 ulp of error).
     """
     n_p = poles.size
     weights = sqrt_w**2
@@ -195,15 +237,16 @@ def _solve_secular(
     hi[-1] = max(epsilon, poles[-1]) + reach - poles[-1]
     tau = 0.5 * (lo + hi)
     slope = np.empty(n_p + 1)
-    # offsets of roots a few ulp from a pole, or g0 near the underflow
-    # threshold, overflow or underflow their pole terms; the bracket test
-    # turns a non-finite step into a bisection
+    # offsets of roots a few ulp from a pole overflow or underflow their pole
+    # terms; the bracket test turns a non-finite step into a bisection
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         if n_p > 1:
             mid = poles[:-1] + 0.5 * np.diff(poles)
-            p_mid = np.concatenate(
-                [_secular_p(mid[s], epsilon, poles, weights) for s in _row_chunks(mid.size, n_p)]
-            )
+            p_mid = mid - epsilon  # P(mid) = mid - epsilon + sum_k W_k / (omega_k - mid)
+            for s in _row_chunks(mid.size, n_p):
+                buf = _differences(poles, mid[s])
+                p_mid[s] += np.divide(weights, buf, out=buf).sum(axis=-1)
+                del buf  # so that two chunks' buffers never live at once
             left = p_mid >= 0.0  # the zero lies in the left half of its gap
             origin[1:-1] = np.where(left, np.arange(n_p - 1), np.arange(1, n_p))
             lo[1:-1] = np.where(left, 0.0, mid - poles[1:])
@@ -225,7 +268,12 @@ def _solve_secular(
                 _secular_evaluate(sqrt_w, np.empty_like(delta)), (delta, base - epsilon),
                 tau[rows], lo[rows], hi[rows], delta[np.arange(gap.size), far], far_left, side,
             )
-    return origin, tau, slope
+    energies = poles[origin] + tau
+    # zero j is above its origin pole when that pole is pole j - 1
+    side = np.where(origin < np.arange(n_p + 1), np.inf, -np.inf)
+    on_pole = energies == poles[origin]
+    energies[on_pole] = np.nextafter(energies[on_pole], side[on_pole])
+    return energies, slope
 
 
 def _model_zero(c, a, b, lo, hi):
@@ -270,7 +318,7 @@ def _secular_evaluate(sqrt_w, work):
 
 def _iterate(evaluate, data, tau, lo, hi, delta_far, far_left, side):
     """Safeguarded rational root iteration of one chunk of brackets, each
-    zero held as an offset tau from its origin pole (see _solve_secular and
+    zero held as an offset tau from its origin pole (see _secular_energies and
     _refine).
 
     The function is E - epsilon - sum_k W_k / (E - omega_k), with weights
@@ -358,86 +406,52 @@ def _iterate(evaluate, data, tau, lo, hi, delta_far, far_left, side):
     raise DiagonalizationError(f"root iteration did not converge in {_MAX_STEPS} steps")
 
 
-def _secular_energies(
-    poles: np.ndarray, sqrt_w: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros of P, ascending, and the slope P' at each.
-
-    A zero within half an ulp of its origin pole would round onto the pole;
-    it is returned as the neighbouring float on its own side instead, so
-    every zero stays strictly inside its open bracket (1 ulp of error).
-    """
-    origin, tau, slope = _solve_secular(poles, sqrt_w, epsilon)
-    energies = poles[origin] + tau
-    on_pole = energies == poles[origin]
-    # zero j is above its origin pole when that pole is pole j - 1
-    side = np.where(origin < np.arange(origin.size), np.inf, -np.inf)
-    energies[on_pole] = np.nextafter(energies[on_pole], side[on_pole])
-    return energies, slope
-
-
 def secular_roots(params: ModelParams) -> np.ndarray:
-    """All N_b + 1 energies of the symmetric sector, ascending:
-    symmetric_spectrum(params)[0]."""
+    """symmetric_spectrum(params)[0]."""
     return symmetric_spectrum(params)[0]
 
 
 def symmetric_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The N_b + 1 energies E_j of the symmetric sector, ascending, and the
-    weights w_j = |<phi_j|s>|^2 of the symmetric spin state on them.
-
-    s = (1, ..., 1) / sqrt(N) couples to mode k with strength sqrt(N) g0. A
-    k-fold frequency is one pole of P and keeps (k - 1) energies pinned on
-    itself, bath states that s does not reach (w = 0). P rises strictly from
-    -inf to +inf between adjacent distinct poles, so each such open interval
-    holds exactly one zero; one more lies below the lowest pole and one above
-    the highest. With W the total weight and R = sqrt(W) + 1,
-    P(min(epsilon, omega_1) - R) < -1 and P(max(epsilon, omega_max) + R) > 1,
-    which closes the two outer brackets. The safeguarded rational iteration
-    of _solve_secular finds every zero at once, as an offset from its nearer
-    pole to a few ulp of that offset, and w_j = 1 / P'(E_j) comes from the
-    same offsets. With g0 = 0 every pole cancels and the energies are the
-    frequencies and epsilon.
-
-    When the weight N g0^2 of a mode lies below the normal float range (g0 =
-    0 included), s is an eigenstate at epsilon to within
-    sqrt(N) |g0| t < 1.5e-154 t in the dynamics, and 1 / P' of the zeros an
-    ulp from their poles is meaningless: the zero nearest epsilon takes
-    w = 1 and every other energy w = 0.
-
-    Two checks, written so that NaN fails, raise DiagonalizationError:
-
-    - trace: the energies are the spectrum of the symmetric sector's
-      arrowhead matrix H_sym, so they sum to epsilon + sum_k omega_k, to
-      1e-10 * max(1, ||H_sym||_F) with
-      ||H_sym||_F^2 = epsilon^2 + sum_k omega_k^2 + 2 N N_b g0^2;
-    - sum rule: sum w_j = 1 to 1e-10, like the Gram check in diagonalize,
-      which keeps every evolved state normalized.
-
-    The weights also obey sum w_j E_j = epsilon and
-    sum w_j E_j^2 = epsilon^2 + N N_b g0^2.
+    """The N_b + 1 energies E_j that a coupling of rank one reaches,
+    ascending, and the weights w_j = |<phi_j|s>|^2 of its coupled spin state
+    s on them (under uniform coupling, the symmetric state); ValueError at
+    rank two or more. They are the zeros of the reduced problem
+    (_secular_spectrum) and its pinned bath states, with w = 0: a k-fold
+    frequency keeps k - 1 of them. With no coupled mode (g0 = 0 among
+    others) they are the frequencies and epsilon, where w = 1.
+    The weights obey sum w_j = 1, sum w_j E_j = epsilon and
+    sum w_j E_j^2 = epsilon^2 + ||G s||^2 (N N_b g0^2 under uniform coupling).
     """
-    poles, counts, sqrt_w = _secular_poles(params)
-    eps, g0 = params.epsilon, params.coupling.g0
-    n, nb = params.shape.n_qubits, params.shape.n_modes
-    if g0 == 0.0:
-        zeros, slope = np.append(poles, eps), None
-    else:
-        zeros, slope = _secular_energies(poles, sqrt_w, eps)
-    if n * g0**2 < _TINY:
-        weights = np.zeros(zeros.size)
-        weights[np.argmin(np.abs(zeros - eps))] = 1.0
-    else:
-        weights = 1.0 / slope
-    pinned = np.repeat(poles, counts - 1)
-    energies = np.concatenate([pinned, zeros])
+    try:
+        model = _deflate(params)  # refuses only modes that reach two spin directions
+    except DiagonalizationError as exc:
+        raise ValueError("the secular equation needs a coupling of rank one") from exc
+    if model.g.shape[1] > 1:
+        raise ValueError("the secular equation needs a coupling of rank one")
+    zeros, weights = _secular_spectrum(model)
+    energies = np.concatenate([zeros, model.pinned])
     order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    weights = np.concatenate([np.zeros(pinned.size), weights])[order]
+    return energies[order], np.concatenate([weights, np.zeros(model.pinned.size)])[order]
 
-    frobenius_sq = eps**2 + poles**2 @ counts + 2.0 * n * nb * g0**2
-    scale = max(1.0, float(np.sqrt(frobenius_sq)))
-    defect = abs(float(energies.sum()) - (eps + float(poles @ counts)))
+
+def _secular_spectrum(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros E_j of P over a rank-one reduced problem's coupled modes
+    (_secular_energies) and w_j = 1 / P'(E_j); with no coupled mode, epsilon
+    and w = 1, without a solve. Two checks, written so that NaN fails, raise
+    DiagonalizationError: the trace (the zeros sum to epsilon + sum_k
+    omega_k, to 1e-10 * max(1, the arrowhead matrix's Frobenius norm)) and
+    the sum rule sum w_j = 1 to 1e-10, like the Gram check in diagonalize,
+    which keeps every evolved state normalized.
+    """
+    eps, poles = model.epsilon, model.omegas
+    if not poles.size:
+        return np.array([eps]), np.ones(1)
+    sqrt_w = np.abs(model.g[:, 0])
+    zeros, slope = _secular_energies(poles, sqrt_w, eps)
+    weights = 1.0 / slope
+
+    scale = max(1.0, float(np.sqrt(eps**2 + poles @ poles + 2.0 * sqrt_w @ sqrt_w)))
+    defect = abs(float(zeros.sum()) - (eps + float(poles.sum())))
     if not defect <= _RESIDUAL_RTOL * scale:  # written so that NaN fails
         raise DiagonalizationError(
             f"secular roots miss the trace by {defect:.3e}, "
@@ -446,4 +460,4 @@ def symmetric_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     defect = abs(float(weights.sum()) - 1.0)
     if not defect <= _ORTHO_TOL:  # written so that NaN fails
         raise DiagonalizationError(f"secular weights miss sum 1 by {defect:.3e}")
-    return energies, weights
+    return zeros, weights

@@ -3,8 +3,11 @@
 Each side runs ``qregsim preset`` and ``qregsim spectrum`` in its own
 interpreter with ``OPENBLAS_NUM_THREADS`` set in that subprocess's
 environment only. The secular route (fig1 and the spectrum, uniform
-coupling) makes no thread-dependent BLAS call, so its CSV and sidecar bytes
-are identical. The dense route (fig5, cosine coupling) goes through GEMMs
+coupling) makes a QR of the N_b x N coupling G, an SVD of its N x N factor
+and a product of G with one spin vector in the deflation, then matrix-vector
+products in the root iteration; none of them depended on the thread count,
+so its CSV and sidecar bytes are identical. The dense route (fig5, cosine
+coupling, rank two after deflation) goes through GEMMs
 of row chunks of the (energies x modes) arrays with the coupling table and
 batched N x N ``eigh`` and solves of the self-energy problem. No d x d
 matrix is formed, and at fig5's size (N_b = 200) its bytes were identical

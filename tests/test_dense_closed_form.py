@@ -1,8 +1,9 @@
 """The dense route without eigenvectors: energies counted by inertia and
 refined on the branches of the self-energy problem, with the spin block in
-closed form (selfenergy.closed_form_spectrum), its certificate and its
-fallback to diagonalize, against evolve + diagonalize, against eigvalsh and
-against a 40-digit eigensolve."""
+closed form (selfenergy.closed_form_spectrum), the deflation of exact
+degeneracies in front of it and of the secular route, the certificate and
+the fallback to diagonalize, against evolve + diagonalize, against eigvalsh
+and against a 40-digit eigensolve."""
 
 import tracemalloc
 
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qregsim.dynamics
-import qregsim.model
 import qregsim.selfenergy
+import qregsim.spectral
 from qregsim import (
     CosineCoupling,
     DiagonalizationError,
@@ -84,11 +85,13 @@ HAZARDS = {"near_pole": NEAR_POLE, "near_dark_pair": NEAR_DARK_PAIR, "strong": S
 
 @st.composite
 def dense_models(draw):
-    """Cosine and explicit couplings with the hazards the route must resolve
-    or refuse by its certificate (epsilon on a mode, N = 1, a column 1e-9
-    weak) and the exact degeneracies it refuses outright: repeated
-    frequencies, zero rows (g0 = 0 included), and repeated and zero coupling
-    columns, whose dark spin states form exact clusters."""
+    """Cosine and explicit couplings with the hazards the closed form must
+    resolve or refuse by its certificate (epsilon on a mode, N = 1, a column
+    1e-9 weak) and the exact degeneracies that the deflation takes out:
+    repeated frequencies, zero rows (g0 = 0 included), and repeated and zero
+    coupling columns, whose dark spin states form exact clusters. Explicit
+    couplings at a repeated frequency mostly reach two spin directions
+    there, which the deflation refuses."""
     n = draw(st.integers(1, 4))
     omegas = draw(st.lists(_frequency, min_size=1, max_size=10))
     omegas += draw(st.sampled_from([[], omegas[:1], omegas[:1] * 2]))
@@ -139,28 +142,38 @@ def _evolved_spin_blocks(params, times):
 @example(params=STRONG)
 @example(params=_cosine(4, 0.0, 3.0, 1.5, [0.5, 1.5, 1.5, 2.5]))
 def test_certified_or_falls_back(params):
-    # what certifies is the route's spectrum and matches the dense reference
-    # at every time; what does not, falls back to diagonalize
+    # what the route serves (the secular route at rank one, else the closed
+    # form) matches the dense reference at every time, and so does the
+    # closed form wherever it certifies; what is served by neither falls
+    # back to diagonalize
     n = params.shape.n_qubits
     h = build_h1(params)
-    energies, v_s, _ = spin_spectrum(params)
+    energies, v_s, roots = spin_spectrum(params)
     try:
         closed = closed_form_spectrum(params)
     except DiagonalizationError:
+        closed = None
+    if roots is None and closed is None:
         sd = diagonalize(h)
         assert np.array_equal(energies, sd.eigenvalues)
         assert np.array_equal(v_s, sd.eigenvectors[:n])
         return
-    assert np.array_equal(energies, closed[0]) and np.array_equal(v_s, closed[1])
-    assert np.all(np.diff(energies) >= 0.0) and v_s.shape == (n, h.shape[0])
-    got = _propagators(energies, v_s, TIMES)
+    served = [(energies, v_s)]
+    if roots is None:
+        assert np.array_equal(energies, closed[0]) and np.array_equal(v_s, closed[1])
+    elif closed is not None:
+        served.append(closed)
     want = _evolved_spin_blocks(params, TIMES)
-    if not np.max(np.abs(got - want)) <= 1e-11:
-        # under strong coupling eigh's own eigenvalue error reaches 1e-11 at
-        # t = 2000 (1.09e-11 on one explicit N = 4 draw, where this route was
-        # 8.7e-13 from the truth); the 40-digit eigensolve then decides
-        want = oracle_spin_blocks(params, TIMES)
-    assert np.max(np.abs(got - want)) <= 1e-11
+    for energies, v_s in served:
+        assert np.all(np.diff(energies) >= 0.0) and v_s.shape == (n, h.shape[0])
+        got = _propagators(energies, v_s, TIMES)
+        if not np.max(np.abs(got - want)) <= 1e-11:
+            # under strong coupling eigh's own eigenvalue error reaches 1e-11
+            # at t = 2000 (1.09e-11 on one explicit N = 4 draw, where this
+            # route was 8.7e-13 from the truth); the 40-digit eigensolve then
+            # decides
+            want = oracle_spin_blocks(params, TIMES)
+        assert np.max(np.abs(got - want)) <= 1e-11
 
 
 @pytest.mark.parametrize("g0", [4.141419808267754e-05, 1e-3, 0.3])
@@ -182,6 +195,17 @@ def test_single_qubit_matches_secular_weights(g0):
     assert abs(np.sum(np.abs(v_s[0]) ** 2) - 1.0) <= 1e-15
 
 
+def _forbid_dense_route(monkeypatch):
+    def no_eigenvectors(h):
+        raise AssertionError("the route fell back to diagonalize")
+
+    def no_matrix(params):
+        raise AssertionError("the route built H")
+
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", no_eigenvectors)
+    monkeypatch.setattr(qregsim.dynamics, "build_h1", no_matrix)
+
+
 def _paper_runs():
     bath = ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1.0))
     runs = [("bath_cosine", bath, symmetric_state(4))]
@@ -201,41 +225,62 @@ def _paper_runs():
 def test_paper_models_need_no_eigenvectors(name, params, prep, monkeypatch):
     # the gain of the route cannot vanish into its fallback on the models
     # the benchmark and the cosine presets run, and the route builds no H
-    def no_eigenvectors(h):
-        raise AssertionError("the dense route fell back to diagonalize")
-
-    def no_matrix(params):
-        raise AssertionError("the dense route built H")
-
-    monkeypatch.setattr(qregsim.dynamics, "diagonalize", no_eigenvectors)
-    monkeypatch.setattr(qregsim.dynamics, "build_h1", no_matrix)
+    _forbid_dense_route(monkeypatch)
     series = run_time_series(params, prep, TimeGrid(2000.0, 2001))
     assert len(series) == 2001
 
 
-# exact degeneracies, each refused before any Newton step: (model, reason)
+def _uniform(n, g0, epsilon, omegas):
+    return ModelParams(
+        RegisterShape(n, len(omegas)), UniformCoupling(g0), epsilon=epsilon,
+        dispersion=ExplicitDispersion(omegas),
+    )
+
+
+_rank_one = np.outer([0.03 - 0.01j, 0.02j, -0.04, 0.01 + 0.02j, 0.05], [0.6, 0.48j, -0.64])
+# exact degeneracies, each taken out by the deflation and served without H
 DEGENERATE = {
-    "repeated_frequency": (_cosine(2, 0.05, 3.0, 1.2, [0.5, 1.0, 1.0, 1.5]), "share a frequency"),
-    "zero_row": (
-        ModelParams(
-            RegisterShape(2, 3), ExplicitCoupling([[0.05, 0.02], [0.0, 0.0], [0.03, -0.04]]),
-            epsilon=1.2, dispersion=ExplicitDispersion([0.5, 1.0, 1.5]),
-        ),
-        "uncoupled",
+    "repeated_frequency": _cosine(2, 0.05, 3.0, 1.2, [0.5, 1.0, 1.0, 1.5]),
+    "zero_row": ModelParams(
+        RegisterShape(2, 3), ExplicitCoupling([[0.05, 0.02], [0.0, 0.0], [0.03, -0.04]]),
+        epsilon=1.2, dispersion=ExplicitDispersion([0.5, 1.0, 1.5]),
     ),
     # the cosine is exactly 1, which leaves two dark spin states at epsilon
-    "exact_cluster": (_cosine(3, 0.05, 1e300, 1.2, [0.5, 1.0, 1.5, 2.0]), "cluster"),
+    "exact_cluster": _cosine(3, 0.05, 1e300, 1.2, [0.5, 1.0, 1.5, 2.0]),
+    "cosine_flat": ModelParams(RegisterShape(3, 8), CosineCoupling(0.05, 1e300)),
+    "cosine_uncoupled": ModelParams(RegisterShape(3, 5), CosineCoupling(0.0, 1.0)),
+    "uniform_uncoupled": ModelParams(RegisterShape(3, 5), UniformCoupling(0.0)),
+    "uniform_repeated": _uniform(3, 0.05, 1.0, [0.5, 0.5, 1.0, 1.5, 1.5, 1.5]),
+    "complex_rank_one": ModelParams(
+        RegisterShape(3, 5), ExplicitCoupling(_rank_one), epsilon=1.1,
+        dispersion=ExplicitDispersion([0.4, 0.9, 1.3, 1.7, 2.0]),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_exact_degeneracy_falls_back(name, monkeypatch):
-    params, reason = DEGENERATE[name]
+def test_exact_degeneracy_is_deflated(name, monkeypatch):
+    # served without H and within 1e-11 of the 40-digit propagator at t = 2000
+    params, t = DEGENERATE[name], np.array([2000.0])
+    truth = oracle_spin_blocks(params, t)
+    _forbid_dense_route(monkeypatch)
+    energies, v_s, _ = spin_spectrum(params)
+    assert np.max(np.abs(_propagators(energies, v_s, t) - truth)) <= 1e-11
+
+
+def test_two_directions_at_one_frequency_fall_back(monkeypatch):
+    # two modes at one frequency whose 2 x 2 coupling block has rank two: the
+    # deflation refuses it before any count, and diagonalize serves
+    params = ModelParams(
+        RegisterShape(2, 4),
+        ExplicitCoupling([[0.05, 0.02], [0.03, -0.04], [0.01, 0.06], [0.02, 0.02]]),
+        epsilon=1.2, dispersion=ExplicitDispersion([0.5, 1.0, 1.0, 1.5]),
+    )
     n, h = params.shape.n_qubits, build_h1(params)
     real_diagonalize, calls = qregsim.dynamics.diagonalize, []
 
     def no_step(*args):
-        raise AssertionError("a count or a refinement step on an exact degeneracy")
+        raise AssertionError("a count or a refinement step on a refused model")
 
     def counted(h):
         calls.append(h.shape)
@@ -244,11 +289,11 @@ def test_exact_degeneracy_falls_back(name, monkeypatch):
     monkeypatch.setattr(qregsim.selfenergy, "_count", no_step)
     monkeypatch.setattr(qregsim.selfenergy, "_refine", no_step)
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
-    with pytest.raises(DiagonalizationError, match=reason):
+    with pytest.raises(DiagonalizationError, match="two spin directions"):
         closed_form_spectrum(params)
-    energies, v_s, _ = spin_spectrum(params)
+    energies, v_s, roots = spin_spectrum(params)
     sd = real_diagonalize(h)
-    assert calls == [h.shape]
+    assert calls == [h.shape] and roots is None
     assert np.array_equal(energies, sd.eigenvalues)
     assert np.array_equal(v_s, sd.eigenvectors[:n])
 
@@ -308,10 +353,15 @@ def test_counts_and_energies_against_eigvalsh(params):
     want = np.linalg.eigvalsh(build_h1(params))
     tol = 64 * np.finfo(float).eps * max(1.0, -want[0], want[-1])
     assert np.max(np.abs(energies - want)) <= tol
-    order = np.argsort(params.dispersion.omegas, kind="stable")
-    omegas = params.dispersion.omegas[order]
-    modes = qregsim.selfenergy._coupled_modes(qregsim.model.coupling_matrix(params)[order], omegas, 0.0)
-    below, _ = qregsim.selfenergy._count(modes, params.epsilon)
+    # the count is the reduced problem's, against eigvalsh of its own matrix
+    model = qregsim.spectral._deflate(params)
+    omegas, g, r = model.omegas, model.g, model.g.shape[1]
+    if not omegas.size:
+        return
+    h = np.diag(np.concatenate([np.full(r, params.epsilon), omegas])).astype(g.dtype)
+    h[r:, :r], h[:r, r:] = g, g.conj().T
+    want = np.linalg.eigvalsh(h)
+    below, _ = qregsim.selfenergy._count(qregsim.selfenergy._coupled_modes(model), params.epsilon)
     low, high = np.searchsorted(want, omegas - tol), np.searchsorted(want, omegas + tol)
     assert np.all((low <= below) & (below <= high))
     assert np.array_equal(below[low == high], low[low == high])
@@ -332,6 +382,24 @@ def test_no_dense_matrix_on_the_certified_route(monkeypatch):
     finally:
         tracemalloc.stop()
     assert energies.shape == (3004,) and v_s.shape == (4, 3004)
+    assert peak <= 3004**2 * 8 / 4
+
+
+def test_no_dense_matrix_on_a_flat_coupling(monkeypatch):
+    # cosine coupling at xi = 1e300 is exactly flat: rank one, with three
+    # dark spin states, which the deflation serves at the same peak
+    def no_matrix(params):
+        raise AssertionError("the deflated route built H")
+
+    monkeypatch.setattr(qregsim.dynamics, "build_h1", no_matrix)
+    params = ModelParams(RegisterShape(4, 3000), CosineCoupling(0.01, 1e300))
+    tracemalloc.start()
+    try:
+        energies, v_s, roots = spin_spectrum(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energies.shape == (3004,) and v_s.shape == (4, 3004) and roots.shape == (3001,)
     assert peak <= 3004**2 * 8 / 4
 
 

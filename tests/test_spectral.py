@@ -193,9 +193,15 @@ class TestSecularRoots:
         assert np.max(np.abs(roots - evals)) < 1e-8
 
     def test_requires_uniform_coupling(self):
-        params = ModelParams(RegisterShape(2, 2), ExplicitCoupling(0.1 * np.ones((2, 2))))
-        with pytest.raises(ValueError):
-            secular_roots(params)
+        # a coupling of rank two has no secular equation, also where its two
+        # modes share a frequency, which the deflation refuses
+        g = ExplicitCoupling([[0.1, 0.1], [0.1, -0.1]])
+        for omegas in ([0.5, 1.0], [1.0, 1.0]):
+            params = ModelParams(RegisterShape(2, 2), g, dispersion=ExplicitDispersion(omegas))
+            with pytest.raises(ValueError, match="rank one"):
+                secular_roots(params)
+            with pytest.raises(ValueError, match="rank one"):
+                symmetric_spectrum(params)
 
     @pytest.mark.parametrize("shift", [1e-6, np.nan], ids=["off_by_1e-6", "nan"])
     def test_roots_missing_the_trace_are_reported(self, monkeypatch, shift):

@@ -1,6 +1,7 @@
 """The one spectrum seam: dynamics.spin_spectrum on each of its routes
-against the dense eigenvalues, its spin block's completeness, its single
-fallback to diagonalize, and the spectrum verb's energies against it."""
+against the dense eigenvalues, its spin block's completeness, the secular
+roots wherever the coupling has rank at most one, and the spectrum verb's
+energies against it. None of these models falls back to diagonalize."""
 
 import numpy as np
 import pytest
@@ -9,17 +10,17 @@ import qregsim.dynamics
 from qregsim import build_h1, parse_config_file, spin_spectrum
 from qregsim.cli import main
 
-# (config lines, frequencies of an explicit dispersion or None, diagonalize
-# calls): one model per route
+# (config lines, frequencies of an explicit dispersion or None, rank of the
+# coupling after deflation): one model per route
 MODELS = {
     # the secular route, with roots pinned on a 2-fold and a 3-fold frequency
     "uniform_repeated": (
         ["register.n_qubits = 3", "register.n_modes = 6", "coupling.type = uniform",
          "coupling.g0 = 0.05"],
         [0.5, 0.5, 1.0, 1.5, 1.5, 1.5],
-        0,
+        1,
     ),
-    # the secular route with every pole cancelled
+    # every mode pinned: no solve, and the roots are the frequencies and epsilon
     "uniform_uncoupled": (
         ["register.n_qubits = 3", "register.n_modes = 5", "coupling.type = uniform",
          "coupling.g0 = 0"],
@@ -31,22 +32,22 @@ MODELS = {
         ["register.n_qubits = 4", "register.n_modes = 1000", "coupling.type = cosine",
          "coupling.g0 = 0.01", "coupling.xi = 1"],
         None,
-        0,
+        4,
     ),
     # an exact cluster: the cosine is exactly 1, which leaves two dark spin
-    # states at epsilon, so the closed form refuses and diagonalize serves
+    # states at epsilon and a coupling of rank one, served by the secular route
     "cosine_flat": (
         ["register.n_qubits = 3", "register.n_modes = 8", "coupling.type = cosine",
          "coupling.g0 = 0.05", "coupling.xi = 1e300"],
         None,
         1,
     ),
-    # every mode uncoupled: refused as well
+    # every mode uncoupled: served as uniform g0 = 0 is
     "cosine_uncoupled": (
         ["register.n_qubits = 3", "register.n_modes = 5", "coupling.type = cosine",
          "coupling.g0 = 0", "coupling.xi = 1"],
         None,
-        1,
+        0,
     ),
     # near-dark pairs (overlaps of 1e-13 when each eigenvector comes from an
     # N x N eigh), which the deflated eigenvectors of near-pole energies
@@ -55,7 +56,7 @@ MODELS = {
         ["register.n_qubits = 4", "register.n_modes = 200", "coupling.type = cosine",
          "coupling.g0 = 0.01", "coupling.xi = 5"],
         None,
-        0,
+        4,
     ),
 }
 
@@ -74,7 +75,7 @@ def _config(tmp_path, lines, omegas):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_every_route_gives_the_whole_spectrum(name, tmp_path, monkeypatch):
-    lines, omegas, fallbacks = MODELS[name]
+    lines, omegas, rank = MODELS[name]
     cfg = _config(tmp_path, lines, omegas)
     params = parse_config_file(cfg).params
     n, d = params.shape.n_qubits, params.shape.n_qubits + params.shape.n_modes
@@ -88,8 +89,10 @@ def test_every_route_gives_the_whole_spectrum(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
     energies, spin, roots = spin_spectrum(params)
-    assert len(calls) == fallbacks
-    assert (roots is not None) == name.startswith("uniform")
+    assert calls == []
+    assert (roots is not None) == (rank <= 1)
+    if roots is not None:
+        assert roots.shape == (params.shape.n_modes + 1,)
 
     want = np.linalg.eigvalsh(build_h1(params))
     assert energies.shape == (d,)
@@ -100,3 +103,7 @@ def test_every_route_gives_the_whole_spectrum(name, tmp_path, monkeypatch):
     assert main(["spectrum", str(cfg)]) == 0
     written = np.loadtxt(tmp_path / "spec" / "eigenvalues.csv")
     assert np.array_equal(written, np.sort(energies))
+    roots_csv = tmp_path / "spec" / "secular_roots.csv"
+    assert roots_csv.exists() == (roots is not None)
+    if roots is not None:
+        assert np.array_equal(np.loadtxt(roots_csv, ndmin=1), roots)
