@@ -61,10 +61,13 @@ LATE_WINDOW_FRACTION = 0.25
 CSV_HEADER = "t,fidelity,entropy_bits,p0,p1,d_re,d_im"
 
 # Gaussian-gridding NUFFT of the spin block (Dutt & Rokhlin 1993, Greengard &
-# Lee 2004): oversampling factor and spreading half-width in grid cells.
-# Truncating the Gaussian and aliasing each cost exp(-12 pi) ~ 4e-17 of the
-# spread weight, which the deconvolution amplifies by at most exp(4 pi / 3),
-# so the transform is exact to a few 1e-15 relative to sum_j |V_aj p_j|.
+# Lee 2004): least oversampling factor and spreading half-width in grid
+# cells. At oversampling sigma, truncating the Gaussian and aliasing each
+# cost exp(-pi w (sigma - 1/2) / sigma) of the spread weight, exp(-12 pi) ~
+# 4e-17 at sigma = 2, which the deconvolution amplifies by at most
+# exp(pi w / (4 sigma (sigma - 1/2))), exp(4 pi / 3) at sigma = 2; all three
+# only improve for sigma >= 2, so the transform is exact to a few 1e-15
+# relative to sum_j |V_aj p_j|.
 _NUFFT_OVERSAMPLING = 2
 _NUFFT_HALF_WIDTH = 16
 
@@ -256,13 +259,15 @@ def _spin_amplitudes(
     C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V_s^H prep, x_j = E_j dt
     and V_s the N x m spin block of spin_spectrum (m = N + N_b): a type-1
     nonuniform FFT of the m points x_j onto the modes k = 0..T-1. Each point
-    is spread onto an oversampled periodic grid of M = 2T cells with the
-    Gaussian exp(-(x - x_m)^2 / 4 tau); one FFT per spin row then gives the
-    Fourier coefficients of the spread sum, and dividing by the Gaussian's
-    own coefficients recovers the exact sum. The modes are shifted by
-    k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the deconvolution
-    factor stays below exp(4 pi / 3). Cost O(N m w + N M log M), memory
-    O(N M) (w = the spreading half-width), against O(T d^2) for evolve.
+    is spread onto an oversampled periodic grid of M cells, the least
+    5-smooth length >= 2T (a fast FFT length, oversampling sigma = M / T >=
+    2), with the Gaussian exp(-(x - x_m)^2 / 4 tau); one FFT per spin row
+    then gives the Fourier coefficients of the spread sum, and dividing by
+    the Gaussian's own coefficients recovers the exact sum. The modes are
+    shifted by k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the
+    deconvolution factor stays below exp(4 pi / 3). Cost O(N m w +
+    N M log M), memory O(N M) (w = the spreading half-width), against
+    O(T d^2) for evolve.
     """
     n, n_steps = prep.size, grid.n_steps
     dt = grid.t_max / (n_steps - 1)
@@ -273,8 +278,9 @@ def _spin_amplitudes(
     x = energies * dt
     x -= 2.0 * np.pi * np.round(x / (2.0 * np.pi))
 
-    sigma, w = _NUFFT_OVERSAMPLING, _NUFFT_HALF_WIDTH
-    n_cells = sigma * n_steps
+    w = _NUFFT_HALF_WIDTH
+    n_cells = _five_smooth(_NUFFT_OVERSAMPLING * n_steps)
+    sigma = n_cells / n_steps
     tau = np.pi * w / (n_steps**2 * sigma * (sigma - 0.5))
     # kernel distances in cell units, from the exact fractional part of
     # x_j / spacing: absolute rounding in x would be amplified by T
@@ -297,6 +303,21 @@ def _spin_amplitudes(
     amplitudes = spectrum[:, modes % n_cells]
     amplitudes *= np.sqrt(np.pi / tau) / n_cells * np.exp(tau * modes**2)
     return amplitudes.T
+
+
+def _five_smooth(n: int) -> int:
+    """The least integer >= n with no prime factor above 5."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def run_time_series(

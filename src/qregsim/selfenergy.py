@@ -7,9 +7,9 @@ energies between adjacent mode frequencies by inertia (Haynsworth), refines
 each on its branch of the self-energy M(E) with the secular route's
 safeguarded rational iteration (`spectral._iterate`), and takes the spin
 rows of the eigenvectors from M(E). It never forms a d x d matrix: the
-count, every step and the certificate run in the row chunks of
-`spectral._row_chunks`, O(d N_b r^2) time and O(chunk N_b) memory. It
-certifies its result or raises DiagonalizationError, on which
+count, the pole sums of every step and the certificate run in the row
+chunks of `spectral._row_chunks`, O(d N_b r^2) time and O(chunk N_b)
+memory. It certifies its result or raises DiagonalizationError, on which
 `dynamics.spin_spectrum` falls back to `spectral.diagonalize`.
 """
 
@@ -27,7 +27,7 @@ from .spectral import (
     _assemble,
     _deflate,
     _Deflated,
-    _differences,
+    _in_chunks,
     _iterate,
     _row_chunks,
 )
@@ -179,9 +179,11 @@ def _count(modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     nb, n = modes.g.shape
     below = np.empty(nb, dtype=np.intp)
     tau = np.empty(nb)
-    for rows in _row_chunks(nb, nb):
+    chunks = _row_chunks(nb, nb)
+    work = np.empty((min(chunks[0].stop, nb), nb))
+    for rows in chunks:
         k = np.arange(nb)[rows]
-        cauchy = _differences(modes.omegas, modes.omegas[rows])
+        cauchy = np.subtract(modes.omegas, modes.omegas[rows, None], out=work[: k.size])
         cauchy[np.arange(k.size), k] = np.inf
         np.divide(1.0, cauchy, out=cauchy)
         a = (cauchy @ modes.gg).reshape(-1, n, n)
@@ -268,12 +270,13 @@ def _brackets(
 
 
 def _branch_evaluate(modes: _Modes, epsilon: float, rows: int, offsets: np.ndarray, vectors: np.ndarray):
-    """evaluate(tau, base, branch, position) of _iterate on the branches: at
-    E = base + tau the counted branch's v, then f_v(E) = E - epsilon -
-    sum_k W_k / (E - omega_k) with W_k = |(G v)_k|^2, the sum of its pole
-    terms' slopes W_k / (E - omega_k)^2 and that sum over the poles left of
-    tau. Each call also stores tau and v at the rows' positions in offsets
-    and vectors, so that every energy keeps its last evaluation, whose v is
+    """evaluate(tau, base, branch, position) of _iterate on the branches,
+    on at most rows rows (one chunk of _in_chunks): at E = base + tau the
+    counted branch's v, then f_v(E) = E - epsilon - sum_k W_k / (E - omega_k)
+    with W_k = |(G v)_k|^2, the sum of its pole terms' slopes
+    W_k / (E - omega_k)^2 and that sum over the poles left of tau. Each
+    call also stores tau and v at the rows' positions in offsets and
+    vectors, so that every energy keeps its last evaluation, whose v is
     exact there. The (rows x modes) arrays live in three buffers allocated
     once: a fresh array of that size costs more than the pass that fills
     it."""
@@ -304,19 +307,18 @@ def _branch_evaluate(modes: _Modes, epsilon: float, rows: int, offsets: np.ndarr
 
 def _refine(brackets: _Brackets, modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Each energy's offset from brackets.base at the last evaluation of the
-    safeguarded iteration of _iterate (row chunks), where its step had
-    fallen to a few ulp of the offset or its bracket had collapsed, and the
-    branch's eigenvector v there, one row per energy."""
-    size = brackets.tau.size
+    safeguarded iteration of _iterate, one iteration over every energy
+    whose evaluations run in row chunks, where its step had fallen to a few
+    ulp of the offset or its bracket had collapsed, and the branch's
+    eigenvector v there, one row per energy."""
+    size, nb = brackets.tau.size, modes.omegas.size
     offsets, vectors = np.empty(size), np.empty((size, modes.g.shape[1]), dtype=modes.g.dtype)
-    chunks = _row_chunks(size, modes.omegas.size)
-    evaluate = _branch_evaluate(modes, epsilon, min(chunks[0].stop, size), offsets, vectors)
-    for rows in chunks:
-        data = (brackets.base[rows], brackets.branch[rows], np.arange(size)[rows])
-        _iterate(
-            evaluate, data, brackets.tau[rows], brackets.lo[rows], brackets.hi[rows],
-            brackets.delta_far[rows], brackets.far_left[rows], brackets.side[rows],
-        )
+    rows = min(_row_chunks(size, nb)[0].stop, size)
+    evaluate = _in_chunks(_branch_evaluate(modes, epsilon, rows, offsets, vectors), nb)
+    _iterate(
+        evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets.tau, brackets.lo,
+        brackets.hi, brackets.delta_far, brackets.far_left, brackets.side,
+    )
     return offsets, vectors
 
 
@@ -429,8 +431,8 @@ def _phase_error(energies: np.ndarray, roots: _Roots) -> float:
 
 def _reciprocal(t, omegas, base, out=None):
     """1 / (E - omega_k) = 1 / (t - delta_k) with delta_k = omega_k - base
-    (formed as _differences forms it), one row per offset t from its base,
-    in out if given."""
+    (formed as the secular evaluation forms it), one row per offset t from
+    its base, in out if given."""
     r = np.subtract(omegas, base[:, None], out=out)
     np.subtract(t[:, None], r, out=r)
     return np.reciprocal(r, out=r)

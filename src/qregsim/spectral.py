@@ -12,7 +12,8 @@ one the reduced problem's energies are the zeros of the secular equation
 P(E) = E - epsilon - sum_k |g_k|^2 / (E - omega_k), found by one
 safeguarded rational iteration (`_iterate`: R.-C. Li's middle way, the
 method of LAPACK dlaed4) that holds each zero as an offset from its nearer
-pole, in row chunks that bound its (zeros x poles) buffers;
+pole and drives every zero at once; only its (zeros x poles) pole sums run
+in row chunks (`_in_chunks`), which bound their buffers.
 `selfenergy.closed_form_spectrum` shares both at higher rank.
 """
 
@@ -33,10 +34,10 @@ __all__ = [
     "symmetric_spectrum",
 ]
 
-#: a (zeros x poles) work buffer of either iteration holds about this
-#: many entries (512 KiB, so that a chunk's buffers stay in cache) and at
-#: least this many rows (so that a large bath does not pay Python overhead
-#: per handful of roots)
+#: a (rows x poles) work buffer of either iteration's pole sums holds
+#: about this many entries (512 KiB, so that a chunk's buffers stay in
+#: cache) and at least this many rows (so that a large bath does not pay
+#: Python overhead per handful of roots)
 _CHUNK_ELEMENTS = 1 << 16
 _CHUNK_ROWS = 64
 #: rational steps before a bracket is only bisected, and the cap on all steps
@@ -188,19 +189,6 @@ def _assemble(
     return energies[order], spin[:, order]
 
 
-def _differences(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """values - shifts[..., None], of shape shifts.shape + values.shape.
-
-    A broadcast copy and an in-place subtraction: with numpy 2.4.6 as fast
-    as the out-of-place broadcast at 65 x 1000 and faster at 201 x 200
-    (44 vs 57 us), but slower at 64 x 4000 (314 vs 133 us).
-    """
-    out = np.empty(np.shape(shifts) + values.shape)
-    out[...] = values
-    out -= np.asarray(shifts)[..., None]
-    return out
-
-
 def _row_chunks(n_rows: int, n_cols: int):
     """Slices of _CHUNK_ELEMENTS // n_cols rows, but at least _CHUNK_ROWS."""
     step = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // n_cols)
@@ -236,7 +224,8 @@ def _secular_energies(
     lo[0] = min(epsilon, poles[0]) - reach - poles[0]
     hi[-1] = max(epsilon, poles[-1]) + reach - poles[-1]
     tau = 0.5 * (lo + hi)
-    slope = np.empty(n_p + 1)
+    # the (rows x poles) buffer of the midpoint sums and of every evaluation
+    work = np.empty((min(_row_chunks(n_p + 1, n_p)[0].stop, n_p + 1), n_p))
     # offsets of roots a few ulp from a pole overflow or underflow their pole
     # terms; the bracket test turns a non-finite step into a bisection
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -244,9 +233,9 @@ def _secular_energies(
             mid = poles[:-1] + 0.5 * np.diff(poles)
             p_mid = mid - epsilon  # P(mid) = mid - epsilon + sum_k W_k / (omega_k - mid)
             for s in _row_chunks(mid.size, n_p):
-                buf = _differences(poles, mid[s])
+                m = mid[s]
+                buf = np.subtract(poles, m[:, None], out=work[: m.size])
                 p_mid[s] += np.divide(weights, buf, out=buf).sum(axis=-1)
-                del buf  # so that two chunks' buffers never live at once
             left = p_mid >= 0.0  # the zero lies in the left half of its gap
             origin[1:-1] = np.where(left, np.arange(n_p - 1), np.arange(1, n_p))
             lo[1:-1] = np.where(left, 0.0, mid - poles[1:])
@@ -257,18 +246,16 @@ def _secular_energies(
             start = _offset_zero(c, w_o, w_f, poles[far] - poles[near])
             inside = (start > lo[1:-1]) & (start < hi[1:-1])
             tau[1:-1] = np.where(inside, start, 0.5 * (lo[1:-1] + hi[1:-1]))
-        for rows in _row_chunks(n_p + 1, n_p):
-            gap = np.arange(n_p + 1)[rows]
-            base = poles[origin[rows]]
-            delta = _differences(poles, base)
-            far_left = origin[rows] == gap  # the origin is the right-hand pole of the gap
-            far = np.clip(np.where(far_left, gap - 1, gap), 0, n_p - 1)
-            side = np.where(gap == 0, -1, np.where(gap == n_p, 1, 0))
-            tau[rows], slope[rows] = _iterate(
-                _secular_evaluate(sqrt_w, np.empty_like(delta)), (delta, base - epsilon),
-                tau[rows], lo[rows], hi[rows], delta[np.arange(gap.size), far], far_left, side,
-            )
-    energies = poles[origin] + tau
+        gap = np.arange(n_p + 1)
+        base = poles[origin]
+        far_left = origin == gap  # the origin is the right-hand pole of the gap
+        far = np.clip(np.where(far_left, gap - 1, gap), 0, n_p - 1)
+        side = np.where(gap == 0, -1, np.where(gap == n_p, 1, 0))
+        tau, slope = _iterate(
+            _in_chunks(_secular_evaluate(poles, sqrt_w, work), n_p), (base, base - epsilon),
+            tau, lo, hi, poles[far] - base, far_left, side,
+        )
+    energies = base + tau
     # zero j is above its origin pole when that pole is pole j - 1
     side = np.where(origin < np.arange(n_p + 1), np.inf, -np.inf)
     on_pole = energies == poles[origin]
@@ -298,14 +285,14 @@ def _offset_zero(c, s_o, s_f, delta_f):
     )
 
 
-def _secular_evaluate(sqrt_w, work):
-    """evaluate(tau, delta, const) of _iterate for P: P, the sum
-    P' - 1 = sum_k W_k / Delta_k^2 and its part from the poles left of tau,
-    in two passes over the (rows x poles) buffer work."""
+def _secular_evaluate(poles, sqrt_w, work):
+    """evaluate(tau, base, const) of _iterate for P, on at most work's rows:
+    P, the sum P' - 1 = sum_k W_k / Delta_k^2 and its part from the poles
+    left of tau, in two passes over the (rows x poles) buffer work, which
+    first holds delta_k = omega_k - base."""
 
-    def evaluate(tau, delta, const):
-        u = work[: tau.size]
-        np.copyto(u, delta)
+    def evaluate(tau, base, const):
+        u = np.subtract(poles, base[:, None], out=work[: tau.size])
         u -= tau[:, None]
         np.divide(sqrt_w, u, out=u)  # sqrt(W_k) / (delta_k - tau)
         p = const + tau + u @ sqrt_w
@@ -316,16 +303,32 @@ def _secular_evaluate(sqrt_w, work):
     return evaluate
 
 
+def _in_chunks(evaluate, n_cols):
+    """evaluate of _iterate over any number of rows, built from one that
+    takes at most one chunk of _row_chunks(rows, n_cols): the rows are
+    passed to it slice by slice, so its (rows x n_cols) buffers hold one
+    chunk."""
+
+    def chunked(tau, *data):
+        out = np.empty((3, tau.size))
+        for s in _row_chunks(tau.size, n_cols):
+            out[:, s] = evaluate(tau[s], *(a[s] for a in data))
+        return out
+
+    return chunked
+
+
 def _iterate(evaluate, data, tau, lo, hi, delta_far, far_left, side):
-    """Safeguarded rational root iteration of one chunk of brackets, each
+    """Safeguarded rational root iteration of every bracket at once, each
     zero held as an offset tau from its origin pole (see _secular_energies and
-    _refine).
+    _refine); each zero's steps depend on its own bracket alone.
 
     The function is E - epsilon - sum_k W_k / (E - omega_k), with weights
     W_k >= 0 that may change from step to step. evaluate(tau, *data) gives
     at each offset its value p, the sum d_all = sum_k W_k / Delta_k^2 (its
-    slope less 1) and the part psi' of that sum from the poles left of tau;
-    data holds the per-row arrays that evaluate reads, pruned with the rows.
+    slope less 1) and the part psi' of that sum from the poles left of tau
+    (_in_chunks runs it over the rows in chunks); data holds the per-row
+    arrays that evaluate reads, pruned with the rows as their zeros finish.
     delta_far is the gap's other pole from the origin, far_left whether it
     lies left of it, and side -1 (1) for a zero below (above) every pole,
     else 0. Interior zeros then take R.-C. Li's middle-way step (LAPACK

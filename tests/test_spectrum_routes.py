@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 import qregsim.dynamics
-from qregsim import build_h1, parse_config_file, spin_spectrum
+from qregsim import (
+    CosineCoupling,
+    ModelParams,
+    RegisterShape,
+    UniformCoupling,
+    build_h1,
+    parse_config_file,
+    spin_spectrum,
+    symmetric_spectrum,
+)
+from qregsim import selfenergy, spectral
 from qregsim.cli import main
 
 # (config lines, frequencies of an explicit dispersion or None, rank of the
@@ -107,3 +117,59 @@ def test_every_route_gives_the_whole_spectrum(name, tmp_path, monkeypatch):
     assert roots_csv.exists() == (roots is not None)
     if roots is not None:
         assert np.array_equal(np.loadtxt(roots_csv, ndmin=1), roots)
+
+
+# one model per iterating route, with more roots than one row chunk of the
+# (roots x poles) pole sums at N_b = 1000
+BATHS = {
+    "secular": ModelParams(RegisterShape(4, 1000), UniformCoupling(0.01)),
+    "closed_form": ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1.0)),
+}
+
+
+@pytest.mark.parametrize("route", BATHS)
+def test_each_route_iterates_once_over_every_root(route, monkeypatch):
+    params = BATHS[route]
+    nb = params.shape.n_modes
+    assert len(spectral._row_chunks(nb + 1, nb)) > 1
+    calls = []
+    iterate = spectral._iterate
+
+    def counted(evaluate, data, tau, *args):
+        calls.append(tau.size)
+        return iterate(evaluate, data, tau, *args)
+
+    monkeypatch.setattr(spectral, "_iterate", counted)
+    monkeypatch.setattr(selfenergy, "_iterate", counted)
+    energies, _, roots = spin_spectrum(params)
+    assert (roots is not None) == (route == "secular")
+    assert calls == [nb + 1 if route == "secular" else energies.size]
+
+
+# the two routes, and the near-dark pairs whose eigenvectors are deflated
+CHUNKED = {
+    "secular": ModelParams(RegisterShape(4, 300), UniformCoupling(0.01)),
+    "closed_form": ModelParams(RegisterShape(4, 300), CosineCoupling(0.01, 1.0)),
+    "near_dark": ModelParams(RegisterShape(4, 200), CosineCoupling(0.01, 5.0)),
+}
+
+
+@pytest.mark.parametrize("name", CHUNKED)
+def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
+    # a root's iteration must not depend on its neighbours: one chunk of all
+    # rows and chunks of 7 rows give the same roots, up to BLAS row blocking
+    params = CHUNKED[name]
+
+    def spectra(elements, rows):
+        monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(spectral, "_CHUNK_ROWS", rows)
+        weights = symmetric_spectrum(params)[1] if name == "secular" else None
+        return spin_spectrum(params), weights
+
+    (energies, spin, roots), weights = spectra(1 << 40, 1)
+    (energies_7, spin_7, roots_7), weights_7 = spectra(1, 7)
+    assert np.all(np.abs(energies_7 - energies) <= np.spacing(np.abs(energies)))
+    assert np.max(np.abs(spin_7 - spin)) <= 1e-15
+    if name == "secular":
+        assert np.all(np.abs(roots_7 - roots) <= np.spacing(np.abs(roots)))
+        assert np.max(np.abs(weights_7 - weights)) <= 1e-15
