@@ -33,6 +33,7 @@ from .spectral import (
     SpectralDecomposition,
     _assemble,
     _deflate,
+    _five_smooth,
     _secular_spectrum,
     diagonalize,
 )
@@ -228,7 +229,11 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
       rule checks), each giving the column sqrt(w_j) s. No eigensolve, and
       no solve at all when no mode stays coupled (g0 = 0 among others).
       roots holds the zeros and the pinned frequencies. O(N_b^2) time per
-      root iteration, memory bounded by its row chunks;
+      root iteration step; on at least 400 evenly spaced coupled modes (the
+      linear dispersion) O(N_b (w + P)) per step instead, after
+      O(N_b log N_b) for the near/far sums' tables, and one dense O(N_b^2)
+      pass that checks every zero's residual. Memory bounded by row
+      chunks;
     - r >= 2: selfenergy._closed_form on the reduced problem, certified to
       orthonormality 5e-14. O(d N_b r^2) time, O(chunk N_b) memory.
 
@@ -303,21 +308,6 @@ def _spin_amplitudes(
     amplitudes = spectrum[:, modes % n_cells]
     amplitudes *= np.sqrt(np.pi / tau) / n_cells * np.exp(tau * modes**2)
     return amplitudes.T
-
-
-def _five_smooth(n: int) -> int:
-    """The least integer >= n with no prime factor above 5."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def run_time_series(

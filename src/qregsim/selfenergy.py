@@ -9,7 +9,10 @@ safeguarded rational iteration (`spectral._iterate`), and takes the spin
 rows of the eigenvectors from M(E). It never forms a d x d matrix: the
 count, the pole sums of every step and the certificate run in the row
 chunks of `spectral._row_chunks`, O(d N_b r^2) time and O(chunk N_b)
-memory. It certifies its result or raises DiagonalizationError, on which
+memory. Its pole sums stay dense on an evenly spaced bath too: the secular
+route's near/far sums, carried over to the r^2 entries of M(E), moved the
+certificate's verdict on near-dark models at its overlap bound both ways.
+It certifies its result or raises DiagonalizationError, on which
 `dynamics.spin_spectrum` falls back to `spectral.diagonalize`.
 """
 

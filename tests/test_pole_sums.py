@@ -1,0 +1,148 @@
+"""The secular route's near/far pole sums on evenly spaced baths
+(spectral._grid_evaluate): their value and slopes against the dense sums at
+every kind of offset, the models that take them, and the dense residual pass
+behind them, which refuses a corrupted far moment, after which
+spin_spectrum falls back to diagonalize."""
+
+import numpy as np
+import pytest
+
+import qregsim.dynamics
+from qregsim import (
+    DiagonalizationError,
+    ExplicitDispersion,
+    ModelParams,
+    RegisterShape,
+    UniformCoupling,
+    build_h1,
+    spin_spectrum,
+    symmetric_spectrum,
+)
+from qregsim import spectral
+from qregsim.model import mode_frequencies
+
+#: agreement of the near/far sums with the dense ones, in units of eps times
+#: the scale of the dense sums' rounding: |const| + |tau| + sum_k |W_k /
+#: Delta_k| for the value, sum_k W_k / Delta_k^2 for both slopes (at most
+#: 2.2, 9.8 and 2.2 measured on 120 random grids of up to 600 poles; the
+#: series' own tails stay below 7.8e-17 of the far poles' sums)
+SUM_ULPS = 16
+
+
+def _grids():
+    """Even grids of up to 600 poles: the paper's linear dispersion and
+    explicit ones, and weights from flat to three decades apart."""
+    rng = np.random.default_rng(20)
+    for nb in (2, 9, 17, 18, 40, 257, 600):
+        yield nb, 2.0 * np.pi * np.arange(1, nb + 1) / nb, np.full(nb, 0.02)
+        h, start = 10.0 ** rng.uniform(-3, 0), rng.uniform(0.01, 3.0)
+        sqrt_w = np.sqrt(rng.uniform(0.1, 1.0, nb)) * 10.0 ** rng.uniform(-3, 0)
+        yield nb, start + h * np.arange(nb), sqrt_w
+
+
+def _sums(poles, sqrt_w, epsilon, tau, origin):
+    """The dense and the near/far sums at the offsets tau from the poles
+    origin, and the scales of the dense sums' rounding. The dense value and
+    slope are the residual pass's, which adds the largest term apart."""
+    nb = poles.size
+    work = np.empty((spectral._row_chunks(tau.size, nb)[0].stop, nb))
+    dense = spectral._in_chunks(spectral._secular_evaluate(poles, sqrt_w, work), nb)
+    residuals = spectral._in_chunks(spectral._secular_residuals(poles, sqrt_w, work), nb)
+    near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
+    assert near_far is not None
+    base = poles[origin]
+    data = (base, base - epsilon, origin)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        want, got = dense(tau, *data), np.array(near_far(tau, *data))
+        value, slope, terms = residuals(tau, *data)
+    want[:2] = value, slope
+    return want, got, np.abs(base - epsilon) + np.abs(tau) + terms
+
+
+@pytest.mark.parametrize("nb, poles, sqrt_w", list(_grids()))
+def test_near_far_sums_match_the_dense_sums(nb, poles, sqrt_w, monkeypatch):
+    monkeypatch.setattr(spectral, "_GRID_POLES", 2)
+    h = (poles[-1] - poles[0]) / (nb - 1)
+    origin = np.repeat(np.arange(nb), 8)
+    # across the half gap on either side, the half gap itself, and a few
+    # ulp from the pole
+    tau = np.tile([-0.5, -0.31, -1e-3, 0.17, 0.5, 0.0, 0.0, 0.0], nb) * h
+    tau += np.tile([0, 0, 0, 0, 0, 3, -3, 1], nb) * np.spacing(poles[origin])
+    want, got, scale = _sums(poles, sqrt_w, 1.3, tau, origin)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got[0] - want[0]) <= SUM_ULPS * eps * scale)
+    assert np.all(np.abs(got[1:] - want[1:]) <= SUM_ULPS * eps * want[1])
+
+
+@pytest.mark.parametrize("nb, poles, sqrt_w", list(_grids())[::3])
+def test_outer_offsets_take_the_dense_sums(nb, poles, sqrt_w, monkeypatch):
+    # beyond either end of the grid the series need not converge: those rows
+    # take the dense sums themselves
+    monkeypatch.setattr(spectral, "_GRID_POLES", 2)
+    h = (poles[-1] - poles[0]) / (nb - 1)
+    origin = np.array([0, 0, nb - 1, nb - 1])
+    tau = np.array([-0.6 * h, -3.0, 0.6 * h, 3.0])
+    work = np.empty((4, nb))
+    dense = spectral._secular_evaluate(poles, sqrt_w, work)
+    near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
+    base = poles[origin]
+    data = (base, base - 0.7, origin)
+    assert np.array_equal(near_far(tau, *data), dense(tau, *data))
+
+
+def test_routing_by_the_grid(monkeypatch):
+    # an explicit copy of the linear grid takes the near/far sums and gives
+    # the linear dispersion's spectrum; one frequency moved by 1e-9 makes
+    # the grid uneven and the sums dense. Both match eigvalsh.
+    shape, coupling = RegisterShape(4, 500), UniformCoupling(0.01)
+    linear = ModelParams(shape, coupling)
+    omegas = mode_frequencies(linear)
+    moved = omegas.copy()
+    moved[137] += 1e-9
+    built, real = [], spectral._far_moments
+
+    def spied(poles, weights):
+        moments = real(poles, weights)
+        built.append(moments is not None)
+        return moments
+
+    monkeypatch.setattr(spectral, "_far_moments", spied)
+    spectra = {}
+    for name, params in [
+        ("linear", linear),
+        ("explicit", ModelParams(shape, coupling, dispersion=ExplicitDispersion(omegas))),
+        ("moved", ModelParams(shape, coupling, dispersion=ExplicitDispersion(moved))),
+    ]:
+        spectra[name] = spin_spectrum(params).energies
+        want = np.linalg.eigvalsh(build_h1(params))
+        assert np.max(np.abs(spectra[name] - want)) <= 1e-10
+    assert built == [True, True, False]
+    assert np.array_equal(spectra["explicit"], spectra["linear"])
+
+
+def test_corrupted_far_moment_falls_back(monkeypatch):
+    # one far moment off by 1e-9, at the pole nearest epsilon, where the
+    # spin state's weight lies: the dense residual pass refuses the roots it
+    # gives, and the spectrum comes from one diagonalize call
+    params = ModelParams(RegisterShape(4, 500), UniformCoupling(0.01))
+    intact = spin_spectrum(params)
+    real_moments, real_diagonalize = spectral._far_moments, qregsim.dynamics.diagonalize
+    calls = []
+
+    def corrupted(poles, weights):
+        h, shift, moments = real_moments(poles, weights)
+        moments[np.argmin(np.abs(poles - params.epsilon)), 0] += 1e-9
+        return h, shift, moments
+
+    def counted(h):
+        calls.append(h.shape)
+        return real_diagonalize(h)
+
+    monkeypatch.setattr(spectral, "_far_moments", corrupted)
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
+    with pytest.raises(DiagonalizationError, match="secular residual"):
+        symmetric_spectrum(params)
+    energies, _, roots = spin_spectrum(params)
+    assert calls == [(504, 504)] and roots is None
+    assert np.array_equal(energies, real_diagonalize(build_h1(params)).eigenvalues)
+    assert np.max(np.abs(energies - intact.energies)) <= 1e-12

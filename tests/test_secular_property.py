@@ -3,6 +3,7 @@ route's spin block and series against the dense eigensolver, the
 matrix-exponential oracle and exact sum rules."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,21 @@ def uniform_models(draw):
     epsilon = draw(st.one_of(st.sampled_from(omegas), grid_frequency, st.floats(0.05, 7.0)))
     return ModelParams(
         RegisterShape(draw(st.integers(1, 4)), len(omegas)),
+        UniformCoupling(draw(st.floats(0.0, 1.0))),
+        epsilon=epsilon,
+        dispersion=ExplicitDispersion(omegas),
+    )
+
+
+@st.composite
+def even_models(draw):
+    """Uniform couplings on evenly spaced frequencies, up to 60 of them, so
+    that the near/far sums have far poles to sum."""
+    start, step = draw(grid_frequency), draw(st.integers(1, 20).map(lambda k: k / 100))
+    omegas = start + step * np.arange(draw(st.integers(2, 60)))
+    epsilon = draw(st.one_of(st.sampled_from(list(omegas)), st.floats(0.05, 7.0)))
+    return ModelParams(
+        RegisterShape(draw(st.integers(1, 4)), omegas.size),
         UniformCoupling(draw(st.floats(0.0, 1.0))),
         epsilon=epsilon,
         dispersion=ExplicitDispersion(omegas),
@@ -164,3 +180,25 @@ def test_secular_series_matches_matexp_oracle(params, t_max, data):
         want = observables(c0, c, n)
         assert abs(series.obs.d[row] - want.d) <= 1e-10
         assert abs(series.obs.p1[row] - want.p1) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.one_of(uniform_models(), even_models()))
+@example(params=_model(4, list(2.0 * np.pi * np.arange(1, 61) / 60), 0.05))
+@example(params=_model(2, [0.3, 1.0, 2.0], 1e-158, epsilon=0.5))  # N g0^2 subnormal
+def test_near_far_sums_match_the_dense_route(params):
+    # the near/far sums, forced on every even grid of at least two coupled
+    # poles, give the dense route's roots to 1 ulp of ||H|| and its weights
+    # to 1e-13. The two outer roots take the dense sums on both routes, but
+    # in calls over other rows, and BLAS rounds a product by its row count:
+    # under strong coupling, where their sums are about ||H||, they may move
+    # by a few ulp (3 at most on 600 random grids of up to 600 poles)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_GRID_POLES", np.inf)
+        roots, weights = symmetric_spectrum(params)
+        patch.setattr(spectral, "_GRID_POLES", 2)
+        near_far = symmetric_spectrum(params)
+    ulp = np.spacing(max(1.0, float(np.max(np.abs(roots)))))
+    moved = np.abs(near_far[0] - roots)
+    assert np.max(moved[1:-1], initial=0.0) <= ulp and np.max(moved) <= 4 * ulp
+    assert np.max(np.abs(near_far[1] - weights)) <= 1e-13
