@@ -2,22 +2,26 @@
 problem.
 
 `closed_form_spectrum` serves every coupling of rank r >= 2 after
-`spectral._deflate` has taken its exact degeneracies out: it counts the
-energies between adjacent mode frequencies by inertia (Haynsworth), refines
-each on its branch of the self-energy M(E) with the secular route's
-safeguarded rational iteration (`spectral._iterate`), and takes the spin
-rows of the eigenvectors from M(E). It never forms a d x d matrix: the
-count, the pole sums of every step and the certificate run in the row
-chunks of `spectral._row_chunks`, O(d N_b r^2) time and O(chunk N_b)
-memory. Its pole sums stay dense on an evenly spaced bath too: the secular
-route's near/far sums, carried over to the r^2 entries of M(E), moved the
-certificate's verdict on near-dark models at its overlap bound both ways.
+`spectral._deflate` has taken its exact degeneracies out, on that reduced
+model: it counts the energies between adjacent mode frequencies by inertia
+(Haynsworth), brackets them with the secular route's bracket builder
+(`spectral._brackets`, whose midpoint probe here is the sign of the
+energy's branch of the self-energy M(E)), refines each on its branch with
+the secular route's safeguarded rational iteration (`spectral._iterate`),
+and takes the spin rows of the eigenvectors from M(E). It never forms a
+d x d matrix: the count, the pole sums of every step and the certificate
+run in the row chunks of `spectral._row_chunks`, O(d N_b r^2) time and
+O(chunk N_b) memory. Its pole sums stay dense on an evenly spaced bath
+too: the secular route's near/far sums, carried over to the r^2 entries
+of M(E), moved the certificate's verdict on near-dark models at its
+overlap bound both ways.
 It certifies its result or raises DiagonalizationError, on which
 `dynamics.spin_spectrum` falls back to `spectral.diagonalize`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +32,8 @@ from .spectral import (
     _EPS,
     DiagonalizationError,
     _assemble,
+    _Brackets,
+    _brackets,
     _deflate,
     _Deflated,
     _in_chunks,
@@ -66,12 +72,13 @@ def closed_form_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
       pole of mode k and u_k = conj(g_k). The counts give the number of
       energies in each gap between adjacent frequencies (and below the
       lowest and above the highest) and the branch mu_i that vanishes at
-      each (_brackets);
+      each (spectral._brackets, the secular route's bracket builder);
     - start: tau_k = u_k^H A_k^-1 u_k, the first-order offset from omega_k
       of the energy attached to it, taken to second order (_count), where it
       lands in the half of a one-energy gap on its own side; otherwise the
       middle of the half of the gap that the sign of the branch at the
-      gap's midpoint picks (an outer energy starts mid-bracket);
+      gap's midpoint picks (_midpoint_probe, the probe of
+      spectral._brackets; an outer energy starts mid-bracket);
     - refine (_refine): each energy is held as an offset tau from the pole
       of its half, every difference E - omega_k formed as tau - delta_k
       (as in the secular iteration), and takes the safeguarded steps of
@@ -118,12 +125,11 @@ def _closed_form(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     epsilon, r = model.epsilon, model.g.shape[1]
     if not model.omegas.size:  # no coupled mode: M(E) = (E - epsilon) I
         return np.full(r, epsilon), np.eye(r)
-    modes = _coupled_modes(model)
     # an energy on a coupled frequency, or a few ulp from one, can give inf
     # and NaN: eigh refuses them, and every check is written so NaN fails
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        brackets = _brackets(modes, epsilon, *_count(modes, epsilon), model.norm + 1.0)
-        roots = _branch_roots(brackets, *_refine(brackets, modes, epsilon), modes, epsilon)
+        brackets = _brackets(model, model.norm + 1.0, partial(_midpoint_probe, model), *_count(model))
+        roots = _branch_roots(brackets, *_refine(brackets, model), model)
         energies = roots.energies
         ulp = _EPS * max(1.0, -energies[0], energies[-1])  # of ||H||_2
         inside = np.where(
@@ -133,7 +139,7 @@ def _closed_form(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         )
         apart = np.diff(energies) > _CLUSTER_ULPS * ulp
         phase = _phase_error(energies, roots)
-        overlap = _max_overlap(roots, modes)
+        overlap = _max_overlap(roots, model)
     if not (np.all(inside) and np.all(apart) and phase <= _PHASE_ULPS * ulp * r
             and overlap <= _OVERLAP_TOL):
         raise DiagonalizationError(
@@ -144,22 +150,7 @@ def _closed_form(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     return energies, roots.columns
 
 
-class _Modes(NamedTuple):
-    """The reduced problem's coupled modes, sorted by frequency."""
-
-    omegas: np.ndarray  # their frequencies, ascending and distinct
-    g: np.ndarray  # their coupling rows
-    gg: np.ndarray  # one row conj(g_k(a)) g_k(b), a and b flattened, per mode
-
-
-def _coupled_modes(model: _Deflated) -> _Modes:
-    """The reduced problem's modes, with their gg table."""
-    g = model.g
-    gg = (g.conj()[:, :, None] * g[:, None, :]).reshape(g.shape[0], g.shape[1] ** 2)
-    return _Modes(model.omegas, g, gg)
-
-
-def _count(modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     """For each coupled frequency omega_k, #{E_j < omega_k} and the offset
     from omega_k of the energy attached to it, to second order (see
     closed_form_spectrum).
@@ -179,25 +170,25 @@ def _count(modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     D_k = I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)^2 is one
     more GEMM, of the squared Cauchy chunk.
     """
-    nb, n = modes.g.shape
+    nb, n = model.g.shape
     below = np.empty(nb, dtype=np.intp)
     tau = np.empty(nb)
     chunks = _row_chunks(nb, nb)
     work = np.empty((min(chunks[0].stop, nb), nb))
     for rows in chunks:
         k = np.arange(nb)[rows]
-        cauchy = np.subtract(modes.omegas, modes.omegas[rows, None], out=work[: k.size])
+        cauchy = np.subtract(model.omegas, model.omegas[rows, None], out=work[: k.size])
         cauchy[np.arange(k.size), k] = np.inf
         np.divide(1.0, cauchy, out=cauchy)
-        a = (cauchy @ modes.gg).reshape(-1, n, n)
-        a[:, np.arange(n), np.arange(n)] += (modes.omegas[rows] - epsilon)[:, None]
+        a = (cauchy @ model.gg).reshape(-1, n, n)
+        a[:, np.arange(n), np.arange(n)] += (model.omegas[rows] - model.epsilon)[:, None]
         lam, q = np.linalg.eigh(a)
-        proj = np.einsum("kai,ka->ki", q, modes.g[rows])  # conj(Q^H u_k)
+        proj = np.einsum("kai,ka->ki", q, model.g[rows])  # conj(Q^H u_k)
         t = np.sum(np.abs(proj) ** 2 / lam, axis=1)
         below[rows] = k + np.count_nonzero(lam > 0.0, axis=1) + (t < 0.0)
         z = np.einsum("kai,ki->ka", q, proj.conj() / lam)
         np.multiply(cauchy, cauchy, out=cauchy)
-        slope = (cauchy @ modes.gg).reshape(-1, n, n)  # D_k - I
+        slope = (cauchy @ model.gg).reshape(-1, n, n)  # D_k - I
         s = np.einsum("ka,kab,kb->k", z.conj(), slope, z).real + np.einsum("ka,ka->k", z.conj(), z).real
         tau[rows] = t / (1.0 + s)
     positive = below - np.arange(nb)
@@ -207,72 +198,22 @@ def _count(modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return below, tau
 
 
-class _Brackets(NamedTuple):
-    """One row per energy, ascending (see _brackets)."""
-
-    origin: np.ndarray  # the index of the frequency it is held from, the pole of its half
-    base: np.ndarray  # that frequency
-    tau: np.ndarray  # its start offset from base
-    lo: np.ndarray  # its bracket (lo, hi), as offsets from base
-    hi: np.ndarray
-    delta_far: np.ndarray  # the gap's other frequency, from base (0 outside)
-    far_left: np.ndarray  # base is the gap's right-hand frequency
-    side: np.ndarray  # -1 below the lowest frequency, 1 above the highest, else 0
-    branch: np.ndarray  # the index i of the sorted branch mu_i that vanishes at it
-
-
-def _brackets(
-    modes: _Modes, epsilon: float, below: np.ndarray, tau_k: np.ndarray, reach: float
-) -> _Brackets:
-    """The energies' gaps, branches, brackets and starts, from the counts
-    #{E_j < omega_k} and the offsets tau_k of _count.
-
-    Energy j (0-based) has left_j = #{omega_k < E_j} and vanishes on branch
-    r - 1 - j + left_j: M(E) has that many negative eigenvalues just below
-    E_j. Outside the frequencies the bracket reaches reach >= ||G||_2 beyond
-    min(epsilon, omega_min) and max(epsilon, omega_max), past every energy.
-    An energy that does not start from tau_k evaluates its branch at its
-    gap's midpoint once (one eigh per row, in row chunks) to pick its half.
-    """
-    omegas = modes.omegas
-    nb, n = modes.g.shape
-    j = np.arange(nb + n)
-    left = np.searchsorted(below, j, side="right")
-    branch = n - 1 - j + left
-    side = np.where(left == 0, -1, np.where(left == nb, 1, 0))
-    lower, upper = np.maximum(left - 1, 0), np.minimum(left, nb - 1)
-    width = omegas[upper] - omegas[lower]  # 0 outside the frequencies
-    half = 0.5 * width
-    t_low, t_up = tau_k[lower], tau_k[upper]
-    lone = np.bincount(left, minlength=nb + 1)[left] == 1
-    from_low = lone & (t_low > 0.0) & ((t_low < half) | (side > 0))
-    from_up = lone & (t_up < 0.0) & ((t_up > -half) | (side < 0))
-    up = from_up & ~from_low
-    lo, hi = np.where(up, -width, 0.0), np.where(up, 0.0, width)
-    lo[side < 0] = min(epsilon, omegas[0]) - reach - omegas[0]
-    hi[side > 0] = max(epsilon, omegas[-1]) + reach - omegas[-1]
-    start = np.where(up, t_up, t_low)
-    use_tau = (from_low ^ from_up) & (start > lo) & (start < hi)
-    tau = np.where(use_tau, start, 0.5 * (lo + hi))
-    origin = np.where(up, upper, lower)
-    base = omegas[origin]
-    delta_far = np.where(up, -width, width)
-
-    mid = np.flatnonzero(~use_tau & (side == 0))
-    for rows in _row_chunks(mid.size, nb):
-        i = mid[rows]
-        r = _reciprocal(tau[i], omegas, base[i])
-        mu = _self_energy_eigh(r, (base[i] - epsilon) + tau[i], modes.gg, n)[0]
-        right = mu[np.arange(i.size), branch[i]] < 0.0
-        i_r, i_l = i[right], i[~right]
-        origin[i_r], delta_far[i_r], up[i_r] = upper[i_r], -width[i_r], True
-        base[i_r] = omegas[upper[i_r]]
-        lo[i_r], hi[i_r], tau[i_r] = -half[i_r], 0.0, -0.5 * half[i_r]
-        hi[i_l], tau[i_l] = half[i_l], 0.5 * half[i_l]
-    return _Brackets(origin, base, tau, lo, hi, delta_far, up, side, branch)
+def _midpoint_probe(model: _Deflated, lower, half, branch):
+    """probe of spectral._brackets on the branches: whether each energy lies
+    in the right half of its gap, by the sign of its branch at the gap's
+    midpoint (one eigh per row, in row chunks), that midpoint from the
+    half's pole and, as the start, the middle of the half."""
+    right = np.empty(lower.size, dtype=bool)
+    for rows in _row_chunks(lower.size, model.omegas.size):
+        base = model.omegas[lower[rows]]
+        r = _reciprocal(half[rows], model.omegas, base)
+        mu = _self_energy_eigh(model, r, (base - model.epsilon) + half[rows])[0]
+        right[rows] = mu[np.arange(base.size), branch[rows]] < 0.0
+    x_mid = np.where(right, -half, half)
+    return right, x_mid, 0.5 * x_mid
 
 
-def _branch_evaluate(modes: _Modes, epsilon: float, rows: int, offsets: np.ndarray, vectors: np.ndarray):
+def _branch_evaluate(model: _Deflated, rows: int, offsets: np.ndarray, vectors: np.ndarray):
     """evaluate(tau, base, branch, position) of _iterate on the branches,
     on at most rows rows (one chunk of _in_chunks): at E = base + tau the
     counted branch's v, then f_v(E) = E - epsilon - sum_k W_k / (E - omega_k)
@@ -283,16 +224,16 @@ def _branch_evaluate(modes: _Modes, epsilon: float, rows: int, offsets: np.ndarr
     exact there. The (rows x modes) arrays live in three buffers allocated
     once: a fresh array of that size costs more than the pass that fills
     it."""
-    r_buf = np.empty((rows, modes.omegas.size))
+    r_buf = np.empty((rows, model.omegas.size))
     q_buf = np.empty_like(r_buf)
-    w_buf = np.empty_like(r_buf, dtype=modes.g.dtype)
-    g_t, n = modes.g.T, modes.g.shape[1]
+    w_buf = np.empty_like(r_buf, dtype=model.g.dtype)
+    g_t = model.g.T
 
     def evaluate(tau, base, branch, position):
         q, w = q_buf[: tau.size], w_buf[: tau.size]
-        r = _reciprocal(tau, modes.omegas, base, r_buf[: tau.size])
-        e_eps = (base - epsilon) + tau
-        v = _self_energy_eigh(r, e_eps, modes.gg, n)[1][np.arange(tau.size), :, branch]
+        r = _reciprocal(tau, model.omegas, base, r_buf[: tau.size])
+        e_eps = (base - model.epsilon) + tau
+        v = _self_energy_eigh(model, r, e_eps)[1][np.arange(tau.size), :, branch]
         offsets[position], vectors[position] = tau, v
         np.matmul(v, g_t, out=w)
         if w.dtype.kind == "c":
@@ -308,20 +249,17 @@ def _branch_evaluate(modes: _Modes, epsilon: float, rows: int, offsets: np.ndarr
     return evaluate
 
 
-def _refine(brackets: _Brackets, modes: _Modes, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     """Each energy's offset from brackets.base at the last evaluation of the
     safeguarded iteration of _iterate, one iteration over every energy
     whose evaluations run in row chunks, where its step had fallen to a few
     ulp of the offset or its bracket had collapsed, and the branch's
     eigenvector v there, one row per energy."""
-    size, nb = brackets.tau.size, modes.omegas.size
-    offsets, vectors = np.empty(size), np.empty((size, modes.g.shape[1]), dtype=modes.g.dtype)
+    size, nb = brackets.tau.size, model.omegas.size
+    offsets, vectors = np.empty(size), np.empty((size, model.g.shape[1]), dtype=model.g.dtype)
     rows = min(_row_chunks(size, nb)[0].stop, size)
-    evaluate = _in_chunks(_branch_evaluate(modes, epsilon, rows, offsets, vectors), nb)
-    _iterate(
-        evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets.tau, brackets.lo,
-        brackets.hi, brackets.delta_far, brackets.far_left, brackets.side,
-    )
+    evaluate = _in_chunks(_branch_evaluate(model, rows, offsets, vectors), nb)
+    _iterate(evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets)
     return offsets, vectors
 
 
@@ -339,7 +277,7 @@ class _Roots(NamedTuple):
 
 
 def _branch_roots(
-    brackets: _Brackets, tau: np.ndarray, vectors: np.ndarray, modes: _Modes, epsilon: float
+    brackets: _Brackets, tau: np.ndarray, vectors: np.ndarray, model: _Deflated
 ) -> _Roots:
     """The energies base + tau, the spin columns of their eigenvectors and
     the exact residuals of these pairs (see closed_form_spectrum).
@@ -361,37 +299,37 @@ def _branch_roots(
     quotient lies y^H (R y - u_o b_o) + conj(b_o) (tau b_o - g_o . y), over
     c^2, from E.
     """
-    (nb, n), size = modes.g.shape, tau.size
-    columns = np.empty((n, size), dtype=modes.g.dtype)
-    bath = np.empty(size, dtype=modes.g.dtype)
+    (nb, n), size = model.g.shape, tau.size
+    columns = np.empty((n, size), dtype=model.g.dtype)
+    bath = np.empty(size, dtype=model.g.dtype)
     shift, residual = np.empty(size), np.empty(size)
     chunks = _row_chunks(size, nb)
     rows = min(chunks[0].stop, size)
     r_buf = np.empty((rows, nb))
-    w_buf, b_buf = np.empty((2, rows, nb), dtype=modes.g.dtype)
+    w_buf, b_buf = np.empty((2, rows, nb), dtype=model.g.dtype)
     for idx in chunks:
         t, o = tau[idx], brackets.origin[idx]
         m, base = t.size, brackets.base[idx]
-        e_eps = (base - epsilon) + t
-        r = _reciprocal(t, modes.omegas, base, r_buf[:m])
+        e_eps = (base - model.epsilon) + t
+        r = _reciprocal(t, model.omegas, base, r_buf[:m])
         r_o = r[np.arange(m), o]
         r[np.arange(m), o] = 0.0
-        regular = np.negative(r @ modes.gg).reshape(-1, n, n)
+        regular = np.negative(r @ model.gg).reshape(-1, n, n)
         regular[:, np.arange(n), np.arange(n)] += e_eps[:, None]
         if not np.all(np.isfinite(regular)):
             raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
-        u = modes.g[o].conj()
+        u = model.g[o].conj()
         try:
             y = np.linalg.solve(regular, u[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # an exactly singular R(E)
             y = np.full(u.shape, np.nan, dtype=u.dtype)
-        b_o = np.ones(m, dtype=modes.g.dtype)
-        pair = _pair(y, b_o, r, o, e_eps, t, modes, w_buf[:m], b_buf[:m])
+        b_o = np.ones(m, dtype=model.g.dtype)
+        pair = _pair(y, b_o, r, o, e_eps, t, model, w_buf[:m], b_buf[:m])
         redo = np.flatnonzero(~(pair[-1] <= (_EPS * (base + t)) ** 2))
         if redo.size:
             v = vectors[idx][redo]
-            b_v = r_o[redo] * np.einsum("ij,ij->i", modes.g[o[redo]], v)
-            other = _pair(v, b_v, r[redo], o[redo], e_eps[redo], t[redo], modes)
+            b_v = r_o[redo] * np.einsum("ij,ij->i", model.g[o[redo]], v)
+            other = _pair(v, b_v, r[redo], o[redo], e_eps[redo], t[redo], model)
             keep = ~(other[-1] >= pair[-1][redo])  # written so that a NaN loses
             better = redo[keep]
             y[better], b_o[better] = v[keep], b_v[keep]
@@ -406,15 +344,15 @@ def _branch_roots(
     return _Roots(brackets.base + tau, columns, shift, residual, brackets.base, tau, brackets.origin, bath)
 
 
-def _pair(y, b_o, r, o, e_eps, t, modes, w=None, b=None):
+def _pair(y, b_o, r, o, e_eps, t, model, w=None, b=None):
     """For unnormalized eigenvectors [y; b] with origin components b_o (see
     _branch_roots, r = 1 / (E - omega_k), 0 at the origin): the squared
     norm c^2, the spin residual R y - u_o b_o, the origin's residual
     tau b_o - g_o . y and the normalized squared residual. w and b are
     optional (rows x modes) buffers for G y and b."""
-    w = np.matmul(y, modes.g.T, out=w)
+    w = np.matmul(y, model.g.T, out=w)
     b = np.multiply(r, w, out=b)
-    spin = e_eps[:, None] * y - b @ modes.g.conj() - modes.g[o].conj() * b_o[:, None]
+    spin = e_eps[:, None] * y - b @ model.g.conj() - model.g[o].conj() * b_o[:, None]
     pole = t * b_o - w[np.arange(t.size), o]
     c2 = (
         np.einsum("ij,ij->i", y.conj(), y).real + np.einsum("ij,ij->i", b.conj(), b).real
@@ -441,16 +379,17 @@ def _reciprocal(t, omegas, base, out=None):
     return np.reciprocal(r, out=r)
 
 
-def _self_energy_eigh(r, e_eps, gg, n):
+def _self_energy_eigh(model: _Deflated, r, e_eps):
     """Batched eigh of M = (E - epsilon) I - r @ gg, one r x r matrix per row."""
-    m = -(r @ gg).reshape(-1, n, n)
+    n = model.g.shape[1]
+    m = -(r @ model.gg).reshape(-1, n, n)
     m[:, np.arange(n), np.arange(n)] += e_eps[:, None]
     if not np.all(np.isfinite(m)):
         raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
     return np.linalg.eigh(m)
 
 
-def _max_overlap(roots: _Roots, modes: _Modes) -> float:
+def _max_overlap(roots: _Roots, model: _Deflated) -> float:
     """The largest overlap of two eigenvectors whose bound
     (||r_i|| + ||r_j||) / |E_i - E_j| exceeds _OVERLAP_TOL, computed, or inf
     if more than d pairs do. The energies ascend."""
@@ -469,17 +408,17 @@ def _max_overlap(roots: _Roots, modes: _Modes) -> float:
             return np.inf
     i, j = np.concatenate(pairs, axis=1) if pairs else np.zeros((2, 0), dtype=int)
     worst = [0.0]
-    for rows in _row_chunks(i.size, modes.omegas.size):
+    for rows in _row_chunks(i.size, model.omegas.size):
         a, b = i[rows], j[rows]
         overlap = np.einsum("ij,ij->j", roots.columns[:, a].conj(), roots.columns[:, b])
-        overlap += np.einsum("ij,ij->i", _bath_part(roots, a, modes).conj(), _bath_part(roots, b, modes))
+        overlap += np.einsum("ij,ij->i", _bath_part(roots, a, model).conj(), _bath_part(roots, b, model))
         worst.append(np.max(np.abs(overlap)))
     return float(np.max(worst))
 
 
-def _bath_part(roots: _Roots, idx: np.ndarray, modes: _Modes) -> np.ndarray:
+def _bath_part(roots: _Roots, idx: np.ndarray, model: _Deflated) -> np.ndarray:
     """(E - Omega)^-1 G v of the roots idx, one row per root."""
-    r = _reciprocal(roots.tau[idx], modes.omegas, roots.base[idx])
-    b = r * (roots.columns[:, idx].T @ modes.g.T)
+    r = _reciprocal(roots.tau[idx], model.omegas, roots.base[idx])
+    b = r * (roots.columns[:, idx].T @ model.g.T)
     b[np.arange(idx.size), roots.origin[idx]] = roots.bath[idx]
     return b

@@ -12,14 +12,17 @@ one the reduced problem's energies are the zeros of the secular equation
 P(E) = E - epsilon - sum_k |g_k|^2 / (E - omega_k), found by one
 safeguarded rational iteration (`_iterate`: R.-C. Li's middle way, the
 method of LAPACK dlaed4) that holds each zero as an offset from its nearer
-pole and drives every zero at once. On an evenly spaced bath, as the
-paper's linear dispersion is, its pole sums are near/far sums
+pole and drives every zero at once. Its brackets and starts come from
+`_brackets`, the one bracket builder of both solvers: each route gives it
+its counts, its starts and a probe that picks the half of a gap a zero
+lies in from the gap's midpoint. On an evenly spaced bath, as the paper's
+linear dispersion is, its pole sums are near/far sums
 (`_grid_evaluate`): O(N_b log N_b) moment tables once, O(N_b (w + P)) per
 step for a window of w poles and P powers, and one dense O(N_b^2) pass at
 the zeros that gives the weights and checks every residual. Otherwise each
 step takes the O(N_b^2) dense sums, in row chunks (`_in_chunks`) that bound
-their buffers. `selfenergy.closed_form_spectrum` shares the iteration and
-the row chunks at higher rank, with dense sums.
+their buffers. `selfenergy.closed_form_spectrum` shares the bracket
+builder, the iteration and the row chunks at higher rank, with dense sums.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ _SMALLEST = float(np.finfo(float).smallest_subnormal)
 _RESIDUAL_RTOL = 1e-10
 _ORTHO_TOL = 1e-10
 #: exact degeneracy, in units of eps * ||H||: _deflate takes out singular
-#: values of G and coupling blocks this weak, and the closed form refuses
-#: two eigenvalues this close
+#: values of G (above the QR's rounding) and coupling blocks this weak, and
+#: the closed form refuses two eigenvalues this close
 _CLUSTER_ULPS = 16
 #: near/far pole sums on evenly spaced poles (_grid_evaluate): the 2 _NEAR
 #: + 1 poles nearest the energy are summed exactly, the far ones by the
@@ -151,6 +154,7 @@ class _Deflated(NamedTuple):
     dark: np.ndarray  # N x (N - r): the dark spin states, eigenvectors at epsilon
     omegas: np.ndarray  # the coupled modes' frequencies, ascending and distinct
     g: np.ndarray  # their coupling rows in the basis, one per mode (modes x r)
+    gg: np.ndarray  # one row conj(g_k(a)) g_k(b), a and b flattened, per mode
     pinned: np.ndarray  # the frequencies of the bath states no spin state reaches
     epsilon: float
     norm: float  # ||G||_2
@@ -160,13 +164,18 @@ def _deflate(params: ModelParams) -> _Deflated:
     """The reduced problem of a model, nondegenerate by construction, and the
     eigenpairs taken out of it. Each step changes H by at most about tol,
     _CLUSTER_ULPS ulp of the bound max(1, epsilon, omega_max) + ||G||_2 on
-    ||H||, the order of eigh's own backward error:
+    ||H||, the order of eigh's own backward error, plus on the spin side
+    the order of the QR's own rounding:
 
     - spin side: the right singular vectors of G, from the SVD of its
-      min(N_b, N) x N factor R = Q^H G, of singular value at most tol are
-      dark, eigenvectors at epsilon; the others (at least one) are the
-      basis, in which the coupling rows are taken. With none dark the basis
-      is the identity and G is kept as it is;
+      min(N_b, N) x N factor R = Q^H G, of singular value at most tol plus
+      _CLUSTER_ULPS ulp of ||G||_2 sqrt(N_b) are dark, eigenvectors at
+      epsilon; the others (at least one) are the basis, in which the
+      coupling rows are taken. With none dark the basis is the identity and
+      G is kept as it is. The second term is the QR's rounding, whose
+      N_b-term sums grow it about as sqrt(N_b): for an exactly rank-one G
+      (strong uniform coupling, N = 4) s_2 measured 20 ulp of s_1 at
+      N_b = 1000 and 47 at 4000, above tol;
     - bath side: the m modes at one frequency are rotated by the SVD of
       their m x r block. Rank one leaves one coupled mode (the row
       sigma_1 w_1^H) and m - 1 bath states pinned at the frequency, rank
@@ -178,7 +187,8 @@ def _deflate(params: ModelParams) -> _Deflated:
     g, omegas = coupling_matrix(params), mode_frequencies(params)
     _, sigma, vh = np.linalg.svd(np.linalg.qr(g, mode="r"))
     tol = _CLUSTER_ULPS * _EPS * (max(1.0, epsilon, float(np.max(omegas))) + sigma[0])
-    rank = max(1, int(np.count_nonzero(sigma > tol)))
+    spin_tol = tol + _CLUSTER_ULPS * _EPS * sigma[0] * np.sqrt(g.shape[0])
+    rank = max(1, int(np.count_nonzero(sigma > spin_tol)))
     spin = vh.conj().T if rank < n else np.eye(n)
     if rank < n:
         g = g @ spin[:, :rank]
@@ -198,9 +208,11 @@ def _deflate(params: ModelParams) -> _Deflated:
         if s[0] > tol:
             g[k], coupled[k] = s[0] * wh[0], True
     rank = rank if coupled.any() else 1
+    g = g[coupled, :rank]
+    gg = (g.conj()[:, :, None] * g[:, None, :]).reshape(g.shape[0], rank * rank)
     return _Deflated(
-        spin[:, :rank], spin[:, rank:], omegas[coupled], g[coupled, :rank], omegas[~coupled],
-        epsilon, float(sigma[0]),
+        spin[:, :rank], spin[:, rank:], omegas[coupled], g, gg, omegas[~coupled], epsilon,
+        float(sigma[0]),
     )
 
 
@@ -225,73 +237,130 @@ def _row_chunks(n_rows: int, n_cols: int):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _secular_energies(
-    poles: np.ndarray, sqrt_w: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The n_p + 1 zeros of P over n_p distinct poles, ascending, and the
-    slope P' at each.
+class _Brackets(NamedTuple):
+    """One row per zero, ascending (see _brackets)."""
+
+    origin: np.ndarray  # the index of the pole it is held from, the pole of its half
+    base: np.ndarray  # that pole
+    tau: np.ndarray  # its start offset from base
+    lo: np.ndarray  # its bracket (lo, hi), as offsets from base
+    hi: np.ndarray
+    delta_far: np.ndarray  # the gap's other pole, from base (0 outside the poles)
+    far_left: np.ndarray  # base is the gap's right-hand pole
+    side: np.ndarray  # -1 below the lowest pole, 1 above the highest, else 0
+    branch: np.ndarray  # the index i of the sorted branch mu_i that vanishes at it
+
+
+def _brackets(
+    model: _Deflated, reach: float, probe, below: np.ndarray, tau_k: np.ndarray
+) -> _Brackets:
+    """The zeros' gaps, branches, brackets and starts over the reduced
+    problem's poles, for either route, from the counts below_k = #{E_j <
+    omega_k} and the offsets tau_k from omega_k of the zero attached to it
+    (selfenergy._count; NaN: none).
+
+    Zero j (0-based) has left_j = #{omega_k < E_j} and vanishes on branch
+    r - 1 - j + left_j: M(E) has that many negative eigenvalues just below
+    E_j (at rank one, one zero per gap on branch 0). Outside the poles the
+    bracket reaches reach >= ||G||_2 beyond min(epsilon, omega_min) and
+    max(epsilon, omega_max), past every zero, and the zero starts
+    mid-bracket. A zero alone in its gap starts from the offset tau_k of the
+    pole on its own side where that lies inside the gap (and inside its near
+    half between two poles). Every other interior zero takes the half of its
+    gap that the route's probe(lower, half, branch) picks (lower: the gap's
+    left pole, half: half its width) from its function's sign at the gap's
+    midpoint. The probe returns, per zero, whether it lies in the right
+    half, the midpoint's offset from that half's pole, which ends its
+    bracket, and a start offset from that pole, taken where it lies inside
+    the half, else the middle of the half.
+    """
+    omegas = model.omegas
+    nb, n = model.g.shape
+    j = np.arange(nb + n)
+    left = np.searchsorted(below, j, side="right")
+    branch = n - 1 - j + left
+    side = np.where(left == 0, -1, np.where(left == nb, 1, 0))
+    lower, upper = np.maximum(left - 1, 0), np.minimum(left, nb - 1)
+    width = omegas[upper] - omegas[lower]  # 0 outside the poles
+    half = 0.5 * width
+    t_low, t_up = tau_k[lower], tau_k[upper]
+    lone = np.bincount(left, minlength=nb + 1)[left] == 1
+    from_low = lone & (t_low > 0.0) & ((t_low < half) | (side > 0))
+    from_up = lone & (t_up < 0.0) & ((t_up > -half) | (side < 0))
+    up = from_up & ~from_low
+    lo, hi = np.where(up, -width, 0.0), np.where(up, 0.0, width)
+    lo[side < 0] = min(model.epsilon, omegas[0]) - reach - omegas[0]
+    hi[side > 0] = max(model.epsilon, omegas[-1]) + reach - omegas[-1]
+    start = np.where(up, t_up, t_low)
+    use_tau = (from_low ^ from_up) & (start > lo) & (start < hi)
+    tau = np.where(use_tau, start, 0.5 * (lo + hi))
+    origin = np.where(up, upper, lower)
+
+    mid = np.flatnonzero(~use_tau & (side == 0))
+    right, x_mid, start = probe(lower[mid], half[mid], branch[mid])
+    origin[mid], up[mid] = np.where(right, upper[mid], lower[mid]), right
+    lo[mid], hi[mid] = np.minimum(x_mid, 0.0), np.maximum(x_mid, 0.0)
+    tau[mid] = np.where((start > lo[mid]) & (start < hi[mid]), start, 0.5 * x_mid)
+    delta_far = np.where(up, -width, width)
+    return _Brackets(origin, omegas[origin], tau, lo, hi, delta_far, up, side, branch)
+
+
+def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
+    """The n_p + 1 zeros of P over a rank-one reduced problem's n_p coupled
+    modes (distinct poles), ascending, and the slope P' at each.
 
     Every weight W_k lies above the deflation threshold, so P rises strictly
     from -inf to +inf between adjacent poles: zero j lies between poles
-    j - 1 and j, and the outer brackets end sqrt(sum_k W_k) + 1 beyond
-    min(epsilon, omega_1) and max(epsilon, omega_max). Each zero is held as
-    an offset tau from its origin, the nearer pole of its gap by the sign
-    of P at the midpoint (an outer zero takes the outermost pole), and every
+    j - 1 and j, the trivial counts below_k = k + 1 of _brackets, and the
+    outer brackets end sqrt(sum_k W_k) + 1 beyond min(epsilon, omega_1) and
+    max(epsilon, omega_max). Each zero is held as an offset tau from its
+    origin, the nearer pole of its gap by the sign of P at the midpoint (the
+    probe of _brackets; an outer zero takes the outermost pole), and every
     E - omega_k is formed as tau - delta_k with delta_k = omega_k -
     omega_origin, so a zero an ulp from its pole keeps its full relative
     accuracy. An interior iteration starts from the zero of the model that
     keeps the gap's two poles exact and freezes the other terms at the
-    midpoint; an outer one starts mid-bracket. The midpoint sums and every
-    step take their pole sums from one evaluate: the near/far sums of at
-    least _GRID_POLES evenly spaced poles (_grid_evaluate), O(_NEAR +
-    _ORDER) per root after O(n_p log n_p) tables, else the dense sums in
-    row chunks, O(n_p) per root, whose last evaluation gives the slopes. On
-    the near/far sums one dense pass at the zeros gives the slopes instead
-    and checks every zero's residual |P(E_j)| against _SECULAR_ULPS ulp of
-    the scale of P's rounding (_secular_residuals); it raises
-    DiagonalizationError where one fails (NaN included), the independent
-    check of the near/far sums. A zero within half an ulp of
-    its origin is returned as the neighbouring float on its own side, so
-    every zero stays strictly inside its open bracket (1 ulp of error).
+    midpoint (the probe's start); an outer one starts mid-bracket. The
+    midpoint sums and every step take their pole sums from one evaluate: the
+    near/far sums of at least _GRID_POLES evenly spaced poles
+    (_grid_evaluate), O(_NEAR + _ORDER) per root after O(n_p log n_p)
+    tables, else the dense sums in row chunks, O(n_p) per root, whose last
+    evaluation gives the slopes. On the near/far sums one dense pass at the
+    zeros gives the slopes instead and checks every zero's residual |P(E_j)|
+    against _SECULAR_ULPS ulp of the scale of P's rounding
+    (_secular_residuals); it raises DiagonalizationError where one fails
+    (NaN included), the independent check of the near/far sums. A zero
+    within half an ulp of its origin is returned as the neighbouring float
+    on its own side, so every zero stays strictly inside its open bracket
+    (1 ulp of error).
     """
+    poles, epsilon = model.omegas, model.epsilon
+    sqrt_w = np.abs(model.g[:, 0])
     n_p = poles.size
-    reach = float(np.linalg.norm(sqrt_w)) + 1.0
-    origin = np.concatenate([[0], np.arange(n_p)])
-    lo = np.zeros(n_p + 1)
-    hi = np.zeros(n_p + 1)
-    lo[0] = min(epsilon, poles[0]) - reach - poles[0]
-    hi[-1] = max(epsilon, poles[-1]) + reach - poles[-1]
-    tau = 0.5 * (lo + hi)
     # the (rows x poles) buffer of the dense sums
     work = np.empty((min(_row_chunks(n_p + 1, n_p)[0].stop, n_p + 1), n_p))
     evaluate = _in_chunks(_secular_evaluate(poles, sqrt_w, work), n_p)
     near_far = _grid_evaluate(poles, sqrt_w, evaluate)
     if near_far is not None:  # its rows hold the window and a row of moments
         evaluate = _in_chunks(near_far, 2 * _NEAR + 2 * _ORDER + 2)
+
+    def probe(lower, half, branch):
+        mid = poles[lower] + half
+        p_mid = evaluate(mid - poles[lower], poles[lower], poles[lower] - epsilon, lower)[0]
+        right = p_mid < 0.0  # the zero lies in the right half of its gap
+        near, far = lower + right, lower + ~right
+        w_o, w_f = sqrt_w[near] ** 2, sqrt_w[far] ** 2
+        c = p_mid - w_o / (poles[near] - mid) - w_f / (poles[far] - mid)
+        return right, mid - poles[near], _offset_zero(c, w_o, w_f, poles[far] - poles[near])
+
     # offsets of roots a few ulp from a pole overflow or underflow their pole
     # terms; the bracket test turns a non-finite step into a bisection
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        if n_p > 1:
-            mid = poles[:-1] + 0.5 * np.diff(poles)
-            gap = np.arange(n_p - 1)  # the midpoints, from the left pole of their gap
-            p_mid = evaluate(mid - poles[:-1], poles[:-1], poles[:-1] - epsilon, gap)[0]
-            left = p_mid >= 0.0  # the zero lies in the left half of its gap
-            origin[1:-1] = np.where(left, gap, gap + 1)
-            lo[1:-1] = np.where(left, 0.0, mid - poles[1:])
-            hi[1:-1] = np.where(left, mid - poles[:-1], 0.0)
-            near, far = origin[1:-1], np.where(left, gap + 1, gap)
-            w_o, w_f = sqrt_w[near] ** 2, sqrt_w[far] ** 2
-            c = p_mid - w_o / (poles[near] - mid) - w_f / (poles[far] - mid)
-            start = _offset_zero(c, w_o, w_f, poles[far] - poles[near])
-            inside = (start > lo[1:-1]) & (start < hi[1:-1])
-            tau[1:-1] = np.where(inside, start, 0.5 * (lo[1:-1] + hi[1:-1]))
-        gap = np.arange(n_p + 1)
-        base = poles[origin]
-        far_left = origin == gap  # the origin is the right-hand pole of the gap
-        far = np.clip(np.where(far_left, gap - 1, gap), 0, n_p - 1)
-        side = np.where(gap == 0, -1, np.where(gap == n_p, 1, 0))
+        reach = float(np.linalg.norm(sqrt_w)) + 1.0
+        brackets = _brackets(model, reach, probe, np.arange(1, n_p + 1), np.full(n_p, np.nan))
+        base, origin = brackets.base, brackets.origin
         data = (base, base - epsilon, origin)
-        tau, slope = _iterate(evaluate, data, tau, lo, hi, poles[far] - base, far_left, side)
+        tau, slope = _iterate(evaluate, data, brackets)
         if near_far is not None:
             p, d_all, scale = _in_chunks(_secular_residuals(poles, sqrt_w, work), n_p)(tau, *data)
             residual = np.abs(p) / (_EPS * (np.abs(base - epsilon) + np.abs(tau) + scale))
@@ -518,10 +587,12 @@ def _in_chunks(evaluate, n_cols):
     return chunked
 
 
-def _iterate(evaluate, data, tau, lo, hi, delta_far, far_left, side):
+def _iterate(evaluate, data, brackets: _Brackets):
     """Safeguarded rational root iteration of every bracket at once, each
-    zero held as an offset tau from its origin pole (see _secular_energies and
-    _refine); each zero's steps depend on its own bracket alone.
+    zero held as an offset tau from its origin pole, from the one record of
+    brackets and starts that _brackets, the bracket builder of both routes,
+    made with the route's midpoint probe (see _secular_energies and
+    selfenergy._refine); each zero's steps depend on its own bracket alone.
 
     The function is E - epsilon - sum_k W_k / (E - omega_k), with weights
     W_k >= 0 that may change from step to step. evaluate(tau, *data) gives
@@ -529,9 +600,9 @@ def _iterate(evaluate, data, tau, lo, hi, delta_far, far_left, side):
     slope less 1) and the part psi' of that sum from the poles left of tau
     (_in_chunks runs it over the rows in chunks); data holds the per-row
     arrays that evaluate reads, pruned with the rows as their zeros finish.
-    delta_far is the gap's other pole from the origin, far_left whether it
-    lies left of it, and side -1 (1) for a zero below (above) every pole,
-    else 0. Interior zeros then take R.-C. Li's middle-way step (LAPACK
+    Of the brackets' rows, delta_far is the gap's other pole from the
+    origin, far_left whether it lies left of it, and side -1 (1) for a zero
+    below (above) every pole, else 0. Interior zeros then take R.-C. Li's middle-way step (LAPACK
     Working Note 89, 1994): the zero of the model
     c + s_o / (0 - x) + s_f / (delta_f - x) with the gap's two poles, whose
     coefficients match the pole sums' slopes psi' and phi' on either side of
@@ -546,6 +617,8 @@ def _iterate(evaluate, data, tau, lo, hi, delta_far, far_left, side):
     a few ulp of its ends. Returns the offsets and the slopes 1 + d_all of
     the last evaluation, at most a few ulp away.
     """
+    tau, lo, hi = brackets.tau, brackets.lo, brackets.hi
+    delta_far, far_left, side = brackets.delta_far, brackets.far_left, brackets.side
     out_tau = np.empty(tau.size)
     out_slope = np.empty(tau.size)
     index = np.arange(tau.size)
@@ -650,11 +723,10 @@ def _secular_spectrum(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     eps, poles = model.epsilon, model.omegas
     if not poles.size:
         return np.array([eps]), np.ones(1)
-    sqrt_w = np.abs(model.g[:, 0])
-    zeros, slope = _secular_energies(poles, sqrt_w, eps)
+    zeros, slope = _secular_energies(model)
     weights = 1.0 / slope
 
-    scale = max(1.0, float(np.sqrt(eps**2 + poles @ poles + 2.0 * sqrt_w @ sqrt_w)))
+    scale = max(1.0, float(np.sqrt(eps**2 + poles @ poles + 2.0 * model.norm**2)))
     defect = abs(float(zeros.sum()) - (eps + float(poles.sum())))
     if not defect <= _RESIDUAL_RTOL * scale:  # written so that NaN fails
         raise DiagonalizationError(

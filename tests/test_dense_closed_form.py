@@ -361,7 +361,7 @@ def test_counts_and_energies_against_eigvalsh(params):
     h = np.diag(np.concatenate([np.full(r, params.epsilon), omegas])).astype(g.dtype)
     h[r:, :r], h[:r, r:] = g, g.conj().T
     want = np.linalg.eigvalsh(h)
-    below, _ = qregsim.selfenergy._count(qregsim.selfenergy._coupled_modes(model), params.epsilon)
+    below, _ = qregsim.selfenergy._count(model)
     low, high = np.searchsorted(want, omegas - tol), np.searchsorted(want, omegas + tol)
     assert np.all((low <= below) & (below <= high))
     assert np.array_equal(below[low == high], low[low == high])

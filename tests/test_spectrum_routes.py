@@ -13,6 +13,7 @@ from qregsim import (
     RegisterShape,
     UniformCoupling,
     build_h1,
+    build_preset,
     parse_config_file,
     spin_spectrum,
     symmetric_spectrum,
@@ -58,6 +59,21 @@ MODELS = {
          "coupling.g0 = 0", "coupling.xi = 1"],
         None,
         0,
+    ),
+    # strong uniform coupling: G is exactly rank one, but its QR rounds the
+    # second singular value to 20 ulp of the first, above the 16-ulp
+    # tolerance of the frequencies; the QR's own rounding keeps it dark
+    "uniform_strong": (
+        ["register.n_qubits = 4", "register.n_modes = 1000", "coupling.type = uniform",
+         "coupling.g0 = 0.5"],
+        None,
+        1,
+    ),
+    "uniform_strongest": (
+        ["register.n_qubits = 4", "register.n_modes = 1000", "coupling.type = uniform",
+         "coupling.g0 = 1"],
+        None,
+        1,
     ),
     # near-dark pairs (overlaps of 1e-13 when each eigenvector comes from an
     # N x N eigh), which the deflated eigenvectors of near-pole energies
@@ -135,9 +151,9 @@ def test_each_route_iterates_once_over_every_root(route, monkeypatch):
     calls = []
     iterate = spectral._iterate
 
-    def counted(evaluate, data, tau, *args):
-        calls.append(tau.size)
-        return iterate(evaluate, data, tau, *args)
+    def counted(evaluate, data, brackets):
+        calls.append(brackets.tau.size)
+        return iterate(evaluate, data, brackets)
 
     monkeypatch.setattr(spectral, "_iterate", counted)
     monkeypatch.setattr(selfenergy, "_iterate", counted)
@@ -173,3 +189,47 @@ def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
     if name == "secular":
         assert np.all(np.abs(roots_7 - roots) <= np.spacing(np.abs(roots)))
         assert np.max(np.abs(weights_7 - weights)) <= 1e-15
+
+
+def test_strong_coupling_at_scale_stays_rank_one(monkeypatch):
+    # the QR of this exactly rank-one G rounds its second singular value to
+    # 47 ulp of the first: it stays dark, so the secular route serves the
+    # model and diagonalize (d = 4004) never runs
+    params = ModelParams(RegisterShape(4, 4000), UniformCoupling(0.1))
+    assert spectral._deflate(params).g.shape[1] == 1
+
+    def refused(h):
+        raise AssertionError("the secular route fell back to diagonalize")
+
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", refused)
+    energies, spin, roots = spin_spectrum(params)
+    assert roots.shape == (4001,) and energies.shape == (4004,)
+    assert np.max(np.abs(spin @ spin.T - np.eye(4))) <= 1e-12
+
+
+# the deflated rank r of each model, which picks its route (r <= 1 the
+# secular iteration, r >= 2 the closed form): the presets' models (fig4 and
+# fig5 are acceptance criterion 9's models at xi = 1, 5 and 10), the
+# benchmark's two bath models, criterion 9's xi = 1e8 model and cosine
+# models approaching the uniform limit, each as the deflation measured it
+PRESET_RANKS = {"fig1": 1, "fig2": 1, "fig3": 1, "fig4": 2, "fig5": 2}
+RANKS = {
+    "bath_cosine": (ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1.0)), 4),
+    "bath_uniform": (ModelParams(RegisterShape(4, 1000), UniformCoupling(0.01)), 1),
+    "criterion_9_xi1e8": (ModelParams(RegisterShape(2, 200), CosineCoupling(0.01, 1e8)), 1),
+    "cosine_xi1e3": (ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1e3)), 3),
+    "cosine_xi1e4": (ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1e4)), 2),
+    "cosine_xi1e8": (ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1e8)), 1),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_RANKS)
+def test_preset_routes_are_stable(name):
+    for run in build_preset(name):
+        assert spectral._deflate(run.params).g.shape[1] == PRESET_RANKS[name]
+
+
+@pytest.mark.parametrize("name", RANKS)
+def test_model_routes_are_stable(name):
+    params, rank = RANKS[name]
+    assert spectral._deflate(params).g.shape[1] == rank
