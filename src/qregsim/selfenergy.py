@@ -8,13 +8,15 @@ model: it counts the energies between adjacent mode frequencies by inertia
 (`spectral._brackets`, whose midpoint probe here is the sign of the
 energy's branch of the self-energy M(E)), refines each on its branch with
 the secular route's safeguarded rational iteration (`spectral._iterate`),
-and takes the spin rows of the eigenvectors from M(E). It never forms a
-d x d matrix: the count, the pole sums of every step and the certificate
-run in the row chunks of `spectral._row_chunks`, O(d N_b r^2) time and
-O(chunk N_b) memory. Its pole sums stay dense on an evenly spaced bath
-too: the secular route's near/far sums, carried over to the r^2 entries
-of M(E), moved the certificate's verdict on near-dark models at its
-overlap bound both ways.
+and takes the spin rows of the eigenvectors from M(E). One kernel,
+`_self_energy`, forms M(E) and the row 1 / (E - omega_k) under it for
+every one of these passes, and one chunk loop, `spectral._in_chunks`, runs
+each of them (the count, the midpoint probe, every step, the eigenvectors
+and the overlaps of the certificate) in row chunks. It never forms a
+d x d matrix: O(d N_b r^2) time and O(chunk N_b) memory. Its pole sums
+stay dense on an evenly spaced bath too: the secular route's near/far
+sums, carried over to the r^2 entries of M(E), moved the certificate's
+verdict on near-dark models at its overlap bound both ways.
 It certifies its result or raises DiagonalizationError, on which
 `dynamics.spin_spectrum` falls back to `spectral.diagonalize`.
 """
@@ -34,11 +36,11 @@ from .spectral import (
     _assemble,
     _Brackets,
     _brackets,
+    _chunk_rows,
     _deflate,
     _Deflated,
     _in_chunks,
     _iterate,
-    _row_chunks,
 )
 
 __all__ = ["closed_form_spectrum"]
@@ -156,41 +158,38 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     closed_form_spectrum).
 
     A_k = (omega_k - epsilon) I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)
-    is one GEMM of a row chunk of the Cauchy matrix (diagonal 0) with the gg
-    table. Haynsworth additivity on the pivot A_k gives B_k the inertia of
-    A_k plus that of its Schur complement -tau_k, so one batched r x r eigh
-    A_k = Q diag(lambda) Q^H gives both tau_k = sum_i |q_i^H u_k|^2 / lambda_i
-    and #{positive eigenvalues of B_k} = #{lambda_i > 0} + [tau_k < 0]. A
-    bordered matrix with a zero corner and u_k != 0 has at least one
-    eigenvalue of each sign; counts that break this, or that fall from one
-    frequency to the next, and a singular A_k (tau_k not finite) raise
-    DiagonalizationError. With M(omega_k + x) = A_k + x D_k - u_k u_k^H / x
-    + O(x^2), the offset solves x = u_k^H (A_k + x D_k)^-1 u_k, and one
-    Newton step from tau_k gives tau_k / (1 + z^H D_k z) with z = A_k^-1 u_k;
+    is M(omega_k) without the pole of mode k: the kernel _self_energy at
+    t = 0 from omega_k with origin k, one GEMM of a row chunk of the Cauchy
+    matrix 1 / (omega_k - omega_j) (diagonal 0) with the gg table, the
+    chunks run by _in_chunks. Haynsworth additivity on the pivot A_k gives
+    B_k the inertia of A_k plus that of its Schur complement -tau_k, so one
+    batched r x r eigh A_k = Q diag(lambda) Q^H gives both
+    tau_k = sum_i |q_i^H u_k|^2 / lambda_i and #{positive eigenvalues of
+    B_k} = #{lambda_i > 0} + [tau_k < 0]. A bordered matrix with a zero
+    corner and u_k != 0 has at least one eigenvalue of each sign; counts
+    that break this, or that fall from one frequency to the next, and a
+    singular A_k (tau_k not finite) raise DiagonalizationError. With
+    M(omega_k + x) = A_k + x D_k - u_k u_k^H / x + O(x^2), the offset solves
+    x = u_k^H (A_k + x D_k)^-1 u_k, and one Newton step from tau_k gives
+    tau_k / (1 + z^H D_k z) with z = A_k^-1 u_k;
     D_k = I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)^2 is one
     more GEMM, of the squared Cauchy chunk.
     """
     nb, n = model.g.shape
-    below = np.empty(nb, dtype=np.intp)
-    tau = np.empty(nb)
-    chunks = _row_chunks(nb, nb)
-    work = np.empty((min(chunks[0].stop, nb), nb))
-    for rows in chunks:
-        k = np.arange(nb)[rows]
-        cauchy = np.subtract(model.omegas, model.omegas[rows, None], out=work[: k.size])
-        cauchy[np.arange(k.size), k] = np.inf
-        np.divide(1.0, cauchy, out=cauchy)
-        a = (cauchy @ model.gg).reshape(-1, n, n)
-        a[:, np.arange(n), np.arange(n)] += (model.omegas[rows] - model.epsilon)[:, None]
+    work = np.empty((_chunk_rows(nb, nb), nb))
+
+    def count(k):
+        cauchy, a = _self_energy(model, np.zeros(k.size), model.omegas[k], work[: k.size], k)
         lam, q = np.linalg.eigh(a)
-        proj = np.einsum("kai,ka->ki", q, model.g[rows])  # conj(Q^H u_k)
+        proj = np.einsum("kai,ka->ki", q, model.g[k])  # conj(Q^H u_k)
         t = np.sum(np.abs(proj) ** 2 / lam, axis=1)
-        below[rows] = k + np.count_nonzero(lam > 0.0, axis=1) + (t < 0.0)
         z = np.einsum("kai,ki->ka", q, proj.conj() / lam)
         np.multiply(cauchy, cauchy, out=cauchy)
         slope = (cauchy @ model.gg).reshape(-1, n, n)  # D_k - I
         s = np.einsum("ka,kab,kb->k", z.conj(), slope, z).real + np.einsum("ka,ka->k", z.conj(), z).real
-        tau[rows] = t / (1.0 + s)
+        return k + np.count_nonzero(lam > 0.0, axis=1) + (t < 0.0), t / (1.0 + s)
+
+    below, tau = _in_chunks(count, nb)(np.arange(nb))
     positive = below - np.arange(nb)
     if not (np.all(np.isfinite(tau)) and np.all((positive >= 1) & (positive <= n))
             and np.all(np.diff(below) >= 0)):
@@ -201,14 +200,15 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
 def _midpoint_probe(model: _Deflated, lower, half, branch):
     """probe of spectral._brackets on the branches: whether each energy lies
     in the right half of its gap, by the sign of its branch at the gap's
-    midpoint (one eigh per row, in row chunks), that midpoint from the
-    half's pole and, as the start, the middle of the half."""
-    right = np.empty(lower.size, dtype=bool)
-    for rows in _row_chunks(lower.size, model.omegas.size):
-        base = model.omegas[lower[rows]]
-        r = _reciprocal(half[rows], model.omegas, base)
-        mu = _self_energy_eigh(model, r, (base - model.epsilon) + half[rows])[0]
-        right[rows] = mu[np.arange(base.size), branch[rows]] < 0.0
+    midpoint (one eigh of the kernel's M(E) per row, in the row chunks of
+    _in_chunks), that midpoint from the half's pole and, as the start, the
+    middle of the half. No rows give empty outputs."""
+
+    def right_half(lower, half, branch):
+        mu = np.linalg.eigh(_self_energy(model, half, model.omegas[lower])[1])[0]
+        return (mu[np.arange(lower.size), branch] < 0.0,)
+
+    (right,) = _in_chunks(right_half, model.omegas.size)(lower, half, branch)
     x_mid = np.where(right, -half, half)
     return right, x_mid, 0.5 * x_mid
 
@@ -216,12 +216,12 @@ def _midpoint_probe(model: _Deflated, lower, half, branch):
 def _branch_evaluate(model: _Deflated, rows: int, offsets: np.ndarray, vectors: np.ndarray):
     """evaluate(tau, base, branch, position) of _iterate on the branches,
     on at most rows rows (one chunk of _in_chunks): at E = base + tau the
-    counted branch's v, then f_v(E) = E - epsilon - sum_k W_k / (E - omega_k)
-    with W_k = |(G v)_k|^2, the sum of its pole terms' slopes
-    W_k / (E - omega_k)^2 and that sum over the poles left of tau. Each
-    call also stores tau and v at the rows' positions in offsets and
-    vectors, so that every energy keeps its last evaluation, whose v is
-    exact there. The (rows x modes) arrays live in three buffers allocated
+    counted branch's v, from an eigh of the kernel's M(E), then
+    f_v(E) = E - epsilon - sum_k W_k / (E - omega_k) with W_k = |(G v)_k|^2,
+    the sum of its pole terms' slopes W_k / (E - omega_k)^2 and that sum
+    over the poles left of tau. Each call also stores tau and v at the
+    rows' positions in offsets and vectors, so that every energy keeps its
+    last evaluation, whose v is exact there. The (rows x modes) arrays live in three buffers allocated
     once: a fresh array of that size costs more than the pass that fills
     it."""
     r_buf = np.empty((rows, model.omegas.size))
@@ -231,9 +231,8 @@ def _branch_evaluate(model: _Deflated, rows: int, offsets: np.ndarray, vectors: 
 
     def evaluate(tau, base, branch, position):
         q, w = q_buf[: tau.size], w_buf[: tau.size]
-        r = _reciprocal(tau, model.omegas, base, r_buf[: tau.size])
-        e_eps = (base - model.epsilon) + tau
-        v = _self_energy_eigh(model, r, e_eps)[1][np.arange(tau.size), :, branch]
+        r, m = _self_energy(model, tau, base, r_buf[: tau.size])
+        v = np.linalg.eigh(m)[1][np.arange(tau.size), :, branch]
         offsets[position], vectors[position] = tau, v
         np.matmul(v, g_t, out=w)
         if w.dtype.kind == "c":
@@ -241,7 +240,7 @@ def _branch_evaluate(model: _Deflated, rows: int, offsets: np.ndarray, vectors: 
             w = q
         np.multiply(w, w, out=q)
         q *= r
-        f = e_eps - q.sum(axis=1)
+        f = ((base - model.epsilon) + tau) - q.sum(axis=1)
         d_all = np.einsum("ij,ij->i", q, r)
         np.maximum(q, 0.0, out=q)  # the poles left of tau
         return f, d_all, np.einsum("ij,ij->i", q, r)
@@ -252,13 +251,12 @@ def _branch_evaluate(model: _Deflated, rows: int, offsets: np.ndarray, vectors: 
 def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     """Each energy's offset from brackets.base at the last evaluation of the
     safeguarded iteration of _iterate, one iteration over every energy
-    whose evaluations run in row chunks, where its step had fallen to a few
-    ulp of the offset or its bracket had collapsed, and the branch's
-    eigenvector v there, one row per energy."""
+    whose evaluations run in the row chunks of _in_chunks, where its step
+    had fallen to a few ulp of the offset or its bracket had collapsed, and
+    the branch's eigenvector v there, one row per energy."""
     size, nb = brackets.tau.size, model.omegas.size
     offsets, vectors = np.empty(size), np.empty((size, model.g.shape[1]), dtype=model.g.dtype)
-    rows = min(_row_chunks(size, nb)[0].stop, size)
-    evaluate = _in_chunks(_branch_evaluate(model, rows, offsets, vectors), nb)
+    evaluate = _in_chunks(_branch_evaluate(model, _chunk_rows(size, nb), offsets, vectors), nb)
     _iterate(evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets)
     return offsets, vectors
 
@@ -297,27 +295,17 @@ def _branch_roots(
     [R y - u_o b_o; 0; tau b_o - g_o . y] / c (zero on the other modes by
     construction), formed without dividing by tau, and the pair's Rayleigh
     quotient lies y^H (R y - u_o b_o) + conj(b_o) (tau b_o - g_o . y), over
-    c^2, from E.
+    c^2, from E. R(E) is the kernel's M(E) with the origin given
+    (_self_energy), and the energies run in the row chunks of _in_chunks,
+    each chunk's (rows x modes) arrays in buffers allocated once.
     """
-    (nb, n), size = model.g.shape, tau.size
-    columns = np.empty((n, size), dtype=model.g.dtype)
-    bath = np.empty(size, dtype=model.g.dtype)
-    shift, residual = np.empty(size), np.empty(size)
-    chunks = _row_chunks(size, nb)
-    rows = min(chunks[0].stop, size)
-    r_buf = np.empty((rows, nb))
-    w_buf, b_buf = np.empty((2, rows, nb), dtype=model.g.dtype)
-    for idx in chunks:
-        t, o = tau[idx], brackets.origin[idx]
-        m, base = t.size, brackets.base[idx]
-        e_eps = (base - model.epsilon) + t
-        r = _reciprocal(t, model.omegas, base, r_buf[:m])
-        r_o = r[np.arange(m), o]
-        r[np.arange(m), o] = 0.0
-        regular = np.negative(r @ model.gg).reshape(-1, n, n)
-        regular[:, np.arange(n), np.arange(n)] += e_eps[:, None]
-        if not np.all(np.isfinite(regular)):
-            raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
+    nb = model.omegas.size
+    r_buf = np.empty((_chunk_rows(tau.size, nb), nb))
+    w_buf, b_buf = np.empty((2, *r_buf.shape), dtype=model.g.dtype)
+
+    def roots(t, o, base, vectors):
+        m, e_eps = t.size, (base - model.epsilon) + t
+        r, regular = _self_energy(model, t, base, r_buf[:m], o)
         u = model.g[o].conj()
         try:
             y = np.linalg.solve(regular, u[:, :, None])[:, :, 0]
@@ -327,8 +315,8 @@ def _branch_roots(
         pair = _pair(y, b_o, r, o, e_eps, t, model, w_buf[:m], b_buf[:m])
         redo = np.flatnonzero(~(pair[-1] <= (_EPS * (base + t)) ** 2))
         if redo.size:
-            v = vectors[idx][redo]
-            b_v = r_o[redo] * np.einsum("ij,ij->i", model.g[o[redo]], v)
+            v = vectors[redo]
+            b_v = np.reciprocal(t[redo]) * np.einsum("ij,ij->i", model.g[o[redo]], v)
             other = _pair(v, b_v, r[redo], o[redo], e_eps[redo], t[redo], model)
             keep = ~(other[-1] >= pair[-1][redo])  # written so that a NaN loses
             better = redo[keep]
@@ -336,11 +324,10 @@ def _branch_roots(
             for a, a_other in zip(pair, other):
                 a[better] = a_other[keep]
         c2, spin, pole, res2 = pair
-        columns[:, idx] = (y / np.sqrt(c2)[:, None]).T
-        bath[idx] = b_o / np.sqrt(c2)
         quotient = np.einsum("ij,ij->i", y.conj(), spin) + b_o.conj() * pole
-        shift[idx] = np.abs(quotient) / c2
-        residual[idx] = np.sqrt(res2)
+        return (y / np.sqrt(c2)[:, None]).T, b_o / np.sqrt(c2), np.abs(quotient) / c2, np.sqrt(res2)
+
+    columns, bath, shift, residual = _in_chunks(roots, nb)(tau, brackets.origin, brackets.base, vectors)
     return _Roots(brackets.base + tau, columns, shift, residual, brackets.base, tau, brackets.origin, bath)
 
 
@@ -370,29 +357,39 @@ def _phase_error(energies: np.ndarray, roots: _Roots) -> float:
     return float(np.sum(np.abs(roots.columns) ** 2, axis=0) @ error)
 
 
-def _reciprocal(t, omegas, base, out=None):
+def _reciprocal(t, omegas, base, out=None, origin=None):
     """1 / (E - omega_k) = 1 / (t - delta_k) with delta_k = omega_k - base
     (formed as the secular evaluation forms it), one row per offset t from
-    its base, in out if given."""
+    its base, in out if given: the one place the closed form forms it. The
+    entry of each row's origin, if given, is set to inf before the
+    reciprocal, so that its term is exactly 0, with no division by zero."""
     r = np.subtract(omegas, base[:, None], out=out)
     np.subtract(t[:, None], r, out=r)
+    if origin is not None:
+        r[np.arange(t.size), origin] = np.inf
     return np.reciprocal(r, out=r)
 
 
-def _self_energy_eigh(model: _Deflated, r, e_eps):
-    """Batched eigh of M = (E - epsilon) I - r @ gg, one r x r matrix per row."""
+def _self_energy(model: _Deflated, t, base, out=None, origin=None):
+    """The one self-energy kernel of the closed form: at E = base + t, the
+    rows r = 1 / (E - omega_k) of _reciprocal (in out if given) and
+    M(E) = (E - epsilon) I - r @ gg, one r x r matrix per row, without the
+    pole of each row's origin if given. A non-finite M(E) (an energy on a
+    coupled frequency) raises DiagonalizationError."""
     n = model.g.shape[1]
-    m = -(r @ model.gg).reshape(-1, n, n)
-    m[:, np.arange(n), np.arange(n)] += e_eps[:, None]
+    r = _reciprocal(t, model.omegas, base, out, origin)
+    m = np.negative(r @ model.gg).reshape(-1, n, n)
+    m[:, np.arange(n), np.arange(n)] += ((base - model.epsilon) + t)[:, None]
     if not np.all(np.isfinite(m)):
         raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
-    return np.linalg.eigh(m)
+    return r, m
 
 
 def _max_overlap(roots: _Roots, model: _Deflated) -> float:
     """The largest overlap of two eigenvectors whose bound
-    (||r_i|| + ||r_j||) / |E_i - E_j| exceeds _OVERLAP_TOL, computed, or inf
-    if more than d pairs do. The energies ascend."""
+    (||r_i|| + ||r_j||) / |E_i - E_j| exceeds _OVERLAP_TOL, computed in the
+    row chunks of _in_chunks (0 if there is none), or inf if more than d
+    pairs do or a residual is not finite. The energies ascend."""
     e, residual, d = roots.energies, roots.residual, roots.energies.size
     reach = 2.0 * float(np.max(residual)) / _OVERLAP_TOL
     if not np.isfinite(reach):
@@ -407,13 +404,14 @@ def _max_overlap(roots: _Roots, model: _Deflated) -> float:
         if sum(p.shape[1] for p in pairs) > d:
             return np.inf
     i, j = np.concatenate(pairs, axis=1) if pairs else np.zeros((2, 0), dtype=int)
-    worst = [0.0]
-    for rows in _row_chunks(i.size, model.omegas.size):
-        a, b = i[rows], j[rows]
+
+    def overlaps(a, b):
         overlap = np.einsum("ij,ij->j", roots.columns[:, a].conj(), roots.columns[:, b])
         overlap += np.einsum("ij,ij->i", _bath_part(roots, a, model).conj(), _bath_part(roots, b, model))
-        worst.append(np.max(np.abs(overlap)))
-    return float(np.max(worst))
+        return (np.abs(overlap),)
+
+    (overlap,) = _in_chunks(overlaps, model.omegas.size)(i, j)
+    return float(np.max(overlap, initial=0.0))
 
 
 def _bath_part(roots: _Roots, idx: np.ndarray, model: _Deflated) -> np.ndarray:

@@ -20,9 +20,10 @@ linear dispersion is, its pole sums are near/far sums
 (`_grid_evaluate`): O(N_b log N_b) moment tables once, O(N_b (w + P)) per
 step for a window of w poles and P powers, and one dense O(N_b^2) pass at
 the zeros that gives the weights and checks every residual. Otherwise each
-step takes the O(N_b^2) dense sums, in row chunks (`_in_chunks`) that bound
-their buffers. `selfenergy.closed_form_spectrum` shares the bracket
-builder, the iteration and the row chunks at higher rank, with dense sums.
+step takes the O(N_b^2) dense sums, in row chunks that bound their
+buffers, run by `_in_chunks`, the one row-chunk loop of both solvers.
+`selfenergy.closed_form_spectrum` shares the bracket builder, the
+iteration and that loop at higher rank, with dense sums.
 """
 
 from __future__ import annotations
@@ -137,13 +138,9 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
         raise DiagonalizationError(
             f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_RTOL:.0e} * {scale:.3e}"
         )
-    gram_defect = float(
-        np.max(np.abs(evecs.conj().T @ evecs - np.eye(evals.size)))
-    )
+    gram_defect = float(np.max(np.abs(evecs.conj().T @ evecs - np.eye(evals.size))))
     if not gram_defect <= _ORTHO_TOL:  # written so that NaN fails
-        raise DiagonalizationError(
-            f"eigenvectors not orthonormal (Gram defect {gram_defect:.3e})"
-        )
+        raise DiagonalizationError(f"eigenvectors not orthonormal (Gram defect {gram_defect:.3e})")
     return SpectralDecomposition(evals, evecs)
 
 
@@ -232,9 +229,17 @@ def _assemble(
 
 
 def _row_chunks(n_rows: int, n_cols: int):
-    """Slices of _CHUNK_ELEMENTS // n_cols rows, but at least _CHUNK_ROWS."""
+    """Slices of _CHUNK_ELEMENTS // n_cols rows, but at least _CHUNK_ROWS,
+    the chunks of _in_chunks; one empty slice for no rows, so that a
+    chunked function still shapes its empty outputs."""
     step = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // n_cols)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
+
+
+def _chunk_rows(n_rows: int, n_cols: int) -> int:
+    """The rows of the largest of _row_chunks(n_rows, n_cols), the first:
+    the size of a buffer that holds any one chunk."""
+    return min(_row_chunks(n_rows, n_cols)[0].stop, n_rows)
 
 
 class _Brackets(NamedTuple):
@@ -338,7 +343,7 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     sqrt_w = np.abs(model.g[:, 0])
     n_p = poles.size
     # the (rows x poles) buffer of the dense sums
-    work = np.empty((min(_row_chunks(n_p + 1, n_p)[0].stop, n_p + 1), n_p))
+    work = np.empty((_chunk_rows(n_p + 1, n_p), n_p))
     evaluate = _in_chunks(_secular_evaluate(poles, sqrt_w, work), n_p)
     near_far = _grid_evaluate(poles, sqrt_w, evaluate)
     if near_far is not None:  # its rows hold the window and a row of moments
@@ -572,17 +577,22 @@ def _five_smooth(n: int) -> int:
     return best
 
 
-def _in_chunks(evaluate, n_cols):
-    """evaluate of _iterate over any number of rows, built from one that
-    takes at most one chunk of _row_chunks(rows, n_cols): the rows are
-    passed to it slice by slice, so its (rows x n_cols) buffers hold one
-    chunk."""
+def _in_chunks(fn, n_cols):
+    """fn over any number of rows, built from one that takes at most one
+    chunk of _row_chunks(rows, n_cols), the one row-chunk loop of both
+    routes: its per-row arguments are passed to it slice by slice along
+    their first axis, so its (rows x n_cols) buffers hold one chunk, and
+    each of the outputs it returns (a tuple) is written along its last axis
+    into an array allocated once per call, shaped by the first chunk."""
 
-    def chunked(tau, *data):
-        out = np.empty((3, tau.size))
-        for s in _row_chunks(tau.size, n_cols):
-            out[:, s] = evaluate(tau[s], *(a[s] for a in data))
-        return out
+    def chunked(*args):
+        rows, outs = len(args[0]), ()
+        for s in _row_chunks(rows, n_cols):
+            parts = fn(*(a[s] for a in args))
+            outs = outs or tuple(np.empty(p.shape[:-1] + (rows,), p.dtype) for p in parts)
+            for out, part in zip(outs, parts):
+                out[..., s] = part
+        return outs
 
     return chunked
 
@@ -673,10 +683,9 @@ def _iterate(evaluate, data, brackets: _Brackets):
             )
         if done.any():
             keep = ~done
-            index, far_left, delta_far, side, outer = (
-                index[keep], far_left[keep], delta_far[keep], side[keep], outer[keep]
+            index, far_left, delta_far, side, outer, lo, hi, new = (
+                a[keep] for a in (index, far_left, delta_far, side, outer, lo, hi, new)
             )
-            lo, hi, new = lo[keep], hi[keep], new[keep]
             data = tuple(a[keep] for a in data)
         tau = new
     raise DiagonalizationError(f"root iteration did not converge in {_MAX_STEPS} steps")

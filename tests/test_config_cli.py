@@ -20,7 +20,8 @@ from qregsim import (
     parse_config_file,
     prep_vector,
 )
-from qregsim.cli import main
+import qregsim.acceptance
+from qregsim.cli import main, write_atomic
 
 MINIMAL = """
 # minimal weak-coupling run
@@ -476,6 +477,30 @@ output.path = {target}
         )
         assert main(["spectrum", str(cfg)]) == 1
         assert "directory" in capsys.readouterr().err
+
+    def test_check_prints_each_criterion_and_the_tally(self, monkeypatch, capsys):
+        # the check verb's plumbing on two fake criteria: one line each, the
+        # tally, and exit status 1 unless every criterion passes
+        def criteria(second):
+            return ((1, "first", lambda: (True, "ok")), (2, "second", lambda: (second, "detail")))
+
+        monkeypatch.setattr(qregsim.acceptance, "ALL_CRITERIA", criteria(False))
+        assert main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("[PASS] criterion  1 (first) [") and lines[0].endswith("]: ok")
+        assert lines[1].startswith("[FAIL] criterion  2 (second) [") and lines[1].endswith("]: detail")
+        assert lines[2] == "1/2 criteria passed"
+        monkeypatch.setattr(qregsim.acceptance, "ALL_CRITERIA", criteria(True))
+        assert main(["check"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2/2 criteria passed"
+
+    def test_write_atomic_leaves_nothing_when_writing_fails(self, tmp_path):
+        # text that UTF-8 cannot encode fails in the write: neither the
+        # target nor the temporary file is left behind
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(tmp_path / "out.csv", "ok\udc80")
+        assert list(tmp_path.iterdir()) == []
 
     def test_preset_fig2_asymptotics(self, tmp_path):
         assert main(["preset", "fig2", "--out", str(tmp_path / "runs")]) == 0

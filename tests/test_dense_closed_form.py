@@ -333,6 +333,40 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
         assert np.max(np.abs(got - expect)) <= 1e-11
 
 
+def test_self_energy_on_a_coupled_pole_is_refused():
+    # at t = 0 from a coupled pole, with no origin given, that pole's term
+    # 1 / (E - omega_k) is infinite: the kernel refuses the non-finite M(E).
+    # Given as the origin, the pole is left out with no division by zero
+    # (any warning fails a test), and the other terms are kept
+    model = qregsim.spectral._deflate(ModelParams(RegisterShape(3, 20), CosineCoupling(0.05, 1.0)))
+    t, base = np.zeros(1), model.omegas[3:4]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(DiagonalizationError, match="self-energy not finite"):
+            qregsim.selfenergy._self_energy(model, t, base)
+    r, m = qregsim.selfenergy._self_energy(model, t, base, origin=np.array([3]))
+    assert r[0, 3] == 0.0 and np.all(np.isfinite(m))
+    assert np.array_equal(np.delete(r[0], 3), 1.0 / (base - np.delete(model.omegas, 3)))
+
+
+def test_non_finite_residual_is_refused(monkeypatch):
+    # a NaN residual bounds no overlap: _max_overlap returns inf and the
+    # certificate refuses a model it certifies when intact
+    model = qregsim.spectral._deflate(ModelParams(RegisterShape(3, 200), CosineCoupling(0.01, 1.0)))
+    qregsim.selfenergy._closed_form(model)
+    branch_roots, seen = qregsim.selfenergy._branch_roots, []
+
+    def corrupted(*args):
+        roots = branch_roots(*args)
+        roots.residual[roots.residual.size // 2] = np.nan
+        seen.append(qregsim.selfenergy._max_overlap(roots, model))
+        return roots
+
+    monkeypatch.setattr(qregsim.selfenergy, "_branch_roots", corrupted)
+    with pytest.raises(DiagonalizationError, match="eigenvector overlap inf"):
+        qregsim.selfenergy._closed_form(model)
+    assert seen == [np.inf]
+
+
 @settings(max_examples=300, deadline=None)
 @given(params=dense_models())
 @example(params=NEAR_POLE)

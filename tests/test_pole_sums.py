@@ -45,7 +45,7 @@ def _sums(poles, sqrt_w, epsilon, tau, origin):
     origin, and the scales of the dense sums' rounding. The dense value and
     slope are the residual pass's, which adds the largest term apart."""
     nb = poles.size
-    work = np.empty((spectral._row_chunks(tau.size, nb)[0].stop, nb))
+    work = np.empty((spectral._chunk_rows(tau.size, nb), nb))
     dense = spectral._in_chunks(spectral._secular_evaluate(poles, sqrt_w, work), nb)
     residuals = spectral._in_chunks(spectral._secular_residuals(poles, sqrt_w, work), nb)
     near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
@@ -53,7 +53,7 @@ def _sums(poles, sqrt_w, epsilon, tau, origin):
     base = poles[origin]
     data = (base, base - epsilon, origin)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        want, got = dense(tau, *data), np.array(near_far(tau, *data))
+        want, got = np.array(dense(tau, *data)), np.array(near_far(tau, *data))
         value, slope, terms = residuals(tau, *data)
     want[:2] = value, slope
     return want, got, np.abs(base - epsilon) + np.abs(tau) + terms

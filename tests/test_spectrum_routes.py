@@ -9,6 +9,7 @@ import pytest
 import qregsim.dynamics
 from qregsim import (
     CosineCoupling,
+    ExplicitDispersion,
     ModelParams,
     RegisterShape,
     UniformCoupling,
@@ -189,6 +190,43 @@ def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
     if name == "secular":
         assert np.all(np.abs(roots_7 - roots) <= np.spacing(np.abs(roots)))
         assert np.max(np.abs(weights_7 - weights)) <= 1e-15
+
+
+# models whose probe gets no rows: one pole, so no interior gap (secular
+# route), and every interior energy alone in its gap, started from its
+# offset (closed form, rank 2)
+NO_PROBE_ROWS = {
+    "one_mode": ModelParams(
+        RegisterShape(1, 1), UniformCoupling(0.1), dispersion=ExplicitDispersion([1.0])
+    ),
+    "lone_energies": ModelParams(RegisterShape(2, 3), CosineCoupling(0.05, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", NO_PROBE_ROWS)
+def test_probe_without_rows_gives_empty_outputs(name, monkeypatch):
+    params = NO_PROBE_ROWS[name]
+    brackets, sizes = spectral._brackets, []
+
+    def recorded(model, reach, probe, below, tau_k):
+        def counted(lower, half, branch):
+            out = probe(lower, half, branch)
+            sizes.append(lower.size)
+            assert [a.shape for a in out] == [(0,)] * 3
+            return out
+
+        return brackets(model, reach, counted, below, tau_k)
+
+    def no_fallback(h):
+        raise AssertionError("diagonalize called")
+
+    monkeypatch.setattr(spectral, "_brackets", recorded)
+    monkeypatch.setattr(selfenergy, "_brackets", recorded)
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", no_fallback)
+    energies, _, _ = spin_spectrum(params)
+    assert sizes == [0]
+    want = np.linalg.eigvalsh(build_h1(params))
+    assert np.max(np.abs(energies - want)) <= 64 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_strong_coupling_at_scale_stays_rank_one(monkeypatch):
