@@ -2,8 +2,8 @@
 
 The register-bath coupling conserves the total excitation number, so the
 one-excitation sector (dimension N + N_b) carries the full zero-temperature
-dynamics: build the Hamiltonian, take its spectrum once (`spin_spectrum`,
-which picks the route and describes it), and evaluate fidelity,
+dynamics: build the Hamiltonian, take its spectrum once (`spin_spectrum`;
+`dynamics` picks the route in one place and describes it), and evaluate fidelity,
 decoherence function, populations, and entropies on any time grid. Sector
 combinatorics, the secular-equation spectrum of the permutation-symmetric
 sector, scenario presets, and an acceptance suite round out the package.

@@ -6,8 +6,9 @@ Verbs:
   spectrum <config>            eigenvalues (and secular roots) as CSV
   check                        run the acceptance suite
 
-`run` and `spectrum` take their spectrum from `dynamics.spin_spectrum`,
-whose docstring describes its routes; `spectrum` writes its energies,
+`run` and `spectrum` take their spectrum from `dynamics._reduced_spectrum`,
+whose docstring describes its routes, `run` through `run_time_series` and
+`spectrum` through `spin_spectrum`; `spectrum` writes its energies,
 ascending, and for a coupling of rank at most one (uniform coupling among
 others) the N_b + 1 roots of its secular equation.
 """

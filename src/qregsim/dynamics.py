@@ -10,11 +10,16 @@ follow.
 
 Two routes reach the spin block. `evolve` reconstructs all d = N + N_b
 amplitudes at any times, densely, and is the reference the tests and the
-acceptance criteria compare against. `run_time_series` needs the spin block
-on a uniform grid only, so it evaluates it as one type-1 nonuniform FFT per
-spin row (Gaussian gridding) and never forms the bath block. The
-eigenvalues and spin rows it transforms come from `spin_spectrum`, the one
-place that picks a spectrum route and whose docstring describes the routes.
+acceptance criteria compare against. `run_time_series` needs the spin state
+on a uniform grid only, and only in the r spin directions the bath reaches:
+it evaluates them as one type-1 nonuniform FFT per coupled direction
+(Gaussian gridding), O(r d + r T log T) time and O(r T) memory, and the
+dark, decoherence-free directions contribute one exact phase
+exp(-i epsilon t). It forms neither the bath block nor the N qubit rows.
+The reduced energies and spin columns it transforms come from
+`_reduced_spectrum`, the one place that picks a spectrum route and whose
+docstring describes the routes; `spin_spectrum` expands them to all
+N + N_b energies and the N x (N + N_b) spin block.
 """
 
 from __future__ import annotations
@@ -177,7 +182,7 @@ def observables(c0: np.ndarray, c: np.ndarray, n_qubits: int) -> Observables:
     entries of each row are read, so c may be full amplitude rows or spin
     blocks alone. p0 + p1 = 1 therefore holds by construction and says
     nothing about norm drift. Its guard is the check of the spectrum's route
-    (see spin_spectrum), so every evolved state has unit norm to that
+    (see _reduced_spectrum), so every evolved state has unit norm to that
     route's tolerance.
     D(t) = sum_alpha C_alpha(t) conj(C_alpha(0)); for the half-and-half
     superposition of the reference state with the spin preparation the
@@ -212,21 +217,30 @@ class Spectrum(NamedTuple):
     roots: np.ndarray | None
 
 
-def spin_spectrum(params: ModelParams) -> Spectrum:
-    """The spectrum of the one-excitation sector as the register sees it.
+class _Reduced(NamedTuple):
+    """A spectrum in the spin directions the bath reaches (see
+    _reduced_spectrum), with the fields spectral._assemble expands it by."""
 
-    Only the energies E_j and the spin block V_s of matching eigenvectors
-    enter the register dynamics: the spin amplitudes evolve as
-    C(t) = V_s diag(exp(-i E t)) V_s^H C(0). The solver is picked here, and
-    only here, by the rank r of the coupling G after spectral._deflate has
-    taken out the dark spin states (ker G, the paper's decoherence-free
-    states, at epsilon) and the bath states no spin state reaches (pinned
-    at their frequencies), which spectral._assemble appends again:
+    energies: np.ndarray  # the reduced problem's energies, ascending
+    columns: np.ndarray  # r x m: their spin columns in basis
+    basis: np.ndarray  # N x r: the coupled spin directions
+    dark: np.ndarray  # N x (N - r): the decoherence-free states, at epsilon
+    pinned: np.ndarray  # the bath states with no spin weight
+    epsilon: float
+    roots: np.ndarray | None  # Spectrum.roots
+
+
+def _reduced_spectrum(params: ModelParams) -> _Reduced:
+    """The spectrum of the one-excitation sector in the coupled spin
+    directions. The solver is picked here, and only here, by the rank r of
+    the coupling G after spectral._deflate has taken out the dark spin
+    states (ker G, the paper's decoherence-free states, at epsilon) and the
+    bath states no spin state reaches (pinned at their frequencies):
 
     - r = 1 (uniform coupling, or any G = c u^T): the coupled spin state s
       spreads over the zeros E_j of the secular equation with weights
       w_j = 1 / P'(E_j) (spectral._secular_spectrum, with its trace and sum
-      rule checks), each giving the column sqrt(w_j) s. No eigensolve, and
+      rule checks), each giving the column sqrt(w_j). No eigensolve, and
       no solve at all when no mode stays coupled (g0 = 0 among others).
       roots holds the zeros and the pinned frequencies. O(N_b^2) time per
       root iteration step; on at least 400 evenly spaced coupled modes (the
@@ -240,46 +254,71 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
     If the deflation refuses a model (modes at one frequency that reach two
     spin directions), or a check or the certificate fails (near-degenerate
     states the closed form cannot resolve), the route falls back to
-    diagonalize(build_h1(params)), called through this module's names, and
-    the first N rows of its eigenvectors, orthonormal to 1e-10: H is built
-    on this fallback alone, at O(d^2) memory and O(d^3) time.
+    diagonalize(build_h1(params)), called through this module's names: all
+    d energies and the first N rows of its eigenvectors, orthonormal to
+    1e-10, in the basis I_N with no dark or pinned states. H is built on
+    this fallback alone, at O(d^2) memory and O(d^3) time.
     """
     try:
         model = _deflate(params)
+        parts = model.basis, model.dark, model.pinned, model.epsilon
         if model.g.shape[1] > 1:  # the deflated rank r
-            return Spectrum(*_assemble(model, *_closed_form(model)), None)
+            return _Reduced(*_closed_form(model), *parts, None)
         zeros, weights = _secular_spectrum(model)
         roots = np.sort(np.concatenate([zeros, model.pinned]))
-        return Spectrum(*_assemble(model, zeros, np.sqrt(weights)[None]), roots)
+        return _Reduced(zeros, np.sqrt(weights)[None], *parts, roots)
     except DiagonalizationError:
+        n = params.shape.n_qubits
         sd = diagonalize(build_h1(params))
-        return Spectrum(sd.eigenvalues, sd.eigenvectors[:params.shape.n_qubits], None)
+        return _Reduced(
+            sd.eigenvalues, sd.eigenvectors[:n], np.eye(n), np.zeros((n, 0)), np.zeros(0),
+            params.epsilon, None,
+        )
+
+
+def spin_spectrum(params: ModelParams) -> Spectrum:
+    """The spectrum of the one-excitation sector as the register sees it.
+
+    Only the energies E_j and the spin block V_s of matching eigenvectors
+    enter the register dynamics: the spin amplitudes evolve as
+    C(t) = V_s diag(exp(-i E t)) V_s^H C(0). This is _reduced_spectrum,
+    whose docstring describes the routes, expanded by spectral._assemble:
+    the reduced spin columns are mapped out of the coupled basis, and the
+    pinned bath states and the dark spin states are appended.
+    """
+    reduced = _reduced_spectrum(params)
+    return Spectrum(*_assemble(reduced, reduced.energies, reduced.columns), reduced.roots)
 
 
 def _spin_amplitudes(
-    energies: np.ndarray, v_s: np.ndarray, prep: np.ndarray, grid: TimeGrid
+    energies: np.ndarray, columns: np.ndarray, coords: np.ndarray, grid: TimeGrid
 ) -> np.ndarray:
-    """Spin block of the evolved amplitudes at every grid time, shape (T, N).
+    """Spin coordinates of the evolved state at every grid time, shape (T, r).
 
-    C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V_s^H prep, x_j = E_j dt
-    and V_s the N x m spin block of spin_spectrum (m = N + N_b): a type-1
-    nonuniform FFT of the m points x_j onto the modes k = 0..T-1. Each point
-    is spread onto an oversampled periodic grid of M cells, the least
-    5-smooth length >= 2T (a fast FFT length, oversampling sigma = M / T >=
-    2), with the Gaussian exp(-(x - x_m)^2 / 4 tau); one FFT per spin row
-    then gives the Fourier coefficients of the spread sum, and dividing by
-    the Gaussian's own coefficients recovers the exact sum. The modes are
-    shifted by k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the
-    deconvolution factor stays below exp(4 pi / 3). Cost O(N m w +
-    N M log M), memory O(N M) (w = the spreading half-width), against
-    O(T d^2) for evolve.
+    C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V^H b, x_j = E_j dt,
+    V the r x m spin columns of m energies in orthonormal spin coordinates
+    and b the preparation's r coordinates in them. run_time_series passes
+    the reduced columns of _reduced_spectrum, one row per coupled spin
+    direction (the dark directions' exact phase is added there); the
+    N x (N + N_b) spin block of spin_spectrum in the qubit basis is the case
+    r = N. It is a type-1 nonuniform FFT of the m points x_j onto the modes
+    k = 0..T-1, one per row. Each point is spread onto an oversampled
+    periodic grid of M cells, the least 5-smooth length >= 2T (a fast FFT
+    length, oversampling sigma = M / T >= 2), with the Gaussian
+    exp(-(x - x_m)^2 / 4 tau); one FFT per row then gives the Fourier
+    coefficients of the spread sum, and dividing by the Gaussian's own
+    coefficients recovers the exact sum. The modes are shifted by
+    k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the deconvolution
+    factor stays below exp(4 pi / 3). Cost O(r m w + r M log M), memory
+    O(r M) (w = the spreading half-width; M ~ 2T, m <= d), against O(T d^2)
+    for evolve.
     """
-    n, n_steps = prep.size, grid.n_steps
+    n, n_steps = coords.size, grid.n_steps
     dt = grid.t_max / (n_steps - 1)
     k0 = (n_steps - 1) // 2
     # the shift's phase comes from E_j t_k0 itself; the transform needs x_j
     # only mod 2 pi, reduced to [-pi, pi] so that small |x_j| stay exact
-    coef = v_s * ((v_s.conj().T @ prep) * np.exp(-1j * energies * (k0 * dt)))
+    coef = columns * ((columns.conj().T @ coords) * np.exp(-1j * energies * (k0 * dt)))
     x = energies * dt
     x -= 2.0 * np.pi * np.round(x / (2.0 * np.pi))
 
@@ -296,7 +335,7 @@ def _spin_amplitudes(
         -(((u - base)[:, None] - offsets) ** 2) * (np.pi * (sigma - 0.5) / (sigma * w))
     )
     cells = (base.astype(np.int64)[:, None] + offsets) % n_cells
-    # one bincount spreads every spin row, real and imaginary parts
+    # one bincount spreads every row, real and imaginary parts
     # interleaved: complex cell a*M + m is float slot 2(a*M + m) and the one
     # after it, which is the memory layout of a complex array
     slots = 2 * (np.arange(n)[:, None, None] * n_cells + cells)[..., None] + [0, 1]
@@ -317,19 +356,34 @@ def run_time_series(
 
     Returns the grid times, the observables at every grid time (see
     observables) and the fidelity and entropy means over the late window,
-    the final quarter of the grid by time. Takes the eigenvalues and the
-    spin block from spin_spectrum, then evaluates the spin amplitudes at
-    every grid point with one nonuniform FFT per spin row; the bath block is
-    never formed. Memory is O(N T) plus the spectrum's (see spin_spectrum).
-    p0 is 1 - p1 (see observables), so the guard on norm conservation is the
-    check of the spectrum's route.
+    the final quarter of the grid by time. Works in the coordinates of
+    _reduced_spectrum: the preparation's r coordinates b = basis^H psi_0 in
+    the coupled directions are evolved by one nonuniform FFT per coupled
+    direction (_spin_amplitudes), and its part in the dark directions,
+    z = dark^H psi_0, only turns by the exact phase exp(-i epsilon t), so
+    it enters as one more coordinate ||z|| exp(-i epsilon t_k) with
+    ||z|| at t = 0. D, p1 and F are inner products and norms of the spin
+    state, so observables gives them from these r + 1 coordinates exactly
+    as from the N qubit amplitudes. Neither the bath block nor the N rows
+    of the spin block are formed: O(r d + r T log T) time and O(r T) memory
+    after the spectrum (see _reduced_spectrum). p0 is 1 - p1 (see
+    observables), so the guard on norm conservation is the check of the
+    spectrum's route.
     """
     n = params.shape.n_qubits
-    energies, v_s, _ = spin_spectrum(params)
-    c0 = initial_amplitudes(prep, params.shape)
-    obs = observables(c0, _spin_amplitudes(energies, v_s, c0[:n], grid), n)
-
     times = grid.times()
+    reduced = _reduced_spectrum(params)
+    c0 = initial_amplitudes(prep, params.shape)[:n]
+    r = reduced.basis.shape[1]
+    coords = c0 if r == n else reduced.basis.conj().T @ c0
+    amplitudes = _spin_amplitudes(reduced.energies, reduced.columns, coords, grid)
+    if r < n:
+        dark = float(np.linalg.norm(reduced.dark.conj().T @ c0))
+        phase = dark * np.exp(-1j * reduced.epsilon * times)
+        amplitudes = np.column_stack([amplitudes, phase])
+        coords = np.append(coords, dark)
+    obs = observables(coords, amplitudes, coords.size)
+
     late = _late_window(times)
     return TimeSeries(
         times=times,

@@ -18,7 +18,7 @@ stay dense on an evenly spaced bath too: the secular route's near/far
 sums, carried over to the r^2 entries of M(E), moved the certificate's
 verdict on near-dark models at its overlap bound both ways.
 It certifies its result or raises DiagonalizationError, on which
-`dynamics.spin_spectrum` falls back to `spectral.diagonalize`.
+`dynamics._reduced_spectrum` falls back to `spectral.diagonalize`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 `diagonalize` wraps a dense Hermitian eigensolver and enforces the
 residual/orthonormality contract; it is the reference the tests and the
 acceptance criteria compare against, and the fallback of
-`dynamics.spin_spectrum`, the one place that picks a solver. In front of
+`dynamics._reduced_spectrum`, the one place that picks a solver. In front of
 both solvers `_deflate` takes out every exact degeneracy (as LAPACK dlaed2
 does; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995): the spin states
 the bath cannot reach (ker G, the paper's decoherence-free states) and the
@@ -219,7 +219,8 @@ def _assemble(
     """All N + N_b energies, ascending, and the N x (N + N_b) spin block, from
     the reduced problem's energies and spin columns (in model.basis): the
     pinned bath states, at their frequencies with no spin weight, and the
-    dark spin states, at epsilon, are appended."""
+    dark spin states, at epsilon, are appended. Only model's basis, dark,
+    pinned and epsilon are read, so dynamics._Reduced serves as well."""
     n, r = model.basis.shape
     spin = columns if r == n else model.basis @ columns
     energies = np.concatenate([energies, model.pinned, np.full(n - r, model.epsilon)])

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qregsim.dynamics
 from qregsim import (
     CosineCoupling,
+    DiagonalizationError,
     ExplicitCoupling,
     ExplicitDispersion,
     ModelParams,
@@ -19,6 +21,7 @@ from qregsim import (
     UniformCoupling,
     binary_entropy_bits,
     build_h1,
+    build_preset,
     diagonalize,
     evolve,
     expm,
@@ -30,10 +33,12 @@ from qregsim import (
     observables,
     run_time_series,
     series_to_csv,
+    spin_spectrum,
     symmetric_state,
 )
 
 from qregsim.csvformat import BLOCK_ROWS, format_rows
+from qregsim.dynamics import _spin_amplitudes
 
 from oracle import oracle_spin_blocks
 
@@ -359,8 +364,21 @@ class TestRunTimeSeries:
     def test_dfs_preparation_is_frozen(self):
         params = ModelParams(RegisterShape(2, 50), UniformCoupling(0.01))
         series = run_time_series(params, momentum_state(2, 1), TimeGrid(500.0, 501))
-        assert np.max(np.abs(series.obs.fidelity - 1.0)) < 1e-8
-        assert np.max(series.obs.entropy_bits) < 1e-8
+        assert np.max(np.abs(series.obs.fidelity - 1.0)) < 1e-13
+        assert np.max(series.obs.entropy_bits) < 1e-13
+
+    def test_random_dark_preparation_is_frozen(self):
+        # any state orthogonal to the symmetric one lies in the dark
+        # directions, which only turn by the phase exp(-i epsilon t)
+        rng = np.random.default_rng(22)
+        prep = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        prep -= np.vdot(symmetric_state(4), prep) * symmetric_state(4)
+        prep /= np.linalg.norm(prep)
+        params = ModelParams(RegisterShape(4, 200), UniformCoupling(0.01))
+        series = run_time_series(params, prep, TimeGrid(2000.0, 20001))
+        assert np.max(np.abs(series.obs.fidelity - 1.0)) < 1e-13
+        assert np.max(np.abs(series.obs.p1 - 1.0)) < 1e-13
+        assert np.max(series.obs.entropy_bits) < 1e-13
 
     def test_bell_mixture_long_time_state(self):
         # late-window register state: p1 -> |c_a|^2 with amplitudes along the
@@ -393,21 +411,25 @@ class TestRunTimeSeries:
         assert abs(series.obs.entropy_bits[window].mean() - s_want) <= 0.01
 
     def test_peak_memory_is_linear_in_spin_block(self):
-        # 10^6 grid points at d = 8: the spread grid and its spectrum take
-        # 2 x 16 bytes x N x 2T, the output columns and the observable
-        # temporaries under 64 bytes x T, the eigensolve O(d^2); a (T x d)
-        # amplitude block would add 16 d T = 128 MB and break the bound
-        n, nb, n_steps = 2, 6, 1_000_000
-        params = ModelParams(RegisterShape(n, nb), UniformCoupling(0.05))
-        bound = (64 * n + 64) * n_steps + 32 * (n + nb) ** 2
-        tracemalloc.start()
-        try:
-            series = run_time_series(params, symmetric_state(n), TimeGrid(1000.0, n_steps))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(series) == n_steps
-        assert peak <= bound
+        # 10^6 grid points at d = N + 6: the spread grid and its spectrum take
+        # 2 x 16 bytes x rows x 2T, the output columns and the observable
+        # temporaries under 64 bytes x T, the spectrum O(d^2); a (T x d)
+        # amplitude block would add 16 d T = 128 MB and break the bound.
+        # Uniform coupling reaches one spin direction, so the rows are the
+        # transformed one and the dark states' phase, r + 1 = 2, at N = 8 as
+        # at N = 2; the 8 qubit rows would spread 512 T bytes alone
+        nb, n_steps, rows = 6, 1_000_000, 2
+        for n in (2, 8):
+            params = ModelParams(RegisterShape(n, nb), UniformCoupling(0.05))
+            bound = (64 * rows + 64) * n_steps + 32 * (n + nb) ** 2
+            tracemalloc.start()
+            try:
+                series = run_time_series(params, m_superposition(n, 1), TimeGrid(1000.0, n_steps))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(series) == n_steps
+            assert peak <= bound
 
     def test_secular_route_memory_is_chunked(self):
         # N_b = 4000 on a short grid: one unchunked (roots x poles) float64
@@ -430,6 +452,72 @@ class TestRunTimeSeries:
             TimeGrid(0.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(10.0, 1)
+
+
+def _no_closed_form(model):
+    raise DiagonalizationError("closed form refused")
+
+
+def _rank_two(n=4, nb=30):
+    rng = np.random.default_rng(7)
+    g = 0.03 * rng.standard_normal((nb, 2)) @ rng.standard_normal((2, n))
+    return ModelParams(RegisterShape(n, nb), ExplicitCoupling(g))
+
+
+class TestCoupledSubspace:
+    """run_time_series transforms one row per coupled spin direction."""
+
+    @pytest.mark.parametrize(
+        "params, fallback, rows",
+        [
+            (ModelParams(RegisterShape(4, 30), UniformCoupling(0.02)), False, 1),
+            (_rank_two(), False, 2),
+            (ModelParams(RegisterShape(4, 30), CosineCoupling(0.02, 1.0)), False, 4),
+            (ModelParams(RegisterShape(4, 30), CosineCoupling(0.02, 1.0)), True, 4),
+        ],
+        ids=["uniform", "rank_two", "cosine", "fallback"],
+    )
+    def test_transforms_one_row_per_coupled_direction(self, params, fallback, rows, monkeypatch):
+        real, seen = _spin_amplitudes, []
+
+        def spy(energies, columns, coords, grid):
+            seen.append(columns.shape[0])
+            return real(energies, columns, coords, grid)
+
+        monkeypatch.setattr(qregsim.dynamics, "_spin_amplitudes", spy)
+        if fallback:
+            monkeypatch.setattr(qregsim.dynamics, "_closed_form", _no_closed_form)
+        n = params.shape.n_qubits
+        prep = m_superposition(n, 3)
+        grid = TimeGrid(200.0, 401)
+        series = run_time_series(params, prep, grid)
+        assert seen == [rows]
+        c0 = initial_amplitudes(prep, params.shape)
+        want = observables(c0, evolve(diagonalize(build_h1(params)), c0, grid.times()), n)
+        for got, expect in zip(series.obs, want):
+            assert np.max(np.abs(got - expect)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "params, fallback",
+        [
+            (build_preset("fig5")[0].params, False),
+            (ModelParams(RegisterShape(4, 200), CosineCoupling(0.01, 1.0)), False),
+            (ModelParams(RegisterShape(4, 200), CosineCoupling(0.01, 1.0)), True),
+        ],
+        ids=["fig5", "cosine", "fallback"],
+    )
+    def test_full_rank_runs_transform_the_spin_block(self, params, fallback, monkeypatch):
+        # with no dark direction the run is the qubit-basis transform of
+        # spin_spectrum's block, bit for bit
+        if fallback:
+            monkeypatch.setattr(qregsim.dynamics, "_closed_form", _no_closed_form)
+        n = params.shape.n_qubits
+        prep = m_superposition(n, 1)
+        grid = TimeGrid(2000.0, 2001)
+        series = run_time_series(params, prep, grid)
+        want = observables(prep, _spin_amplitudes(*spin_spectrum(params)[:2], prep, grid), n)
+        for got, expect in zip(series.obs, want):
+            assert np.array_equal(got, expect)
 
 
 class TestCsv:
