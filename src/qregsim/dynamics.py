@@ -291,9 +291,11 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
 
 
 def _spin_amplitudes(
-    energies: np.ndarray, columns: np.ndarray, coords: np.ndarray, grid: TimeGrid
+    energies: np.ndarray, columns: np.ndarray, coords: np.ndarray, grid: TimeGrid, width: int = 0
 ) -> np.ndarray:
-    """Spin coordinates of the evolved state at every grid time, shape (T, r).
+    """Spin coordinates of the evolved state at every grid time, in the
+    first r columns of a C-ordered (T, width) block (width r if 0), whose
+    other columns are left for the caller to fill.
 
     C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V^H b, x_j = E_j dt,
     V the r x m spin columns of m energies in orthonormal spin coordinates
@@ -311,7 +313,9 @@ def _spin_amplitudes(
     k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the deconvolution
     factor stays below exp(4 pi / 3). Cost O(r m w + r M log M), memory
     O(r M) (w = the spreading half-width; M ~ 2T, m <= d), against O(T d^2)
-    for evolve.
+    for evolve. Each spread grid is transformed in place, and the block is
+    allocated once the grids are freed, so that it is never alive beside
+    them.
     """
     n, n_steps = coords.size, grid.n_steps
     dt = grid.t_max / (n_steps - 1)
@@ -334,19 +338,21 @@ def _spin_amplitudes(
     kernel = np.exp(
         -(((u - base)[:, None] - offsets) ** 2) * (np.pi * (sigma - 0.5) / (sigma * w))
     )
-    cells = (base.astype(np.int64)[:, None] + offsets) % n_cells
-    # one bincount spreads every row, real and imaginary parts
-    # interleaved: complex cell a*M + m is float slot 2(a*M + m) and the one
-    # after it, which is the memory layout of a complex array
-    slots = 2 * (np.arange(n)[:, None, None] * n_cells + cells)[..., None] + [0, 1]
-    weights = (coef[:, :, None] * kernel).ravel().view(np.float64)
-    spread = np.bincount(slots.ravel(), weights, 2 * n * n_cells).view(complex)
-    spectrum = np.fft.fft(spread.reshape(n, n_cells), axis=1)
-    del spread  # bounds the peak at the spread grid and its spectrum
+    cells = ((base.astype(np.int64)[:, None] + offsets) % n_cells).ravel()
+    # one row at a time, two real bincounts over the cells of every point
+    # spread its real and imaginary parts, each cell's terms summed in order
+    spread = np.empty((n, n_cells), complex)
+    for a in range(n):
+        weights = (coef[a, :, None] * kernel).ravel()
+        spread[a].real = np.bincount(cells, weights.real, n_cells)
+        spread[a].imag = np.bincount(cells, weights.imag, n_cells)
+    np.fft.fft(spread, axis=1, out=spread)
     modes = np.arange(n_steps) - k0
-    amplitudes = spectrum[:, modes % n_cells]
-    amplitudes *= np.sqrt(np.pi / tau) / n_cells * np.exp(tau * modes**2)
-    return amplitudes.T
+    amplitudes = spread[:, modes % n_cells]
+    del spread  # bounds the peak at the spread grid and the amplitudes
+    block = np.empty((n_steps, width or n), complex)
+    np.multiply(amplitudes, np.sqrt(np.pi / tau) / n_cells * np.exp(tau * modes**2), out=block[:, :n].T)
+    return block
 
 
 def run_time_series(
@@ -362,25 +368,24 @@ def run_time_series(
     direction (_spin_amplitudes), and its part in the dark directions,
     z = dark^H psi_0, only turns by the exact phase exp(-i epsilon t), so
     it enters as one more coordinate ||z|| exp(-i epsilon t_k) with
-    ||z|| at t = 0. D, p1 and F are inner products and norms of the spin
-    state, so observables gives them from these r + 1 coordinates exactly
-    as from the N qubit amplitudes. Neither the bath block nor the N rows
-    of the spin block are formed: O(r d + r T log T) time and O(r T) memory
-    after the spectrum (see _reduced_spectrum). p0 is 1 - p1 (see
-    observables), so the guard on norm conservation is the check of the
-    spectrum's route.
+    ||z|| at t = 0, written into the last column of the transform's block.
+    D, p1 and F are inner products and norms of the spin state, so
+    observables gives them from these r + 1 coordinates exactly as from the
+    N qubit amplitudes. Neither the bath block nor the N rows of the spin
+    block are formed: O(r d + r T log T) time and O(r T) memory after the
+    spectrum (see _reduced_spectrum). p0 is 1 - p1 (see observables), so
+    the guard on norm conservation is the check of the spectrum's route.
     """
     n = params.shape.n_qubits
     times = grid.times()
     reduced = _reduced_spectrum(params)
     c0 = initial_amplitudes(prep, params.shape)[:n]
     r = reduced.basis.shape[1]
-    coords = c0 if r == n else reduced.basis.conj().T @ c0
-    amplitudes = _spin_amplitudes(reduced.energies, reduced.columns, coords, grid)
+    coords = reduced.basis.conj().T @ c0
+    amplitudes = _spin_amplitudes(reduced.energies, reduced.columns, coords, grid, r + (r < n))
     if r < n:
         dark = float(np.linalg.norm(reduced.dark.conj().T @ c0))
-        phase = dark * np.exp(-1j * reduced.epsilon * times)
-        amplitudes = np.column_stack([amplitudes, phase])
+        np.multiply(dark, np.exp(-1j * reduced.epsilon * times), out=amplitudes[:, r])
         coords = np.append(coords, dark)
     obs = observables(coords, amplitudes, coords.size)
 

@@ -12,11 +12,13 @@ and takes the spin rows of the eigenvectors from M(E). One kernel,
 `_self_energy`, forms M(E) and the row 1 / (E - omega_k) under it for
 every one of these passes, and one chunk loop, `spectral._in_chunks`, runs
 each of them (the count, the midpoint probe, every step, the eigenvectors
-and the overlaps of the certificate) in row chunks. It never forms a
-d x d matrix: O(d N_b r^2) time and O(chunk N_b) memory. Its pole sums
-stay dense on an evenly spaced bath too: the secular route's near/far
-sums, carried over to the r^2 entries of M(E), moved the certificate's
-verdict on near-dark models at its overlap bound both ways.
+and the overlaps of the certificate) in row chunks and hands each chunk
+its (rows x modes) scratch arrays, which a pass names by dtype and the
+loop allocates once. It never forms a d x d matrix: O(d N_b r^2) time and
+O(chunk N_b) memory. Its pole sums stay dense on an evenly spaced bath
+too: the secular route's near/far sums, carried over to the r^2 entries
+of M(E), moved the certificate's verdict on near-dark models at its
+overlap bound both ways.
 It certifies its result or raises DiagonalizationError, on which
 `dynamics._reduced_spectrum` falls back to `spectral.diagonalize`.
 """
@@ -36,7 +38,6 @@ from .spectral import (
     _assemble,
     _Brackets,
     _brackets,
-    _chunk_rows,
     _deflate,
     _Deflated,
     _in_chunks,
@@ -160,10 +161,11 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     A_k = (omega_k - epsilon) I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)
     is M(omega_k) without the pole of mode k: the kernel _self_energy at
     t = 0 from omega_k with origin k, one GEMM of a row chunk of the Cauchy
-    matrix 1 / (omega_k - omega_j) (diagonal 0) with the gg table, the
-    chunks run by _in_chunks. Haynsworth additivity on the pivot A_k gives
-    B_k the inertia of A_k plus that of its Schur complement -tau_k, so one
-    batched r x r eigh A_k = Q diag(lambda) Q^H gives both
+    matrix 1 / (omega_k - omega_j) (diagonal 0) with the gg table, formed
+    in the chunk's scratch from _in_chunks, which runs the chunks.
+    Haynsworth additivity on the pivot A_k gives B_k the inertia of A_k
+    plus that of its Schur complement -tau_k, so one batched r x r eigh
+    A_k = Q diag(lambda) Q^H gives both
     tau_k = sum_i |q_i^H u_k|^2 / lambda_i and #{positive eigenvalues of
     B_k} = #{lambda_i > 0} + [tau_k < 0]. A bordered matrix with a zero
     corner and u_k != 0 has at least one eigenvalue of each sign; counts
@@ -176,10 +178,9 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     more GEMM, of the squared Cauchy chunk.
     """
     nb, n = model.g.shape
-    work = np.empty((_chunk_rows(nb, nb), nb))
 
-    def count(k):
-        cauchy, a = _self_energy(model, np.zeros(k.size), model.omegas[k], work[: k.size], k)
+    def count(cauchy, k):
+        cauchy, a = _self_energy(model, np.zeros(k.size), model.omegas[k], cauchy, k)
         lam, q = np.linalg.eigh(a)
         proj = np.einsum("kai,ka->ki", q, model.g[k])  # conj(Q^H u_k)
         t = np.sum(np.abs(proj) ** 2 / lam, axis=1)
@@ -189,7 +190,7 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         s = np.einsum("ka,kab,kb->k", z.conj(), slope, z).real + np.einsum("ka,ka->k", z.conj(), z).real
         return k + np.count_nonzero(lam > 0.0, axis=1) + (t < 0.0), t / (1.0 + s)
 
-    below, tau = _in_chunks(count, nb)(np.arange(nb))
+    below, tau = _in_chunks(count, nb, float)(np.arange(nb))
     positive = below - np.arange(nb)
     if not (np.all(np.isfinite(tau)) and np.all((positive >= 1) & (positive <= n))
             and np.all(np.diff(below) >= 0)):
@@ -201,40 +202,34 @@ def _midpoint_probe(model: _Deflated, lower, half, branch):
     """probe of spectral._brackets on the branches: whether each energy lies
     in the right half of its gap, by the sign of its branch at the gap's
     midpoint (one eigh of the kernel's M(E) per row, in the row chunks of
-    _in_chunks), that midpoint from the half's pole and, as the start, the
-    middle of the half. No rows give empty outputs."""
+    _in_chunks and their scratch), that midpoint from the half's pole and,
+    as the start, the middle of the half. No rows give empty outputs."""
 
-    def right_half(lower, half, branch):
-        mu = np.linalg.eigh(_self_energy(model, half, model.omegas[lower])[1])[0]
+    def right_half(r, lower, half, branch):
+        mu = np.linalg.eigh(_self_energy(model, half, model.omegas[lower], r)[1])[0]
         return (mu[np.arange(lower.size), branch] < 0.0,)
 
-    (right,) = _in_chunks(right_half, model.omegas.size)(lower, half, branch)
+    (right,) = _in_chunks(right_half, model.omegas.size, float)(lower, half, branch)
     x_mid = np.where(right, -half, half)
     return right, x_mid, 0.5 * x_mid
 
 
-def _branch_evaluate(model: _Deflated, rows: int, offsets: np.ndarray, vectors: np.ndarray):
+def _branch_evaluate(model: _Deflated, offsets: np.ndarray, vectors: np.ndarray):
     """evaluate(tau, base, branch, position) of _iterate on the branches,
-    on at most rows rows (one chunk of _in_chunks): at E = base + tau the
-    counted branch's v, from an eigh of the kernel's M(E), then
+    in the row chunks of _in_chunks: at E = base + tau the counted
+    branch's v, from an eigh of the kernel's M(E), then
     f_v(E) = E - epsilon - sum_k W_k / (E - omega_k) with W_k = |(G v)_k|^2,
     the sum of its pole terms' slopes W_k / (E - omega_k)^2 and that sum
     over the poles left of tau. Each call also stores tau and v at the
     rows' positions in offsets and vectors, so that every energy keeps its
-    last evaluation, whose v is exact there. The (rows x modes) arrays live in three buffers allocated
-    once: a fresh array of that size costs more than the pass that fills
-    it."""
-    r_buf = np.empty((rows, model.omegas.size))
-    q_buf = np.empty_like(r_buf)
-    w_buf = np.empty_like(r_buf, dtype=model.g.dtype)
-    g_t = model.g.T
+    last evaluation, whose v is exact there. Its (rows x modes) arrays r,
+    q and G v are the chunk's scratch from _in_chunks."""
 
-    def evaluate(tau, base, branch, position):
-        q, w = q_buf[: tau.size], w_buf[: tau.size]
-        r, m = _self_energy(model, tau, base, r_buf[: tau.size])
+    def evaluate(r, q, w, tau, base, branch, position):
+        r, m = _self_energy(model, tau, base, r)
         v = np.linalg.eigh(m)[1][np.arange(tau.size), :, branch]
         offsets[position], vectors[position] = tau, v
-        np.matmul(v, g_t, out=w)
+        np.matmul(v, model.g.T, out=w)
         if w.dtype.kind == "c":
             np.abs(w, out=q)
             w = q
@@ -245,7 +240,7 @@ def _branch_evaluate(model: _Deflated, rows: int, offsets: np.ndarray, vectors: 
         np.maximum(q, 0.0, out=q)  # the poles left of tau
         return f, d_all, np.einsum("ij,ij->i", q, r)
 
-    return evaluate
+    return _in_chunks(evaluate, model.omegas.size, float, float, model.g.dtype)
 
 
 def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
@@ -254,9 +249,9 @@ def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarr
     whose evaluations run in the row chunks of _in_chunks, where its step
     had fallen to a few ulp of the offset or its bracket had collapsed, and
     the branch's eigenvector v there, one row per energy."""
-    size, nb = brackets.tau.size, model.omegas.size
+    size = brackets.tau.size
     offsets, vectors = np.empty(size), np.empty((size, model.g.shape[1]), dtype=model.g.dtype)
-    evaluate = _in_chunks(_branch_evaluate(model, _chunk_rows(size, nb), offsets, vectors), nb)
+    evaluate = _branch_evaluate(model, offsets, vectors)
     _iterate(evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets)
     return offsets, vectors
 
@@ -297,27 +292,27 @@ def _branch_roots(
     quotient lies y^H (R y - u_o b_o) + conj(b_o) (tau b_o - g_o . y), over
     c^2, from E. R(E) is the kernel's M(E) with the origin given
     (_self_energy), and the energies run in the row chunks of _in_chunks,
-    each chunk's (rows x modes) arrays in buffers allocated once.
+    whose scratch holds each chunk's (rows x modes) arrays r, G y and b.
     """
-    nb = model.omegas.size
-    r_buf = np.empty((_chunk_rows(tau.size, nb), nb))
-    w_buf, b_buf = np.empty((2, *r_buf.shape), dtype=model.g.dtype)
 
-    def roots(t, o, base, vectors):
+    def roots(r, w, b, t, o, base, vectors):
         m, e_eps = t.size, (base - model.epsilon) + t
-        r, regular = _self_energy(model, t, base, r_buf[:m], o)
+        r, regular = _self_energy(model, t, base, r, o)
         u = model.g[o].conj()
         try:
             y = np.linalg.solve(regular, u[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # an exactly singular R(E)
             y = np.full(u.shape, np.nan, dtype=u.dtype)
         b_o = np.ones(m, dtype=model.g.dtype)
-        pair = _pair(y, b_o, r, o, e_eps, t, model, w_buf[:m], b_buf[:m])
+        pair = _pair(y, b_o, r, o, e_eps, t, model, w, b)
         redo = np.flatnonzero(~(pair[-1] <= (_EPS * (base + t)) ** 2))
         if redo.size:
-            v = vectors[redo]
+            k, v = redo.size, vectors[redo]
             b_v = np.reciprocal(t[redo]) * np.einsum("ij,ij->i", model.g[o[redo]], v)
-            other = _pair(v, b_v, r[redo], o[redo], e_eps[redo], t[redo], model)
+            # the redone rows' 1 / (E - omega_k), formed again in the first
+            # rows of the scratch, which the first pair no longer needs
+            r_v = _reciprocal(t[redo], model.omegas, base[redo], r[:k], o[redo])
+            other = _pair(v, b_v, r_v, o[redo], e_eps[redo], t[redo], model, w[:k], b[:k])
             keep = ~(other[-1] >= pair[-1][redo])  # written so that a NaN loses
             better = redo[keep]
             y[better], b_o[better] = v[keep], b_v[keep]
@@ -327,18 +322,19 @@ def _branch_roots(
         quotient = np.einsum("ij,ij->i", y.conj(), spin) + b_o.conj() * pole
         return (y / np.sqrt(c2)[:, None]).T, b_o / np.sqrt(c2), np.abs(quotient) / c2, np.sqrt(res2)
 
-    columns, bath, shift, residual = _in_chunks(roots, nb)(tau, brackets.origin, brackets.base, vectors)
+    chunked = _in_chunks(roots, model.omegas.size, float, model.g.dtype, model.g.dtype)
+    columns, bath, shift, residual = chunked(tau, brackets.origin, brackets.base, vectors)
     return _Roots(brackets.base + tau, columns, shift, residual, brackets.base, tau, brackets.origin, bath)
 
 
-def _pair(y, b_o, r, o, e_eps, t, model, w=None, b=None):
+def _pair(y, b_o, r, o, e_eps, t, model, w, b):
     """For unnormalized eigenvectors [y; b] with origin components b_o (see
     _branch_roots, r = 1 / (E - omega_k), 0 at the origin): the squared
     norm c^2, the spin residual R y - u_o b_o, the origin's residual
-    tau b_o - g_o . y and the normalized squared residual. w and b are
-    optional (rows x modes) buffers for G y and b."""
-    w = np.matmul(y, model.g.T, out=w)
-    b = np.multiply(r, w, out=b)
+    tau b_o - g_o . y and the normalized squared residual. G y and b are
+    formed in the (rows x modes) arrays w and b."""
+    np.matmul(y, model.g.T, out=w)
+    np.multiply(r, w, out=b)
     spin = e_eps[:, None] * y - b @ model.g.conj() - model.g[o].conj() * b_o[:, None]
     pole = t * b_o - w[np.arange(t.size), o]
     c2 = (
@@ -357,12 +353,13 @@ def _phase_error(energies: np.ndarray, roots: _Roots) -> float:
     return float(np.sum(np.abs(roots.columns) ** 2, axis=0) @ error)
 
 
-def _reciprocal(t, omegas, base, out=None, origin=None):
+def _reciprocal(t, omegas, base, out, origin=None):
     """1 / (E - omega_k) = 1 / (t - delta_k) with delta_k = omega_k - base
     (formed as the secular evaluation forms it), one row per offset t from
-    its base, in out if given: the one place the closed form forms it. The
-    entry of each row's origin, if given, is set to inf before the
-    reciprocal, so that its term is exactly 0, with no division by zero."""
+    its base, in the (rows x modes) array out: the one place the closed
+    form forms it. The entry of each row's origin, if given, is set to inf
+    before the reciprocal, so that its term is exactly 0, with no division
+    by zero."""
     r = np.subtract(omegas, base[:, None], out=out)
     np.subtract(t[:, None], r, out=r)
     if origin is not None:
@@ -370,9 +367,9 @@ def _reciprocal(t, omegas, base, out=None, origin=None):
     return np.reciprocal(r, out=r)
 
 
-def _self_energy(model: _Deflated, t, base, out=None, origin=None):
+def _self_energy(model: _Deflated, t, base, out, origin=None):
     """The one self-energy kernel of the closed form: at E = base + t, the
-    rows r = 1 / (E - omega_k) of _reciprocal (in out if given) and
+    rows r = 1 / (E - omega_k) of _reciprocal (in out) and
     M(E) = (E - epsilon) I - r @ gg, one r x r matrix per row, without the
     pole of each row's origin if given. A non-finite M(E) (an energy on a
     coupled frequency) raises DiagonalizationError."""
@@ -388,8 +385,9 @@ def _self_energy(model: _Deflated, t, base, out=None, origin=None):
 def _max_overlap(roots: _Roots, model: _Deflated) -> float:
     """The largest overlap of two eigenvectors whose bound
     (||r_i|| + ||r_j||) / |E_i - E_j| exceeds _OVERLAP_TOL, computed in the
-    row chunks of _in_chunks (0 if there is none), or inf if more than d
-    pairs do or a residual is not finite. The energies ascend."""
+    row chunks of _in_chunks and their scratch (0 if there is none), or inf
+    if more than d pairs do or a residual is not finite. The energies
+    ascend."""
     e, residual, d = roots.energies, roots.residual, roots.energies.size
     reach = 2.0 * float(np.max(residual)) / _OVERLAP_TOL
     if not np.isfinite(reach):
@@ -405,18 +403,20 @@ def _max_overlap(roots: _Roots, model: _Deflated) -> float:
             return np.inf
     i, j = np.concatenate(pairs, axis=1) if pairs else np.zeros((2, 0), dtype=int)
 
-    def overlaps(a, b):
+    def overlaps(r, bath_a, bath_b, a, b):
         overlap = np.einsum("ij,ij->j", roots.columns[:, a].conj(), roots.columns[:, b])
-        overlap += np.einsum("ij,ij->i", _bath_part(roots, a, model).conj(), _bath_part(roots, b, model))
+        bath_a = _bath_part(roots, a, model, r, bath_a).conj()
+        overlap += np.einsum("ij,ij->i", bath_a, _bath_part(roots, b, model, r, bath_b))
         return (np.abs(overlap),)
 
-    (overlap,) = _in_chunks(overlaps, model.omegas.size)(i, j)
+    (overlap,) = _in_chunks(overlaps, model.omegas.size, float, model.g.dtype, model.g.dtype)(i, j)
     return float(np.max(overlap, initial=0.0))
 
 
-def _bath_part(roots: _Roots, idx: np.ndarray, model: _Deflated) -> np.ndarray:
-    """(E - Omega)^-1 G v of the roots idx, one row per root."""
-    r = _reciprocal(roots.tau[idx], model.omegas, roots.base[idx])
-    b = r * (roots.columns[:, idx].T @ model.g.T)
+def _bath_part(roots: _Roots, idx: np.ndarray, model: _Deflated, r, b) -> np.ndarray:
+    """(E - Omega)^-1 G v of the roots idx, one row per root, in the
+    (rows x modes) array b, with r for 1 / (E - Omega)."""
+    np.matmul(roots.columns[:, idx].T, model.g.T, out=b)
+    b *= _reciprocal(roots.tau[idx], model.omegas, roots.base[idx], r)
     b[np.arange(idx.size), roots.origin[idx]] = roots.bath[idx]
     return b

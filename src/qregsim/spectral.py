@@ -20,14 +20,17 @@ linear dispersion is, its pole sums are near/far sums
 (`_grid_evaluate`): O(N_b log N_b) moment tables once, O(N_b (w + P)) per
 step for a window of w poles and P powers, and one dense O(N_b^2) pass at
 the zeros that gives the weights and checks every residual. Otherwise each
-step takes the O(N_b^2) dense sums, in row chunks that bound their
-buffers, run by `_in_chunks`, the one row-chunk loop of both solvers.
+step takes the O(N_b^2) dense sums in row chunks. `_in_chunks` is the
+one row-chunk loop of both solvers and the one owner of their
+(rows x poles) scratch arrays: a pass names their dtypes, and the loop
+allocates them once and hands each chunk its slices.
 `selfenergy.closed_form_spectrum` shares the bracket builder, the
 iteration and that loop at higher rank, with dense sums.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,10 +46,10 @@ __all__ = [
     "symmetric_spectrum",
 ]
 
-#: a (rows x poles) work buffer of either iteration's pole sums holds
-#: about this many entries (512 KiB, so that a chunk's buffers stay in
-#: cache) and at least this many rows (so that a large bath does not pay
-#: Python overhead per handful of roots)
+#: a row chunk of a (rows x poles) scratch array of either iteration's pole
+#: sums holds about this many entries (512 KiB, so that a chunk's scratch
+#: stays in cache) and at least this many rows (so that a large bath does
+#: not pay Python overhead per handful of roots)
 _CHUNK_ELEMENTS = 1 << 16
 _CHUNK_ROWS = 64
 #: rational steps before a bracket is only bisected, and the cap on all steps
@@ -222,6 +225,8 @@ def _assemble(
     dark spin states, at epsilon, are appended. Only model's basis, dark,
     pinned and epsilon are read, so dynamics._Reduced serves as well."""
     n, r = model.basis.shape
+    # at full rank the basis is I_N, and I_N @ columns turns some -0
+    # imaginary parts of complex columns into +0
     spin = columns if r == n else model.basis @ columns
     energies = np.concatenate([energies, model.pinned, np.full(n - r, model.epsilon)])
     spin = np.hstack([spin, np.zeros((n, model.pinned.size)), model.dark])
@@ -230,17 +235,12 @@ def _assemble(
 
 
 def _row_chunks(n_rows: int, n_cols: int):
-    """Slices of _CHUNK_ELEMENTS // n_cols rows, but at least _CHUNK_ROWS,
-    the chunks of _in_chunks; one empty slice for no rows, so that a
-    chunked function still shapes its empty outputs."""
+    """Slices of _CHUNK_ELEMENTS // n_cols rows, but at least _CHUNK_ROWS
+    (the last one ending at n_rows), the chunks of _in_chunks; one empty
+    slice for no rows, so that a chunked function still shapes its empty
+    outputs."""
     step = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // n_cols)
-    return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
-
-
-def _chunk_rows(n_rows: int, n_cols: int) -> int:
-    """The rows of the largest of _row_chunks(n_rows, n_cols), the first:
-    the size of a buffer that holds any one chunk."""
-    return min(_row_chunks(n_rows, n_cols)[0].stop, n_rows)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, max(n_rows, 1), step)]
 
 
 class _Brackets(NamedTuple):
@@ -343,12 +343,9 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     poles, epsilon = model.omegas, model.epsilon
     sqrt_w = np.abs(model.g[:, 0])
     n_p = poles.size
-    # the (rows x poles) buffer of the dense sums
-    work = np.empty((_chunk_rows(n_p + 1, n_p), n_p))
-    evaluate = _in_chunks(_secular_evaluate(poles, sqrt_w, work), n_p)
-    near_far = _grid_evaluate(poles, sqrt_w, evaluate)
-    if near_far is not None:  # its rows hold the window and a row of moments
-        evaluate = _in_chunks(near_far, 2 * _NEAR + 2 * _ORDER + 2)
+    dense = _secular_evaluate(poles, sqrt_w)
+    near_far = _grid_evaluate(poles, sqrt_w, dense)
+    evaluate = dense if near_far is None else near_far
 
     def probe(lower, half, branch):
         mid = poles[lower] + half
@@ -368,7 +365,7 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         data = (base, base - epsilon, origin)
         tau, slope = _iterate(evaluate, data, brackets)
         if near_far is not None:
-            p, d_all, scale = _in_chunks(_secular_residuals(poles, sqrt_w, work), n_p)(tau, *data)
+            p, d_all, scale = _secular_residuals(poles, sqrt_w)(tau, *data)
             residual = np.abs(p) / (_EPS * (np.abs(base - epsilon) + np.abs(tau) + scale))
             slope = 1.0 + d_all
     if near_far is not None and not np.all(residual <= _SECULAR_ULPS):  # NaN fails
@@ -406,14 +403,14 @@ def _offset_zero(c, s_o, s_f, delta_f):
     )
 
 
-def _secular_evaluate(poles, sqrt_w, work):
-    """evaluate(tau, base, const, origin) of _iterate for P, on at most
-    work's rows: P, the sum P' - 1 = sum_k W_k / Delta_k^2 and its part
-    from the poles left of tau, in two passes over the (rows x poles) buffer
-    work, which first holds delta_k = omega_k - base."""
+def _secular_evaluate(poles, sqrt_w):
+    """evaluate(tau, base, const, origin) of _iterate for P, in the row
+    chunks of _in_chunks: P, the sum P' - 1 = sum_k W_k / Delta_k^2 and its
+    part from the poles left of tau, in two passes over the chunk's
+    (rows x poles) scratch u, which first holds delta_k = omega_k - base."""
 
-    def evaluate(tau, base, const, origin):
-        u = np.subtract(poles, base[:, None], out=work[: tau.size])
+    def evaluate(u, tau, base, const, origin):
+        np.subtract(poles, base[:, None], out=u)
         u -= tau[:, None]
         np.divide(sqrt_w, u, out=u)  # sqrt(W_k) / (delta_k - tau)
         p = const + tau + u @ sqrt_w
@@ -421,20 +418,21 @@ def _secular_evaluate(poles, sqrt_w, work):
         np.minimum(u, 0.0, out=u)  # the poles left of tau
         return p, d_all, np.einsum("ij,ij->i", u, u)
 
-    return evaluate
+    return _in_chunks(evaluate, poles.size, float)
 
 
-def _secular_residuals(poles, sqrt_w, work):
-    """The dense pass at the zeros, in the form of evaluate (on at most
-    work's rows): P, P' - 1 and sum_k |W_k / Delta_k|, which with
-    |omega_o - epsilon| + |tau| is the scale of P's rounding. The origin's
-    term, near a pole the largest by far, is added apart from the others: a
-    BLAS dot rounds at the size of its partial sums, and that term in them
-    would grow P's rounding with the number of poles."""
+def _secular_residuals(poles, sqrt_w):
+    """The dense pass at the zeros, in the form of evaluate (in the row
+    chunks of _in_chunks, over a chunk's scratch u as in evaluate): P,
+    P' - 1 and sum_k |W_k / Delta_k|, which with |omega_o - epsilon| + |tau|
+    is the scale of P's rounding. The origin's term, near a pole the largest
+    by far, is added apart from the others: a BLAS dot rounds at the size of
+    its partial sums, and that term in them would grow P's rounding with the
+    number of poles."""
 
-    def residuals(tau, base, const, origin):
+    def residuals(u, tau, base, const, origin):
         rows = np.arange(tau.size)
-        u = np.subtract(poles, base[:, None], out=work[: tau.size])
+        np.subtract(poles, base[:, None], out=u)
         u -= tau[:, None]
         np.divide(sqrt_w, u, out=u)
         u_o = u[rows, origin]
@@ -444,7 +442,7 @@ def _secular_residuals(poles, sqrt_w, work):
         d_all = np.einsum("ij,ij->i", u, u) + u_o * u_o
         return p, d_all, np.abs(u, out=u) @ sqrt_w + np.abs(q_o)
 
-    return residuals
+    return _in_chunks(residuals, poles.size, float)
 
 
 def _far_moments(poles: np.ndarray, weights: np.ndarray):
@@ -510,9 +508,11 @@ def _grid_shift(poles: np.ndarray, h: float) -> np.ndarray:
 
 def _grid_evaluate(poles, sqrt_w, dense):
     """evaluate(tau, base, const, origin) of _iterate for P by near/far
-    sums, O(_NEAR + _ORDER) per row, if the poles are evenly spaced
-    (_far_moments), else None (Greengard & Rokhlin, J. Comput. Phys. 73,
-    1987; Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1996).
+    sums, O(_NEAR + _ORDER) per row (in the row chunks of _in_chunks, each
+    row's window and row of moments counted as its columns), if the poles
+    are evenly spaced (_far_moments), else None (Greengard & Rokhlin,
+    J. Comput. Phys. 73, 1987; Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33,
+    1996).
 
     At E = base + tau the sums split at the pole c nearest E, c = origin +
     round(tau / h) within the grid: the 2 _NEAR + 1 poles around it are
@@ -560,7 +560,7 @@ def _grid_evaluate(poles, sqrt_w, dense):
             )
         return p, d_all, d_psi
 
-    return evaluate
+    return _in_chunks(evaluate, 2 * _NEAR + 2 * _ORDER + 2)
 
 
 def _five_smooth(n: int) -> int:
@@ -578,18 +578,31 @@ def _five_smooth(n: int) -> int:
     return best
 
 
-def _in_chunks(fn, n_cols):
+def _in_chunks(fn, n_cols, *scratch):
     """fn over any number of rows, built from one that takes at most one
-    chunk of _row_chunks(rows, n_cols), the one row-chunk loop of both
-    routes: its per-row arguments are passed to it slice by slice along
-    their first axis, so its (rows x n_cols) buffers hold one chunk, and
-    each of the outputs it returns (a tuple) is written along its last axis
-    into an array allocated once per call, shaped by the first chunk."""
+    chunk of _row_chunks(rows, n_cols): the one row-chunk loop of both
+    routes and the one owner of their (rows x n_cols) scratch arrays, one
+    per dtype in scratch. fn gets each of them, cut to its chunk's rows,
+    ahead of its per-row arguments, which are passed to it slice by slice
+    along their first axis. Each of the outputs it returns (a tuple) is
+    written along its last axis into an array allocated once per call,
+    shaped by the first chunk. The scratch arrays are allocated at the
+    first call, at the rows of its largest chunk (those of one dtype as one
+    block), and kept for later calls, which the root iteration makes with
+    fewer and fewer rows; a call with a larger chunk allocates them anew. A
+    fresh array of that size costs more than the pass that fills it."""
+    dtypes, held = [np.dtype(t) for t in scratch], []
 
     def chunked(*args):
         rows, outs = len(args[0]), ()
-        for s in _row_chunks(rows, n_cols):
-            parts = fn(*(a[s] for a in args))
+        chunks = _row_chunks(rows, n_cols)
+        size = chunks[0].stop  # the rows of the largest chunk
+        if dtypes and (not held or len(held[0]) < size):
+            held.clear()  # before allocating the larger arrays
+            blocks = {t: iter(np.empty((c, size, n_cols), t)) for t, c in Counter(dtypes).items()}
+            held.extend(next(blocks[t]) for t in dtypes)
+        for s in chunks:
+            parts = fn(*(a[: s.stop - s.start] for a in held), *(a[s] for a in args))
             outs = outs or tuple(np.empty(p.shape[:-1] + (rows,), p.dtype) for p in parts)
             for out, part in zip(outs, parts):
                 out[..., s] = part

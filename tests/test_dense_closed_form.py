@@ -339,11 +339,11 @@ def test_self_energy_on_a_coupled_pole_is_refused():
     # Given as the origin, the pole is left out with no division by zero
     # (any warning fails a test), and the other terms are kept
     model = qregsim.spectral._deflate(ModelParams(RegisterShape(3, 20), CosineCoupling(0.05, 1.0)))
-    t, base = np.zeros(1), model.omegas[3:4]
+    t, base, out = np.zeros(1), model.omegas[3:4], np.empty((1, model.omegas.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(DiagonalizationError, match="self-energy not finite"):
-            qregsim.selfenergy._self_energy(model, t, base)
-    r, m = qregsim.selfenergy._self_energy(model, t, base, origin=np.array([3]))
+            qregsim.selfenergy._self_energy(model, t, base, out)
+    r, m = qregsim.selfenergy._self_energy(model, t, base, out, origin=np.array([3]))
     assert r[0, 3] == 0.0 and np.all(np.isfinite(m))
     assert np.array_equal(np.delete(r[0], 3), 1.0 / (base - np.delete(model.omegas, 3)))
 

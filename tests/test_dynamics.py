@@ -480,9 +480,9 @@ class TestCoupledSubspace:
     def test_transforms_one_row_per_coupled_direction(self, params, fallback, rows, monkeypatch):
         real, seen = _spin_amplitudes, []
 
-        def spy(energies, columns, coords, grid):
+        def spy(energies, columns, coords, grid, width=0):
             seen.append(columns.shape[0])
-            return real(energies, columns, coords, grid)
+            return real(energies, columns, coords, grid, width)
 
         monkeypatch.setattr(qregsim.dynamics, "_spin_amplitudes", spy)
         if fallback:

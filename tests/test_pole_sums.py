@@ -44,10 +44,8 @@ def _sums(poles, sqrt_w, epsilon, tau, origin):
     """The dense and the near/far sums at the offsets tau from the poles
     origin, and the scales of the dense sums' rounding. The dense value and
     slope are the residual pass's, which adds the largest term apart."""
-    nb = poles.size
-    work = np.empty((spectral._chunk_rows(tau.size, nb), nb))
-    dense = spectral._in_chunks(spectral._secular_evaluate(poles, sqrt_w, work), nb)
-    residuals = spectral._in_chunks(spectral._secular_residuals(poles, sqrt_w, work), nb)
+    dense = spectral._secular_evaluate(poles, sqrt_w)
+    residuals = spectral._secular_residuals(poles, sqrt_w)
     near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
     assert near_far is not None
     base = poles[origin]
@@ -82,8 +80,7 @@ def test_outer_offsets_take_the_dense_sums(nb, poles, sqrt_w, monkeypatch):
     h = (poles[-1] - poles[0]) / (nb - 1)
     origin = np.array([0, 0, nb - 1, nb - 1])
     tau = np.array([-0.6 * h, -3.0, 0.6 * h, 3.0])
-    work = np.empty((4, nb))
-    dense = spectral._secular_evaluate(poles, sqrt_w, work)
+    dense = spectral._secular_evaluate(poles, sqrt_w)
     near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
     base = poles[origin]
     data = (base, base - 0.7, origin)

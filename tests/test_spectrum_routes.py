@@ -192,6 +192,45 @@ def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
         assert np.max(np.abs(weights_7 - weights)) <= 1e-15
 
 
+def test_chunk_driver_owns_the_scratch(monkeypatch):
+    # the driver hands a pass one (rows x n_cols) array per declared dtype,
+    # cut to each chunk's rows, in the same memory on every chunk and every
+    # call; several chunks give the outputs of one, and no rows give empty
+    # outputs of the right shape
+    n_cols, seen = 5, []
+
+    def fn(real, pair, x, y):
+        seen.append((real, pair))
+        assert (real.dtype, pair.dtype) == (np.float64, np.complex128)
+        assert real.shape == pair.shape == (x.size, n_cols)
+        real[:] = x[:, None] * np.arange(n_cols)
+        pair[:] = real + 1j * y[:, None]
+        return real.sum(axis=1), np.stack([pair[:, -1].imag, x * y])
+
+    x, y = np.linspace(0.0, 1.0, 10), np.linspace(2.0, 3.0, 10)
+    whole = spectral._in_chunks(fn, n_cols, float, complex)(x, y)
+    assert len(seen) == 1 and seen[0][0].shape == (10, n_cols)
+
+    monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(spectral, "_CHUNK_ROWS", 3)
+    seen.clear()
+    chunked = spectral._in_chunks(fn, n_cols, float, complex)
+    parts = chunked(x, y)
+    again = chunked(x[:5], y[:5])
+    assert [real.shape[0] for real, _ in seen] == [3, 3, 3, 1, 3, 2]
+    for real, pair in seen:
+        assert np.shares_memory(real, seen[0][0]) and np.shares_memory(pair, seen[0][1])
+        assert not np.shares_memory(real, pair)
+    assert [p.shape for p in parts] == [(10,), (2, 10)]
+    for got, want in zip(parts, whole):
+        assert np.array_equal(got, want)
+    for got, want in zip(again, whole):
+        assert np.array_equal(got, want[..., :5])
+
+    empty = chunked(np.zeros(0), np.zeros(0))
+    assert [p.shape for p in empty] == [(0,), (2, 0)]
+
+
 # models whose probe gets no rows: one pole, so no interior gap (secular
 # route), and every interior energy alone in its gap, started from its
 # offset (closed form, rank 2)
