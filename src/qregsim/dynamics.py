@@ -291,10 +291,10 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
 
 
 def _spin_amplitudes(
-    energies: np.ndarray, columns: np.ndarray, coords: np.ndarray, grid: TimeGrid, width: int = 0
+    energies: np.ndarray, columns: np.ndarray, coords: np.ndarray, grid: TimeGrid, width: int
 ) -> np.ndarray:
     """Spin coordinates of the evolved state at every grid time, in the
-    first r columns of a C-ordered (T, width) block (width r if 0), whose
+    first r columns of a C-ordered (T, width) block, width >= r, whose
     other columns are left for the caller to fill.
 
     C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V^H b, x_j = E_j dt,
@@ -313,9 +313,10 @@ def _spin_amplitudes(
     k0 = (T - 1) // 2 so that |k - k0| <= T / 2, where the deconvolution
     factor stays below exp(4 pi / 3). Cost O(r m w + r M log M), memory
     O(r M) (w = the spreading half-width; M ~ 2T, m <= d), against O(T d^2)
-    for evolve. Each spread grid is transformed in place, and the block is
-    allocated once the grids are freed, so that it is never alive beside
-    them.
+    for evolve. Each row's grid is transformed as soon as it is spread and
+    written back over itself, so that one row's transform at a time is
+    alive beside the grids, and the block is allocated once the grids are
+    freed.
     """
     n, n_steps = coords.size, grid.n_steps
     dt = grid.t_max / (n_steps - 1)
@@ -340,17 +341,18 @@ def _spin_amplitudes(
     )
     cells = ((base.astype(np.int64)[:, None] + offsets) % n_cells).ravel()
     # one row at a time, two real bincounts over the cells of every point
-    # spread its real and imaginary parts, each cell's terms summed in order
+    # spread its real and imaginary parts, each cell's terms summed in
+    # order, and the row's FFT takes the place of its grid
     spread = np.empty((n, n_cells), complex)
     for a in range(n):
         weights = (coef[a, :, None] * kernel).ravel()
         spread[a].real = np.bincount(cells, weights.real, n_cells)
         spread[a].imag = np.bincount(cells, weights.imag, n_cells)
-    np.fft.fft(spread, axis=1, out=spread)
+        spread[a] = np.fft.fft(spread[a])
     modes = np.arange(n_steps) - k0
     amplitudes = spread[:, modes % n_cells]
     del spread  # bounds the peak at the spread grid and the amplitudes
-    block = np.empty((n_steps, width or n), complex)
+    block = np.empty((n_steps, width), complex)
     np.multiply(amplitudes, np.sqrt(np.pi / tau) / n_cells * np.exp(tau * modes**2), out=block[:, :n].T)
     return block
 

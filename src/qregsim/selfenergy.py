@@ -13,12 +13,12 @@ and takes the spin rows of the eigenvectors from M(E). One kernel,
 every one of these passes, and one chunk loop, `spectral._in_chunks`, runs
 each of them (the count, the midpoint probe, every step, the eigenvectors
 and the overlaps of the certificate) in row chunks and hands each chunk
-its (rows x modes) scratch arrays, which a pass names by dtype and the
-loop allocates once. It never forms a d x d matrix: O(d N_b r^2) time and
-O(chunk N_b) memory. Its pole sums stay dense on an evenly spaced bath
-too: the secular route's near/far sums, carried over to the r^2 entries
-of M(E), moved the certificate's verdict on near-dark models at its
-overlap bound both ways.
+its (rows x modes) scratch arrays, which a pass names by dtype, with its
+most rows, and the loop allocates once. It never forms a d x d matrix:
+O(d N_b r^2) time and O(chunk N_b) memory. Its pole sums stay dense on an
+evenly spaced bath too: the secular route's near/far sums, carried over
+to the r^2 entries of M(E), moved the certificate's verdict on near-dark
+models at its overlap bound both ways.
 It certifies its result or raises DiagonalizationError, on which
 `dynamics._reduced_spectrum` falls back to `spectral.diagonalize`.
 """
@@ -190,7 +190,7 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         s = np.einsum("ka,kab,kb->k", z.conj(), slope, z).real + np.einsum("ka,ka->k", z.conj(), z).real
         return k + np.count_nonzero(lam > 0.0, axis=1) + (t < 0.0), t / (1.0 + s)
 
-    below, tau = _in_chunks(count, nb, float)(np.arange(nb))
+    below, tau = _in_chunks(nb, float, rows=nb)(count)(np.arange(nb))
     positive = below - np.arange(nb)
     if not (np.all(np.isfinite(tau)) and np.all((positive >= 1) & (positive <= n))
             and np.all(np.diff(below) >= 0)):
@@ -209,7 +209,7 @@ def _midpoint_probe(model: _Deflated, lower, half, branch):
         mu = np.linalg.eigh(_self_energy(model, half, model.omegas[lower], r)[1])[0]
         return (mu[np.arange(lower.size), branch] < 0.0,)
 
-    (right,) = _in_chunks(right_half, model.omegas.size, float)(lower, half, branch)
+    (right,) = _in_chunks(model.omegas.size, float, rows=lower.size)(right_half)(lower, half, branch)
     x_mid = np.where(right, -half, half)
     return right, x_mid, 0.5 * x_mid
 
@@ -240,7 +240,7 @@ def _branch_evaluate(model: _Deflated, offsets: np.ndarray, vectors: np.ndarray)
         np.maximum(q, 0.0, out=q)  # the poles left of tau
         return f, d_all, np.einsum("ij,ij->i", q, r)
 
-    return _in_chunks(evaluate, model.omegas.size, float, float, model.g.dtype)
+    return _in_chunks(model.omegas.size, float, float, model.g.dtype, rows=offsets.size)(evaluate)
 
 
 def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +322,7 @@ def _branch_roots(
         quotient = np.einsum("ij,ij->i", y.conj(), spin) + b_o.conj() * pole
         return (y / np.sqrt(c2)[:, None]).T, b_o / np.sqrt(c2), np.abs(quotient) / c2, np.sqrt(res2)
 
-    chunked = _in_chunks(roots, model.omegas.size, float, model.g.dtype, model.g.dtype)
+    chunked = _in_chunks(model.omegas.size, float, model.g.dtype, model.g.dtype, rows=tau.size)(roots)
     columns, bath, shift, residual = chunked(tau, brackets.origin, brackets.base, vectors)
     return _Roots(brackets.base + tau, columns, shift, residual, brackets.base, tau, brackets.origin, bath)
 
@@ -409,7 +409,8 @@ def _max_overlap(roots: _Roots, model: _Deflated) -> float:
         overlap += np.einsum("ij,ij->i", bath_a, _bath_part(roots, b, model, r, bath_b))
         return (np.abs(overlap),)
 
-    (overlap,) = _in_chunks(overlaps, model.omegas.size, float, model.g.dtype, model.g.dtype)(i, j)
+    chunked = _in_chunks(model.omegas.size, float, model.g.dtype, model.g.dtype, rows=i.size)(overlaps)
+    (overlap,) = chunked(i, j)
     return float(np.max(overlap, initial=0.0))
 
 

@@ -22,8 +22,9 @@ step for a window of w poles and P powers, and one dense O(N_b^2) pass at
 the zeros that gives the weights and checks every residual. Otherwise each
 step takes the O(N_b^2) dense sums in row chunks. `_in_chunks` is the
 one row-chunk loop of both solvers and the one owner of their
-(rows x poles) scratch arrays: a pass names their dtypes, and the loop
-allocates them once and hands each chunk its slices.
+(rows x poles) scratch arrays: a pass names their dtypes and its most
+rows, and the loop allocates them once and hands each chunk its slices;
+the dense sums and the residual pass share theirs.
 `selfenergy.closed_form_spectrum` shares the bracket builder, the
 iteration and that loop at higher rank, with dense sums.
 """
@@ -340,10 +341,10 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     on its own side, so every zero stays strictly inside its open bracket
     (1 ulp of error).
     """
-    poles, epsilon = model.omegas, model.epsilon
+    poles, epsilon, n_p = model.omegas, model.epsilon, model.omegas.size
     sqrt_w = np.abs(model.g[:, 0])
-    n_p = poles.size
-    dense = _secular_evaluate(poles, sqrt_w)
+    driver = _in_chunks(n_p, float, rows=n_p + 1)  # one scratch for every dense pass
+    dense = _secular_evaluate(poles, sqrt_w, driver)
     near_far = _grid_evaluate(poles, sqrt_w, dense)
     evaluate = dense if near_far is None else near_far
 
@@ -365,7 +366,7 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         data = (base, base - epsilon, origin)
         tau, slope = _iterate(evaluate, data, brackets)
         if near_far is not None:
-            p, d_all, scale = _secular_residuals(poles, sqrt_w)(tau, *data)
+            p, d_all, scale = _secular_residuals(poles, sqrt_w, driver)(tau, *data)
             residual = np.abs(p) / (_EPS * (np.abs(base - epsilon) + np.abs(tau) + scale))
             slope = 1.0 + d_all
     if near_far is not None and not np.all(residual <= _SECULAR_ULPS):  # NaN fails
@@ -403,11 +404,12 @@ def _offset_zero(c, s_o, s_f, delta_f):
     )
 
 
-def _secular_evaluate(poles, sqrt_w):
+def _secular_evaluate(poles, sqrt_w, driver):
     """evaluate(tau, base, const, origin) of _iterate for P, in the row
-    chunks of _in_chunks: P, the sum P' - 1 = sum_k W_k / Delta_k^2 and its
-    part from the poles left of tau, in two passes over the chunk's
-    (rows x poles) scratch u, which first holds delta_k = omega_k - base."""
+    chunks of driver, an _in_chunks wrap with one float scratch array: P,
+    the sum P' - 1 = sum_k W_k / Delta_k^2 and its part from the poles left
+    of tau, in two passes over the chunk's (rows x poles) scratch u, which
+    first holds delta_k = omega_k - base."""
 
     def evaluate(u, tau, base, const, origin):
         np.subtract(poles, base[:, None], out=u)
@@ -418,12 +420,12 @@ def _secular_evaluate(poles, sqrt_w):
         np.minimum(u, 0.0, out=u)  # the poles left of tau
         return p, d_all, np.einsum("ij,ij->i", u, u)
 
-    return _in_chunks(evaluate, poles.size, float)
+    return driver(evaluate)
 
 
-def _secular_residuals(poles, sqrt_w):
+def _secular_residuals(poles, sqrt_w, driver):
     """The dense pass at the zeros, in the form of evaluate (in the row
-    chunks of _in_chunks, over a chunk's scratch u as in evaluate): P,
+    chunks of driver, over a chunk's scratch u as in evaluate): P,
     P' - 1 and sum_k |W_k / Delta_k|, which with |omega_o - epsilon| + |tau|
     is the scale of P's rounding. The origin's term, near a pole the largest
     by far, is added apart from the others: a BLAS dot rounds at the size of
@@ -442,7 +444,7 @@ def _secular_residuals(poles, sqrt_w):
         d_all = np.einsum("ij,ij->i", u, u) + u_o * u_o
         return p, d_all, np.abs(u, out=u) @ sqrt_w + np.abs(q_o)
 
-    return _in_chunks(residuals, poles.size, float)
+    return driver(residuals)
 
 
 def _far_moments(poles: np.ndarray, weights: np.ndarray):
@@ -560,7 +562,7 @@ def _grid_evaluate(poles, sqrt_w, dense):
             )
         return p, d_all, d_psi
 
-    return _in_chunks(evaluate, 2 * _NEAR + 2 * _ORDER + 2)
+    return _in_chunks(2 * _NEAR + 2 * _ORDER + 2)(evaluate)
 
 
 def _five_smooth(n: int) -> int:
@@ -578,37 +580,39 @@ def _five_smooth(n: int) -> int:
     return best
 
 
-def _in_chunks(fn, n_cols, *scratch):
-    """fn over any number of rows, built from one that takes at most one
-    chunk of _row_chunks(rows, n_cols): the one row-chunk loop of both
-    routes and the one owner of their (rows x n_cols) scratch arrays, one
-    per dtype in scratch. fn gets each of them, cut to its chunk's rows,
-    ahead of its per-row arguments, which are passed to it slice by slice
-    along their first axis. Each of the outputs it returns (a tuple) is
-    written along its last axis into an array allocated once per call,
-    shaped by the first chunk. The scratch arrays are allocated at the
-    first call, at the rows of its largest chunk (those of one dtype as one
-    block), and kept for later calls, which the root iteration makes with
-    fewer and fewer rows; a call with a larger chunk allocates them anew. A
-    fresh array of that size costs more than the pass that fills it."""
-    dtypes, held = [np.dtype(t) for t in scratch], []
+def _in_chunks(n_cols, *scratch, rows=0):
+    """The one row-chunk loop of both routes and the one owner of their
+    (rows x n_cols) scratch arrays, one per dtype in scratch, allocated
+    once (those of one dtype as one block), at the first call of any pass
+    it wraps, at the rows of the largest of _row_chunks(rows, n_cols): a
+    fresh array of that size costs more than the pass that fills it.
+    Returns wrap(fn), which builds a pass over at most rows rows (any
+    number without scratch) from an fn that takes at most one chunk. fn
+    gets each scratch array, cut to its chunk's rows, ahead of its per-row
+    arguments, which are passed to it slice by slice along their first
+    axis. Each of the outputs it returns (a tuple) is written along its
+    last axis into an array allocated once per call, shaped by the first
+    chunk. Every call of every pass that one wrap builds uses the same
+    scratch: the root iteration's calls with fewer and fewer rows, and the
+    secular route's residual pass after its dense sums."""
+    size, dtypes, held = _row_chunks(rows, n_cols)[0].stop, [np.dtype(t) for t in scratch], []
 
-    def chunked(*args):
-        rows, outs = len(args[0]), ()
-        chunks = _row_chunks(rows, n_cols)
-        size = chunks[0].stop  # the rows of the largest chunk
-        if dtypes and (not held or len(held[0]) < size):
-            held.clear()  # before allocating the larger arrays
-            blocks = {t: iter(np.empty((c, size, n_cols), t)) for t, c in Counter(dtypes).items()}
-            held.extend(next(blocks[t]) for t in dtypes)
-        for s in chunks:
-            parts = fn(*(a[: s.stop - s.start] for a in held), *(a[s] for a in args))
-            outs = outs or tuple(np.empty(p.shape[:-1] + (rows,), p.dtype) for p in parts)
-            for out, part in zip(outs, parts):
-                out[..., s] = part
-        return outs
+    def wrap(fn):
+        def chunked(*args):
+            if len(held) < len(dtypes):  # the first call of a pass of this wrap
+                blocks = {t: iter(np.empty((c, size, n_cols), t)) for t, c in Counter(dtypes).items()}
+                held.extend(next(blocks[t]) for t in dtypes)
+            n_rows, outs = len(args[0]), ()
+            for s in _row_chunks(n_rows, n_cols):
+                parts = fn(*(a[: s.stop - s.start] for a in held), *(a[s] for a in args))
+                outs = outs or tuple(np.empty(p.shape[:-1] + (n_rows,), p.dtype) for p in parts)
+                for out, part in zip(outs, parts):
+                    out[..., s] = part
+            return outs
 
-    return chunked
+        return chunked
+
+    return wrap
 
 
 def _iterate(evaluate, data, brackets: _Brackets):

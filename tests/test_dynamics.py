@@ -480,7 +480,7 @@ class TestCoupledSubspace:
     def test_transforms_one_row_per_coupled_direction(self, params, fallback, rows, monkeypatch):
         real, seen = _spin_amplitudes, []
 
-        def spy(energies, columns, coords, grid, width=0):
+        def spy(energies, columns, coords, grid, width):
             seen.append(columns.shape[0])
             return real(energies, columns, coords, grid, width)
 
@@ -515,7 +515,7 @@ class TestCoupledSubspace:
         prep = m_superposition(n, 1)
         grid = TimeGrid(2000.0, 2001)
         series = run_time_series(params, prep, grid)
-        want = observables(prep, _spin_amplitudes(*spin_spectrum(params)[:2], prep, grid), n)
+        want = observables(prep, _spin_amplitudes(*spin_spectrum(params)[:2], prep, grid, n), n)
         for got, expect in zip(series.obs, want):
             assert np.array_equal(got, expect)
 

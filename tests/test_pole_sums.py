@@ -44,8 +44,9 @@ def _sums(poles, sqrt_w, epsilon, tau, origin):
     """The dense and the near/far sums at the offsets tau from the poles
     origin, and the scales of the dense sums' rounding. The dense value and
     slope are the residual pass's, which adds the largest term apart."""
-    dense = spectral._secular_evaluate(poles, sqrt_w)
-    residuals = spectral._secular_residuals(poles, sqrt_w)
+    driver = spectral._in_chunks(poles.size, float, rows=tau.size)
+    dense = spectral._secular_evaluate(poles, sqrt_w, driver)
+    residuals = spectral._secular_residuals(poles, sqrt_w, driver)
     near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
     assert near_far is not None
     base = poles[origin]
@@ -80,7 +81,7 @@ def test_outer_offsets_take_the_dense_sums(nb, poles, sqrt_w, monkeypatch):
     h = (poles[-1] - poles[0]) / (nb - 1)
     origin = np.array([0, 0, nb - 1, nb - 1])
     tau = np.array([-0.6 * h, -3.0, 0.6 * h, 3.0])
-    dense = spectral._secular_evaluate(poles, sqrt_w)
+    dense = spectral._secular_evaluate(poles, sqrt_w, spectral._in_chunks(nb, float, rows=tau.size))
     near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
     base = poles[origin]
     data = (base, base - 0.7, origin)

@@ -194,9 +194,9 @@ def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
 
 def test_chunk_driver_owns_the_scratch(monkeypatch):
     # the driver hands a pass one (rows x n_cols) array per declared dtype,
-    # cut to each chunk's rows, in the same memory on every chunk and every
-    # call; several chunks give the outputs of one, and no rows give empty
-    # outputs of the right shape
+    # cut to each chunk's rows, in the same memory on every chunk, every
+    # call and every pass of one wrap; several chunks give the outputs of
+    # one, and no rows give empty outputs of the right shape
     n_cols, seen = 5, []
 
     def fn(real, pair, x, y):
@@ -208,16 +208,18 @@ def test_chunk_driver_owns_the_scratch(monkeypatch):
         return real.sum(axis=1), np.stack([pair[:, -1].imag, x * y])
 
     x, y = np.linspace(0.0, 1.0, 10), np.linspace(2.0, 3.0, 10)
-    whole = spectral._in_chunks(fn, n_cols, float, complex)(x, y)
+    whole = spectral._in_chunks(n_cols, float, complex, rows=10)(fn)(x, y)
     assert len(seen) == 1 and seen[0][0].shape == (10, n_cols)
 
     monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(spectral, "_CHUNK_ROWS", 3)
     seen.clear()
-    chunked = spectral._in_chunks(fn, n_cols, float, complex)
+    wrap = spectral._in_chunks(n_cols, float, complex, rows=10)
+    chunked = wrap(fn)
     parts = chunked(x, y)
     again = chunked(x[:5], y[:5])
-    assert [real.shape[0] for real, _ in seen] == [3, 3, 3, 1, 3, 2]
+    other = wrap(fn)(x[:4], y[:4])
+    assert [real.shape[0] for real, _ in seen] == [3, 3, 3, 1, 3, 2, 3, 1]
     for real, pair in seen:
         assert np.shares_memory(real, seen[0][0]) and np.shares_memory(pair, seen[0][1])
         assert not np.shares_memory(real, pair)
@@ -226,6 +228,8 @@ def test_chunk_driver_owns_the_scratch(monkeypatch):
         assert np.array_equal(got, want)
     for got, want in zip(again, whole):
         assert np.array_equal(got, want[..., :5])
+    for got, want in zip(other, whole):
+        assert np.array_equal(got, want[..., :4])
 
     empty = chunked(np.zeros(0), np.zeros(0))
     assert [p.shape for p in empty] == [(0,), (2, 0)]
