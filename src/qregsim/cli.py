@@ -113,7 +113,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         write_atomic(out_dir / "secular_roots.csv", format_rows(roots[:, None]))
         print(f"wrote {out_dir / 'secular_roots.csv'} ({roots.size} values)")
     else:
-        print("secular roots skipped: the secular equation needs a coupling of rank one")
+        print(
+            "secular roots skipped: the secular route did not serve this model "
+            "(a coupling of rank two or more, or a refused check)"
+        )
     return 0
 
 

@@ -245,9 +245,9 @@ def _reduced_spectrum(params: ModelParams) -> _Reduced:
       roots holds the zeros and the pinned frequencies. O(N_b^2) time per
       root iteration step; on at least 400 evenly spaced coupled modes (the
       linear dispersion) O(N_b (w + P)) per step instead, after
-      O(N_b log N_b) for the near/far sums' tables, and one dense O(N_b^2)
-      pass that checks every zero's residual. Memory bounded by row
-      chunks;
+      O(N_b log N_b) for the near/far sums' tables. Either way one dense
+      O(N_b^2) pass at the zeros gives the weights and checks every zero's
+      residual. Memory bounded by row chunks;
     - r >= 2: selfenergy._closed_form on the reduced problem, certified to
       orthonormality 5e-14. O(d N_b r^2) time, O(chunk N_b) memory.
 
@@ -291,19 +291,22 @@ def spin_spectrum(params: ModelParams) -> Spectrum:
 
 
 def _spin_amplitudes(
-    energies: np.ndarray, columns: np.ndarray, coords: np.ndarray, grid: TimeGrid, width: int
+    energies: np.ndarray, columns: np.ndarray, coords: np.ndarray, grid: TimeGrid,
+    dark: float, epsilon: float,
 ) -> np.ndarray:
-    """Spin coordinates of the evolved state at every grid time, in the
-    first r columns of a C-ordered (T, width) block, width >= r, whose
-    other columns are left for the caller to fill.
+    """Spin coordinates of the evolved state at every grid time, as a
+    C-ordered (T, r + 1) block: the transform of the r coupled coordinates
+    in its first r columns, and dark exp(-i epsilon t_k) in its last, the
+    coordinate of the preparation's part in the dark directions, of norm
+    dark, which only turns by the exact phase at epsilon. dark is 0 at full
+    rank and on the fallback, where the last column is 0.
 
     C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V^H b, x_j = E_j dt,
     V the r x m spin columns of m energies in orthonormal spin coordinates
     and b the preparation's r coordinates in them. run_time_series passes
     the reduced columns of _reduced_spectrum, one row per coupled spin
-    direction (the dark directions' exact phase is added there); the
-    N x (N + N_b) spin block of spin_spectrum in the qubit basis is the case
-    r = N. It is a type-1 nonuniform FFT of the m points x_j onto the modes
+    direction; the N x (N + N_b) spin block of spin_spectrum in the qubit
+    basis is the case r = N, dark = 0. It is a type-1 nonuniform FFT of the m points x_j onto the modes
     k = 0..T-1, one per row. Each point is spread onto an oversampled
     periodic grid of M cells, the least 5-smooth length >= 2T (a fast FFT
     length, oversampling sigma = M / T >= 2), with the Gaussian
@@ -352,8 +355,9 @@ def _spin_amplitudes(
     modes = np.arange(n_steps) - k0
     amplitudes = spread[:, modes % n_cells]
     del spread  # bounds the peak at the spread grid and the amplitudes
-    block = np.empty((n_steps, width), complex)
+    block = np.empty((n_steps, n + 1), complex)
     np.multiply(amplitudes, np.sqrt(np.pi / tau) / n_cells * np.exp(tau * modes**2), out=block[:, :n].T)
+    np.multiply(dark, np.exp(-1j * epsilon * grid.times()), out=block[:, n])
     return block
 
 
@@ -370,7 +374,8 @@ def run_time_series(
     direction (_spin_amplitudes), and its part in the dark directions,
     z = dark^H psi_0, only turns by the exact phase exp(-i epsilon t), so
     it enters as one more coordinate ||z|| exp(-i epsilon t_k) with
-    ||z|| at t = 0, written into the last column of the transform's block.
+    ||z|| at t = 0, which _spin_amplitudes writes into the last column of
+    its block on every route (||z|| = 0 at full rank and on the fallback).
     D, p1 and F are inner products and norms of the spin state, so
     observables gives them from these r + 1 coordinates exactly as from the
     N qubit amplitudes. Neither the bath block nor the N rows of the spin
@@ -382,14 +387,10 @@ def run_time_series(
     times = grid.times()
     reduced = _reduced_spectrum(params)
     c0 = initial_amplitudes(prep, params.shape)[:n]
-    r = reduced.basis.shape[1]
     coords = reduced.basis.conj().T @ c0
-    amplitudes = _spin_amplitudes(reduced.energies, reduced.columns, coords, grid, r + (r < n))
-    if r < n:
-        dark = float(np.linalg.norm(reduced.dark.conj().T @ c0))
-        np.multiply(dark, np.exp(-1j * reduced.epsilon * times), out=amplitudes[:, r])
-        coords = np.append(coords, dark)
-    obs = observables(coords, amplitudes, coords.size)
+    dark = float(np.linalg.norm(reduced.dark.conj().T @ c0))
+    amplitudes = _spin_amplitudes(reduced.energies, reduced.columns, coords, grid, dark, reduced.epsilon)
+    obs = observables(np.append(coords, dark), amplitudes, coords.size + 1)
 
     late = _late_window(times)
     return TimeSeries(

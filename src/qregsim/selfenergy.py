@@ -7,8 +7,10 @@ model: it counts the energies between adjacent mode frequencies by inertia
 (Haynsworth), brackets them with the secular route's bracket builder
 (`spectral._brackets`, whose midpoint probe here is the sign of the
 energy's branch of the self-energy M(E)), refines each on its branch with
-the secular route's safeguarded rational iteration (`spectral._iterate`),
-and takes the spin rows of the eigenvectors from M(E). One kernel,
+the secular route's safeguarded rational iteration (`spectral._iterate`,
+which returns each energy's offset at its last evaluation, as on the
+secular route), and takes the spin rows of the eigenvectors from M(E) at
+that offset. One kernel,
 `_self_energy`, forms M(E) and the row 1 / (E - omega_k) under it for
 every one of these passes, and one chunk loop, `spectral._in_chunks`, runs
 each of them (the count, the midpoint probe, every step, the eigenvectors
@@ -214,21 +216,22 @@ def _midpoint_probe(model: _Deflated, lower, half, branch):
     return right, x_mid, 0.5 * x_mid
 
 
-def _branch_evaluate(model: _Deflated, offsets: np.ndarray, vectors: np.ndarray):
+def _branch_evaluate(model: _Deflated, vectors: np.ndarray):
     """evaluate(tau, base, branch, position) of _iterate on the branches,
     in the row chunks of _in_chunks: at E = base + tau the counted
     branch's v, from an eigh of the kernel's M(E), then
     f_v(E) = E - epsilon - sum_k W_k / (E - omega_k) with W_k = |(G v)_k|^2,
     the sum of its pole terms' slopes W_k / (E - omega_k)^2 and that sum
-    over the poles left of tau. Each call also stores tau and v at the
-    rows' positions in offsets and vectors, so that every energy keeps its
-    last evaluation, whose v is exact there. Its (rows x modes) arrays r,
-    q and G v are the chunk's scratch from _in_chunks."""
+    over the poles left of tau. Each call also stores v at the rows'
+    positions in vectors, so that every energy keeps the v of its last
+    evaluation, at the offset that _iterate returns, where v is exact. Its
+    (rows x modes) arrays r, q and G v are the chunk's scratch from
+    _in_chunks."""
 
     def evaluate(r, q, w, tau, base, branch, position):
         r, m = _self_energy(model, tau, base, r)
         v = np.linalg.eigh(m)[1][np.arange(tau.size), :, branch]
-        offsets[position], vectors[position] = tau, v
+        vectors[position] = v
         np.matmul(v, model.g.T, out=w)
         if w.dtype.kind == "c":
             np.abs(w, out=q)
@@ -240,20 +243,20 @@ def _branch_evaluate(model: _Deflated, offsets: np.ndarray, vectors: np.ndarray)
         np.maximum(q, 0.0, out=q)  # the poles left of tau
         return f, d_all, np.einsum("ij,ij->i", q, r)
 
-    return _in_chunks(model.omegas.size, float, float, model.g.dtype, rows=offsets.size)(evaluate)
+    return _in_chunks(model.omegas.size, float, float, model.g.dtype, rows=len(vectors))(evaluate)
 
 
 def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
-    """Each energy's offset from brackets.base at the last evaluation of the
-    safeguarded iteration of _iterate, one iteration over every energy
-    whose evaluations run in the row chunks of _in_chunks, where its step
-    had fallen to a few ulp of the offset or its bracket had collapsed, and
-    the branch's eigenvector v there, one row per energy."""
+    """Each energy's offset from brackets.base at its last evaluation, as
+    _iterate returns it (one iteration over every energy, whose
+    evaluations run in the row chunks of _in_chunks), where its step had
+    fallen to a few ulp of the offset or its bracket had collapsed, and the
+    branch's eigenvector v there, which _branch_evaluate stored, one row
+    per energy."""
     size = brackets.tau.size
-    offsets, vectors = np.empty(size), np.empty((size, model.g.shape[1]), dtype=model.g.dtype)
-    evaluate = _branch_evaluate(model, offsets, vectors)
-    _iterate(evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets)
-    return offsets, vectors
+    vectors = np.empty((size, model.g.shape[1]), dtype=model.g.dtype)
+    evaluate = _branch_evaluate(model, vectors)
+    return _iterate(evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets), vectors
 
 
 class _Roots(NamedTuple):

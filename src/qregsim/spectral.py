@@ -17,10 +17,11 @@ pole and drives every zero at once. Its brackets and starts come from
 its counts, its starts and a probe that picks the half of a gap a zero
 lies in from the gap's midpoint. On an evenly spaced bath, as the paper's
 linear dispersion is, its pole sums are near/far sums
-(`_grid_evaluate`): O(N_b log N_b) moment tables once, O(N_b (w + P)) per
-step for a window of w poles and P powers, and one dense O(N_b^2) pass at
-the zeros that gives the weights and checks every residual. Otherwise each
-step takes the O(N_b^2) dense sums in row chunks. `_in_chunks` is the
+(`_grid_evaluate`): O(N_b log N_b) moment tables once and O(N_b (w + P))
+per step for a window of w poles and P powers. Otherwise each step takes
+the O(N_b^2) dense sums in row chunks. Either way the solve ends in one
+dense O(N_b^2) pass at the zeros (`_secular_residuals`) that gives the
+weights and checks every zero's residual. `_in_chunks` is the
 one row-chunk loop of both solvers and the one owner of their
 (rows x poles) scratch arrays: a pass names their dtypes and its most
 rows, and the loop allocates them once and hands each chunk its slices;
@@ -85,9 +86,12 @@ _GRID_POLES = 400
 #: evenly spaced: every |omega_k - omega_0 - k h| at most this many ulp of
 #: omega_max, which also leaves no hole in the grid
 _GRID_ULPS = 4
-#: the secular residual check: |P(E_j)| at most this many ulp of the scale
-#: of P's rounding, |omega_o - epsilon| + |tau| + sum_k |W_k / (E_j - omega_k)|
-#: for E_j = omega_o + tau (at most 2.9 ulp measured up to 6000 poles)
+#: the secular residual check of every secular solve: |P(E_j)| at most this
+#: many ulp of the scale of P's rounding, |omega_o - epsilon| + |tau| +
+#: sum_k |W_k / (E_j - omega_k)| for E_j = omega_o + tau. Measured at most
+#: 2.9 ulp on the near/far sums up to 6000 poles, and at most 5.4 ulp
+#: (median 2.1) on the dense sums over 3000 random rank-one models (N 1-5,
+#: N_b 1-599, g0 1e-6 to 2, linear, random and rounded dispersions)
 _SECULAR_ULPS = 16
 
 
@@ -223,12 +227,12 @@ def _assemble(
     """All N + N_b energies, ascending, and the N x (N + N_b) spin block, from
     the reduced problem's energies and spin columns (in model.basis): the
     pinned bath states, at their frequencies with no spin weight, and the
-    dark spin states, at epsilon, are appended. Only model's basis, dark,
-    pinned and epsilon are read, so dynamics._Reduced serves as well."""
+    dark spin states, at epsilon, are appended. The columns are always
+    mapped, basis @ columns, also at full rank, where the basis is I_N.
+    Only model's basis, dark, pinned and epsilon are read, so
+    dynamics._Reduced serves as well."""
     n, r = model.basis.shape
-    # at full rank the basis is I_N, and I_N @ columns turns some -0
-    # imaginary parts of complex columns into +0
-    spin = columns if r == n else model.basis @ columns
+    spin = model.basis @ columns
     energies = np.concatenate([energies, model.pinned, np.full(n - r, model.epsilon)])
     spin = np.hstack([spin, np.zeros((n, model.pinned.size)), model.dark])
     order = np.argsort(energies, kind="stable")
@@ -314,7 +318,8 @@ def _brackets(
 
 def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     """The n_p + 1 zeros of P over a rank-one reduced problem's n_p coupled
-    modes (distinct poles), ascending, and the slope P' at each.
+    modes (distinct poles), ascending, and the slope P' at each, both from
+    the residual pass that ends every solve.
 
     Every weight W_k lies above the deflation threshold, so P rises strictly
     from -inf to +inf between adjacent poles: zero j lies between poles
@@ -331,22 +336,21 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     midpoint sums and every step take their pole sums from one evaluate: the
     near/far sums of at least _GRID_POLES evenly spaced poles
     (_grid_evaluate), O(_NEAR + _ORDER) per root after O(n_p log n_p)
-    tables, else the dense sums in row chunks, O(n_p) per root, whose last
-    evaluation gives the slopes. On the near/far sums one dense pass at the
-    zeros gives the slopes instead and checks every zero's residual |P(E_j)|
-    against _SECULAR_ULPS ulp of the scale of P's rounding
-    (_secular_residuals); it raises DiagonalizationError where one fails
-    (NaN included), the independent check of the near/far sums. A zero
-    within half an ulp of its origin is returned as the neighbouring float
-    on its own side, so every zero stays strictly inside its open bracket
-    (1 ulp of error).
+    tables, else the dense sums in row chunks, O(n_p) per root. On either
+    sums one dense pass at each zero's last evaluated offset
+    (_secular_residuals) then gives the slopes and checks every zero's
+    residual |P(E_j)| against _SECULAR_ULPS ulp of the scale of P's
+    rounding; it raises DiagonalizationError where one fails (NaN
+    included). It is the independent check of the near/far sums and the
+    check of every zero the dense sums found. A zero within half an ulp of
+    its origin is returned as the neighbouring float on its own side, so
+    every zero stays strictly inside its open bracket (1 ulp of error).
     """
     poles, epsilon, n_p = model.omegas, model.epsilon, model.omegas.size
     sqrt_w = np.abs(model.g[:, 0])
     driver = _in_chunks(n_p, float, rows=n_p + 1)  # one scratch for every dense pass
     dense = _secular_evaluate(poles, sqrt_w, driver)
-    near_far = _grid_evaluate(poles, sqrt_w, dense)
-    evaluate = dense if near_far is None else near_far
+    evaluate = _grid_evaluate(poles, sqrt_w, dense) or dense
 
     def probe(lower, half, branch):
         mid = poles[lower] + half
@@ -364,12 +368,10 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         brackets = _brackets(model, reach, probe, np.arange(1, n_p + 1), np.full(n_p, np.nan))
         base, origin = brackets.base, brackets.origin
         data = (base, base - epsilon, origin)
-        tau, slope = _iterate(evaluate, data, brackets)
-        if near_far is not None:
-            p, d_all, scale = _secular_residuals(poles, sqrt_w, driver)(tau, *data)
-            residual = np.abs(p) / (_EPS * (np.abs(base - epsilon) + np.abs(tau) + scale))
-            slope = 1.0 + d_all
-    if near_far is not None and not np.all(residual <= _SECULAR_ULPS):  # NaN fails
+        tau = _iterate(evaluate, data, brackets)
+        p, d_all, scale = _secular_residuals(poles, sqrt_w, driver)(tau, *data)
+        residual = np.abs(p) / (_EPS * (np.abs(base - epsilon) + np.abs(tau) + scale))
+    if not np.all(residual <= _SECULAR_ULPS):  # written so that NaN fails
         raise DiagonalizationError(
             f"secular residual {np.max(residual):.3e} ulp of its scale, "
             f"more than {_SECULAR_ULPS}"
@@ -379,7 +381,7 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     side = np.where(origin < np.arange(n_p + 1), np.inf, -np.inf)
     on_pole = energies == poles[origin]
     energies[on_pole] = np.nextafter(energies[on_pole], side[on_pole])
-    return energies, slope
+    return energies, 1.0 + d_all
 
 
 def _model_zero(c, a, b, lo, hi):
@@ -424,10 +426,11 @@ def _secular_evaluate(poles, sqrt_w, driver):
 
 
 def _secular_residuals(poles, sqrt_w, driver):
-    """The dense pass at the zeros, in the form of evaluate (in the row
-    chunks of driver, over a chunk's scratch u as in evaluate): P,
-    P' - 1 and sum_k |W_k / Delta_k|, which with |omega_o - epsilon| + |tau|
-    is the scale of P's rounding. The origin's term, near a pole the largest
+    """The dense pass at the zeros that ends every secular solve, in the
+    form of evaluate (in the row chunks of driver, over a chunk's scratch u
+    as in evaluate): P, P' - 1, which gives the weights, and
+    sum_k |W_k / Delta_k|, which with |omega_o - epsilon| + |tau| is the
+    scale of P's rounding. The origin's term, near a pole the largest
     by far, is added apart from the others: a BLAS dot rounds at the size of
     its partial sums, and that term in them would grow P's rounding with the
     number of poles."""
@@ -642,13 +645,14 @@ def _iterate(evaluate, data, brackets: _Brackets):
     A step that leaves the bracket [lo, hi] (kept by the sign of p) is
     replaced by a bisection, and so is every step after _MODEL_STEPS. A
     zero is done when its step falls to a few ulp of tau or its bracket to
-    a few ulp of its ends. Returns the offsets and the slopes 1 + d_all of
-    the last evaluation, at most a few ulp away.
+    a few ulp of its ends. Returns one array: each zero's offset at its
+    last evaluation, at most a few ulp from the zero, where the route then
+    takes what else it needs (the secular residual pass, the closed form's
+    stored eigenvectors).
     """
     tau, lo, hi = brackets.tau, brackets.lo, brackets.hi
     delta_far, far_left, side = brackets.delta_far, brackets.far_left, brackets.side
     out_tau = np.empty(tau.size)
-    out_slope = np.empty(tau.size)
     index = np.arange(tau.size)
     outer = side != 0
     for step in range(_MAX_STEPS):
@@ -680,13 +684,9 @@ def _iterate(evaluate, data, brackets: _Brackets):
         ends = np.maximum(np.abs(lo), np.abs(hi))
         collapsed = hi - lo <= np.maximum(4.0 * _EPS * ends, _SMALLEST)
         done = (p == 0.0) | converged | collapsed
-        # a converged step is taken unless it rounds onto a bracket end; a
-        # collapsed bracket ends at tau, where p and its slope were evaluated
-        final = np.where(converged & inside, new, tau)
-        out_tau[index[done]] = final[done]
-        out_slope[index[done]] = 1.0 + d_all[done]
+        out_tau[index[done]] = tau[done]
         if done.all():
-            return out_tau, out_slope
+            return out_tau
         # bisection: by the geometric mean while the bracket spans more than
         # ten octaves (one end may be the pole, at 0), which reaches a zero
         # 1e-300 from its pole in a few dozen steps
@@ -739,8 +739,8 @@ def symmetric_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _secular_spectrum(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     """The zeros E_j of P over a rank-one reduced problem's coupled modes
-    (_secular_energies, which checks each zero's residual where it took the
-    near/far sums) and w_j = 1 / P'(E_j); with no coupled mode, epsilon and
+    (_secular_energies, which checks every zero's residual on either pole
+    sums) and w_j = 1 / P'(E_j); with no coupled mode, epsilon and
     w = 1, without a solve. Two checks, written so that NaN fails, raise
     DiagonalizationError: the trace (the zeros sum to epsilon + sum_k
     omega_k, to 1e-10 * max(1, the arrowhead matrix's Frobenius norm)) and

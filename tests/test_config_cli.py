@@ -21,6 +21,7 @@ from qregsim import (
     prep_vector,
 )
 import qregsim.acceptance
+import qregsim.dynamics
 from qregsim.cli import main, write_atomic
 
 MINIMAL = """
@@ -458,6 +459,24 @@ output.path = {out_dir}
         assert (out_dir / "eigenvalues.csv").exists()
         assert not (out_dir / "secular_roots.csv").exists()
         assert "skipped" in capsys.readouterr().out
+
+    def test_spectrum_skip_line_holds_when_rank_one_falls_back(self, tmp_path, monkeypatch, capsys):
+        # a refused secular check on a uniform (rank-one) model: the
+        # spectrum comes from diagonalize, and the skip line must not claim
+        # that the coupling has rank two or more
+        def refused(model):
+            raise qregsim.dynamics.DiagonalizationError("secular residual refused")
+
+        monkeypatch.setattr(qregsim.dynamics, "_secular_spectrum", refused)
+        assert main(["spectrum", str(self._spectrum_config(tmp_path))]) == 0
+        assert np.loadtxt(tmp_path / "spec" / "eigenvalues.csv").size == 12
+        assert not (tmp_path / "spec" / "secular_roots.csv").exists()
+        out = capsys.readouterr().out
+        assert (
+            "secular roots skipped: the secular route did not serve this model "
+            "(a coupling of rank two or more, or a refused check)"
+        ) in out
+        assert "needs a coupling of rank one" not in out
 
     def test_spectrum_rejects_existing_file_as_output(self, tmp_path, capsys):
         target = tmp_path / "already_a_file"

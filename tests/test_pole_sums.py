@@ -1,8 +1,9 @@
 """The secular route's near/far pole sums on evenly spaced baths
 (spectral._grid_evaluate): their value and slopes against the dense sums at
 every kind of offset, the models that take them, and the dense residual pass
-behind them, which refuses a corrupted far moment, after which
-spin_spectrum falls back to diagonalize."""
+that ends every secular solve, which refuses a corrupted far moment and a
+moved zero on either sums, after which spin_spectrum falls back to
+diagonalize."""
 
 import numpy as np
 import pytest
@@ -144,3 +145,29 @@ def test_corrupted_far_moment_falls_back(monkeypatch):
     assert calls == [(504, 504)] and roots is None
     assert np.array_equal(energies, real_diagonalize(build_h1(params)).eigenvalues)
     assert np.max(np.abs(energies - intact.energies)) <= 1e-12
+
+
+@pytest.mark.parametrize("nb", [200, 500], ids=["dense", "near_far"])
+def test_corrupted_zero_falls_back(nb, monkeypatch):
+    # one zero moved by 1e-9 of its offset after the iteration, the one
+    # nearest epsilon: the residual pass refuses it on the dense sums as on
+    # the near/far sums, and the spectrum comes from one diagonalize call
+    params = ModelParams(RegisterShape(4, nb), UniformCoupling(0.01))
+    real_iterate, real_diagonalize = spectral._iterate, qregsim.dynamics.diagonalize
+    calls = []
+
+    def corrupted(evaluate, data, brackets):
+        tau = real_iterate(evaluate, data, brackets)
+        tau[np.argmin(np.abs(data[1] + tau))] *= 1.0 + 1e-9  # data[1]: base - epsilon
+        return tau
+
+    def counted(h):
+        calls.append(h.shape)
+        return real_diagonalize(h)
+
+    monkeypatch.setattr(spectral, "_iterate", corrupted)
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
+    with pytest.raises(DiagonalizationError, match="secular residual"):
+        symmetric_spectrum(params)
+    _, _, roots = spin_spectrum(params)
+    assert calls == [(nb + 4, nb + 4)] and roots is None

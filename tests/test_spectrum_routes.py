@@ -163,6 +163,44 @@ def test_each_route_iterates_once_over_every_root(route, monkeypatch):
     assert calls == [nb + 1 if route == "secular" else energies.size]
 
 
+def test_iterate_returns_each_last_evaluated_offset():
+    # a toy secular function over three poles, with one zero below, two
+    # between and one above them; evaluate records each row's offsets by
+    # its position, as selfenergy._refine's evaluate does
+    poles, weights, epsilon = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]), 2.5
+    evaluated = [[] for _ in range(4)]
+
+    def evaluate(tau, base, const, position):
+        for row, t in zip(position, tau):
+            evaluated[row].append(t)
+        delta = poles - base[:, None] - tau[:, None]  # omega_k - E
+        terms = weights / delta**2
+        p = const + tau + np.sum(weights / delta, axis=1)
+        return p, terms.sum(axis=1), np.where(delta < 0.0, terms, 0.0).sum(axis=1)
+
+    origin = np.array([0, 0, 2, 2])
+    reach = float(np.sqrt(weights.sum())) + 1.0
+    brackets = spectral._Brackets(
+        origin=origin,
+        base=poles[origin],
+        tau=np.array([-0.5 * reach, 0.5, -0.5, 0.5 * reach]),
+        lo=np.array([-reach, 0.0, -1.0, 0.0]),
+        hi=np.array([0.0, 1.0, 0.0, reach]),
+        delta_far=np.array([0.0, 1.0, -1.0, 0.0]),
+        far_left=np.array([False, False, True, False]),
+        side=np.array([-1, 0, 0, 1]),
+        branch=np.zeros(4, dtype=int),
+    )
+    base = poles[origin]
+    tau = spectral._iterate(evaluate, (base, base - epsilon, np.arange(4)), brackets)
+    assert isinstance(tau, np.ndarray) and tau.shape == (4,)
+    assert np.array_equal(tau, [offsets[-1] for offsets in evaluated])
+    energies = base + tau
+    assert np.all(np.diff(energies) > 0.0) and np.all((tau > brackets.lo) & (tau < brackets.hi))
+    secular = energies - epsilon - np.sum(weights / (energies[:, None] - poles), axis=1)
+    assert np.max(np.abs(secular)) <= 1e-14
+
+
 # the two routes, and the near-dark pairs whose eigenvectors are deflated
 CHUNKED = {
     "secular": ModelParams(RegisterShape(4, 300), UniformCoupling(0.01)),
