@@ -89,9 +89,9 @@ _GRID_ULPS = 4
 #: the secular residual check of every secular solve: |P(E_j)| at most this
 #: many ulp of the scale of P's rounding, |omega_o - epsilon| + |tau| +
 #: sum_k |W_k / (E_j - omega_k)| for E_j = omega_o + tau. Measured at most
-#: 2.9 ulp on the near/far sums up to 6000 poles, and at most 5.4 ulp
-#: (median 2.1) on the dense sums over 3000 random rank-one models (N 1-5,
-#: N_b 1-599, g0 1e-6 to 2, linear, random and rounded dispersions)
+#: 4.6 ulp on the near/far sums, and at most 4.1 ulp (median 1.6) on the
+#: dense sums, over 3600 random rank-one models (N 1-5, N_b 1-3000, g0 1e-6
+#: to 2, linear, random and rounded dispersions)
 _SECULAR_ULPS = 16
 
 
@@ -411,16 +411,22 @@ def _secular_evaluate(poles, sqrt_w, driver):
     chunks of driver, an _in_chunks wrap with one float scratch array: P,
     the sum P' - 1 = sum_k W_k / Delta_k^2 and its part from the poles left
     of tau, in two passes over the chunk's (rows x poles) scratch u, which
-    first holds delta_k = omega_k - base."""
+    first holds delta_k = omega_k - base. The origin's term is added apart
+    from the others, as in _secular_residuals, so that each step sees P as
+    the residual pass checks it: inside the BLAS dot its rounding grows
+    with the number of poles (18 ulp of P's scale at the zero of one model
+    with 2500 random poles, above _SECULAR_ULPS)."""
 
     def evaluate(u, tau, base, const, origin):
+        rows = np.arange(tau.size)
         np.subtract(poles, base[:, None], out=u)
         u -= tau[:, None]
         np.divide(sqrt_w, u, out=u)  # sqrt(W_k) / (delta_k - tau)
-        p = const + tau + u @ sqrt_w
-        d_all = np.einsum("ij,ij->i", u, u)
+        u_o, u[rows, origin] = u[rows, origin], 0.0
+        p = const + tau + u_o * sqrt_w[origin] + u @ sqrt_w
+        d_all = np.einsum("ij,ij->i", u, u) + u_o * u_o
         np.minimum(u, 0.0, out=u)  # the poles left of tau
-        return p, d_all, np.einsum("ij,ij->i", u, u)
+        return p, d_all, np.einsum("ij,ij->i", u, u) + np.minimum(u_o, 0.0) ** 2
 
     return driver(evaluate)
 
