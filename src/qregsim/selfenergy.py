@@ -10,11 +10,13 @@ energy's branch of the self-energy M(E)), refines each on its branch with
 the secular route's safeguarded rational iteration (`spectral._iterate`,
 which returns each energy's offset at its last evaluation, as on the
 secular route), and takes the spin rows of the eigenvectors from M(E) at
-that offset. One kernel,
-`_self_energy`, forms M(E) and the row 1 / (E - omega_k) under it for
-every one of these passes, and one chunk loop, `spectral._in_chunks`, runs
-each of them (the count, the midpoint probe, every step, the eigenvectors
-and the overlaps of the certificate) in row chunks and hands each chunk
+that offset. The pole-row kernel of both routes, `spectral._pole_row` at
+numer = -1, forms the row 1 / (E - omega_k) of every one of these passes
+with the pole of its origin left out, which a pass that needs it puts
+back; `_self_energy` forms M(E) from that row; and one chunk loop,
+`spectral._in_chunks`, runs each of them (the count, the midpoint probe,
+every step, the eigenvectors and the overlaps of the certificate) in row
+chunks and hands each chunk
 its (rows x modes) scratch arrays, which a pass names by dtype, with its
 most rows, and the loop allocates once. It never forms a d x d matrix:
 O(d N_b r^2) time and O(chunk N_b) memory. Its pole sums stay dense on an
@@ -44,6 +46,7 @@ from .spectral import (
     _Deflated,
     _in_chunks,
     _iterate,
+    _pole_row,
 )
 
 __all__ = ["closed_form_spectrum"]
@@ -161,10 +164,11 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     closed_form_spectrum).
 
     A_k = (omega_k - epsilon) I + sum_{j != k} conj(g_j) g_j^T / (omega_j - omega_k)
-    is M(omega_k) without the pole of mode k: the kernel _self_energy at
-    t = 0 from omega_k with origin k, one GEMM of a row chunk of the Cauchy
-    matrix 1 / (omega_k - omega_j) (diagonal 0) with the gg table, formed
-    in the chunk's scratch from _in_chunks, which runs the chunks.
+    is M(omega_k) without the pole of mode k: _self_energy of the row of
+    spectral._pole_row at t = 0 from omega_k with origin k, one GEMM of a
+    row chunk of the Cauchy matrix 1 / (omega_k - omega_j) (diagonal 0)
+    with the gg table, formed in the chunk's scratch from _in_chunks, which
+    runs the chunks.
     Haynsworth additivity on the pivot A_k gives B_k the inertia of A_k
     plus that of its Schur complement -tau_k, so one batched r x r eigh
     A_k = Q diag(lambda) Q^H gives both
@@ -182,7 +186,9 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     nb, n = model.g.shape
 
     def count(cauchy, k):
-        cauchy, a = _self_energy(model, np.zeros(k.size), model.omegas[k], cauchy, k)
+        base = model.omegas[k]
+        cauchy = _pole_row(cauchy, -1.0, np.zeros(k.size), base, k, model.omegas)
+        a = _self_energy(model, cauchy, base - model.epsilon)
         lam, q = np.linalg.eigh(a)
         proj = np.einsum("kai,ka->ki", q, model.g[k])  # conj(Q^H u_k)
         t = np.sum(np.abs(proj) ** 2 / lam, axis=1)
@@ -203,13 +209,17 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
 def _midpoint_probe(model: _Deflated, lower, half, branch):
     """probe of spectral._brackets on the branches: whether each energy lies
     in the right half of its gap, by the sign of its branch at the gap's
-    midpoint (one eigh of the kernel's M(E) per row, in the row chunks of
+    midpoint (one eigh of M(E) per row, from the kernel's row held from the
+    gap's left pole, whose term is put back, in the row chunks of
     _in_chunks and their scratch), that midpoint from the half's pole and,
     as the start, the middle of the half. No rows give empty outputs."""
 
     def right_half(r, lower, half, branch):
-        mu = np.linalg.eigh(_self_energy(model, half, model.omegas[lower], r)[1])[0]
-        return (mu[np.arange(lower.size), branch] < 0.0,)
+        base, rows = model.omegas[lower], np.arange(lower.size)
+        r = _pole_row(r, -1.0, half, base, lower, model.omegas)
+        r[rows, lower] = 1.0 / half  # the origin's pole, put back
+        mu = np.linalg.eigh(_self_energy(model, r, (base - model.epsilon) + half))[0]
+        return (mu[rows, branch] < 0.0,)
 
     (right,) = _in_chunks(model.omegas.size, float, rows=lower.size)(right_half)(lower, half, branch)
     x_mid = np.where(right, -half, half)
@@ -217,9 +227,10 @@ def _midpoint_probe(model: _Deflated, lower, half, branch):
 
 
 def _branch_evaluate(model: _Deflated, vectors: np.ndarray):
-    """evaluate(tau, base, branch, position) of _iterate on the branches,
-    in the row chunks of _in_chunks: at E = base + tau the counted
-    branch's v, from an eigh of the kernel's M(E), then
+    """evaluate(tau, base, branch, position, origin) of _iterate on the
+    branches, in the row chunks of _in_chunks: at E = base + tau the
+    counted branch's v, from an eigh of M(E) over the kernel's row with the
+    origin's pole put back, then
     f_v(E) = E - epsilon - sum_k W_k / (E - omega_k) with W_k = |(G v)_k|^2,
     the sum of its pole terms' slopes W_k / (E - omega_k)^2 and that sum
     over the poles left of tau. Each call also stores v at the rows'
@@ -228,9 +239,11 @@ def _branch_evaluate(model: _Deflated, vectors: np.ndarray):
     (rows x modes) arrays r, q and G v are the chunk's scratch from
     _in_chunks."""
 
-    def evaluate(r, q, w, tau, base, branch, position):
-        r, m = _self_energy(model, tau, base, r)
-        v = np.linalg.eigh(m)[1][np.arange(tau.size), :, branch]
+    def evaluate(r, q, w, tau, base, branch, position, origin):
+        rows, e_eps = np.arange(tau.size), (base - model.epsilon) + tau
+        r = _pole_row(r, -1.0, tau, base, origin, model.omegas)
+        r[rows, origin] = 1.0 / tau  # the origin's pole, put back
+        v = np.linalg.eigh(_self_energy(model, r, e_eps))[1][rows, :, branch]
         vectors[position] = v
         np.matmul(v, model.g.T, out=w)
         if w.dtype.kind == "c":
@@ -238,7 +251,7 @@ def _branch_evaluate(model: _Deflated, vectors: np.ndarray):
             w = q
         np.multiply(w, w, out=q)
         q *= r
-        f = ((base - model.epsilon) + tau) - q.sum(axis=1)
+        f = e_eps - q.sum(axis=1)
         d_all = np.einsum("ij,ij->i", q, r)
         np.maximum(q, 0.0, out=q)  # the poles left of tau
         return f, d_all, np.einsum("ij,ij->i", q, r)
@@ -256,7 +269,8 @@ def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarr
     size = brackets.tau.size
     vectors = np.empty((size, model.g.shape[1]), dtype=model.g.dtype)
     evaluate = _branch_evaluate(model, vectors)
-    return _iterate(evaluate, (brackets.base, brackets.branch, np.arange(size)), brackets), vectors
+    data = (brackets.base, brackets.branch, np.arange(size), brackets.origin)
+    return _iterate(evaluate, data, brackets), vectors
 
 
 class _Roots(NamedTuple):
@@ -293,14 +307,16 @@ def _branch_roots(
     [R y - u_o b_o; 0; tau b_o - g_o . y] / c (zero on the other modes by
     construction), formed without dividing by tau, and the pair's Rayleigh
     quotient lies y^H (R y - u_o b_o) + conj(b_o) (tau b_o - g_o . y), over
-    c^2, from E. R(E) is the kernel's M(E) with the origin given
-    (_self_energy), and the energies run in the row chunks of _in_chunks,
-    whose scratch holds each chunk's (rows x modes) arrays r, G y and b.
+    c^2, from E. R(E) is _self_energy over the row of spectral._pole_row,
+    which leaves the origin's pole out, and the energies run in the row
+    chunks of _in_chunks, whose scratch holds each chunk's (rows x modes)
+    arrays r, G y and b.
     """
 
     def roots(r, w, b, t, o, base, vectors):
         m, e_eps = t.size, (base - model.epsilon) + t
-        r, regular = _self_energy(model, t, base, r, o)
+        r = _pole_row(r, -1.0, t, base, o, model.omegas)
+        regular = _self_energy(model, r, e_eps)
         u = model.g[o].conj()
         try:
             y = np.linalg.solve(regular, u[:, :, None])[:, :, 0]
@@ -314,7 +330,7 @@ def _branch_roots(
             b_v = np.reciprocal(t[redo]) * np.einsum("ij,ij->i", model.g[o[redo]], v)
             # the redone rows' 1 / (E - omega_k), formed again in the first
             # rows of the scratch, which the first pair no longer needs
-            r_v = _reciprocal(t[redo], model.omegas, base[redo], r[:k], o[redo])
+            r_v = _pole_row(r[:k], -1.0, t[redo], base[redo], o[redo], model.omegas)
             other = _pair(v, b_v, r_v, o[redo], e_eps[redo], t[redo], model, w[:k], b[:k])
             keep = ~(other[-1] >= pair[-1][redo])  # written so that a NaN loses
             better = redo[keep]
@@ -332,10 +348,10 @@ def _branch_roots(
 
 def _pair(y, b_o, r, o, e_eps, t, model, w, b):
     """For unnormalized eigenvectors [y; b] with origin components b_o (see
-    _branch_roots, r = 1 / (E - omega_k), 0 at the origin): the squared
-    norm c^2, the spin residual R y - u_o b_o, the origin's residual
-    tau b_o - g_o . y and the normalized squared residual. G y and b are
-    formed in the (rows x modes) arrays w and b."""
+    _branch_roots, r = 1 / (E - omega_k) from spectral._pole_row, 0 at the
+    origin): the squared norm c^2, the spin residual R y - u_o b_o, the
+    origin's residual tau b_o - g_o . y and the normalized squared
+    residual. G y and b are formed in the (rows x modes) arrays w and b."""
     np.matmul(y, model.g.T, out=w)
     np.multiply(r, w, out=b)
     spin = e_eps[:, None] * y - b @ model.g.conj() - model.g[o].conj() * b_o[:, None]
@@ -356,33 +372,18 @@ def _phase_error(energies: np.ndarray, roots: _Roots) -> float:
     return float(np.sum(np.abs(roots.columns) ** 2, axis=0) @ error)
 
 
-def _reciprocal(t, omegas, base, out, origin=None):
-    """1 / (E - omega_k) = 1 / (t - delta_k) with delta_k = omega_k - base
-    (formed as the secular evaluation forms it), one row per offset t from
-    its base, in the (rows x modes) array out: the one place the closed
-    form forms it. The entry of each row's origin, if given, is set to inf
-    before the reciprocal, so that its term is exactly 0, with no division
-    by zero."""
-    r = np.subtract(omegas, base[:, None], out=out)
-    np.subtract(t[:, None], r, out=r)
-    if origin is not None:
-        r[np.arange(t.size), origin] = np.inf
-    return np.reciprocal(r, out=r)
-
-
-def _self_energy(model: _Deflated, t, base, out, origin=None):
-    """The one self-energy kernel of the closed form: at E = base + t, the
-    rows r = 1 / (E - omega_k) of _reciprocal (in out) and
-    M(E) = (E - epsilon) I - r @ gg, one r x r matrix per row, without the
-    pole of each row's origin if given. A non-finite M(E) (an energy on a
-    coupled frequency) raises DiagonalizationError."""
+def _self_energy(model: _Deflated, r, e_eps):
+    """M(E) = (E - epsilon) I - r @ gg, one r x r matrix per row of a finished
+    row r of pole terms 1 / (E - omega_k) (spectral._pole_row at numer = -1,
+    with the origin's pole put back or left out), given E - epsilon: the one
+    place the closed form forms the self-energy. A non-finite M(E) (an
+    energy on a coupled frequency) raises DiagonalizationError."""
     n = model.g.shape[1]
-    r = _reciprocal(t, model.omegas, base, out, origin)
     m = np.negative(r @ model.gg).reshape(-1, n, n)
-    m[:, np.arange(n), np.arange(n)] += ((base - model.epsilon) + t)[:, None]
+    m[:, np.arange(n), np.arange(n)] += e_eps[:, None]
     if not np.all(np.isfinite(m)):
         raise DiagonalizationError("self-energy not finite: an energy sits on a coupled frequency")
-    return r, m
+    return m
 
 
 def _max_overlap(roots: _Roots, model: _Deflated) -> float:
@@ -419,8 +420,10 @@ def _max_overlap(roots: _Roots, model: _Deflated) -> float:
 
 def _bath_part(roots: _Roots, idx: np.ndarray, model: _Deflated, r, b) -> np.ndarray:
     """(E - Omega)^-1 G v of the roots idx, one row per root, in the
-    (rows x modes) array b, with r for 1 / (E - Omega)."""
+    (rows x modes) array b, with r for 1 / (E - Omega) from
+    spectral._pole_row, whose origin entry the root's own bath component
+    replaces."""
     np.matmul(roots.columns[:, idx].T, model.g.T, out=b)
-    b *= _reciprocal(roots.tau[idx], model.omegas, roots.base[idx], r)
+    b *= _pole_row(r, -1.0, roots.tau[idx], roots.base[idx], roots.origin[idx], model.omegas)
     b[np.arange(idx.size), roots.origin[idx]] = roots.bath[idx]
     return b

@@ -20,14 +20,18 @@ linear dispersion is, its pole sums are near/far sums
 (`_grid_evaluate`): O(N_b log N_b) moment tables once and O(N_b (w + P))
 per step for a window of w poles and P powers. Otherwise each step takes
 the O(N_b^2) dense sums in row chunks. Either way the solve ends in one
-dense O(N_b^2) pass at the zeros (`_secular_residuals`) that gives the
-weights and checks every zero's residual. `_in_chunks` is the
+dense O(N_b^2) pass at the zeros that gives the weights and checks every
+zero's residual; `_secular_passes` builds the dense sums and that pass
+from one code. `_pole_row` is the one kernel that forms the rows of pole
+terms numer_k / (omega_k - E) of every dense pass of both solvers, each
+difference as an offset from the row's origin pole, whose own term every
+caller adds apart or puts back. `_in_chunks` is the
 one row-chunk loop of both solvers and the one owner of their
 (rows x poles) scratch arrays: a pass names their dtypes and its most
 rows, and the loop allocates them once and hands each chunk its slices;
 the dense sums and the residual pass share theirs.
 `selfenergy.closed_form_spectrum` shares the bracket builder, the
-iteration and that loop at higher rank, with dense sums.
+iteration, the kernel and that loop at higher rank, with dense sums.
 """
 
 from __future__ import annotations
@@ -86,9 +90,10 @@ _GRID_POLES = 400
 #: evenly spaced: every |omega_k - omega_0 - k h| at most this many ulp of
 #: omega_max, which also leaves no hole in the grid
 _GRID_ULPS = 4
-#: the secular residual check of every secular solve: |P(E_j)| at most this
-#: many ulp of the scale of P's rounding, |omega_o - epsilon| + |tau| +
-#: sum_k |W_k / (E_j - omega_k)| for E_j = omega_o + tau. Measured at most
+#: the secular residual check of every secular solve (the residual pass of
+#: _secular_passes): |P(E_j)| at most this many ulp of the scale of P's
+#: rounding, |omega_o - epsilon| + |tau| + sum_k |W_k / (E_j - omega_k)|
+#: for E_j = omega_o + tau, the terms of _pole_row's rows. Measured at most
 #: 4.6 ulp on the near/far sums, and at most 4.1 ulp (median 1.6) on the
 #: dense sums, over 3600 random rank-one models (N 1-5, N_b 1-3000, g0 1e-6
 #: to 2, linear, random and rounded dispersions)
@@ -328,8 +333,9 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     max(epsilon, omega_max). Each zero is held as an offset tau from its
     origin, the nearer pole of its gap by the sign of P at the midpoint (the
     probe of _brackets; an outer zero takes the outermost pole), and every
-    E - omega_k is formed as tau - delta_k with delta_k = omega_k -
-    omega_origin, so a zero an ulp from its pole keeps its full relative
+    omega_k - E is formed as delta_k - tau with delta_k = omega_k -
+    omega_origin (by _pole_row on the dense sums, alike in the near/far
+    window), so a zero an ulp from its pole keeps its full relative
     accuracy. An interior iteration starts from the zero of the model that
     keeps the gap's two poles exact and freezes the other terms at the
     midpoint (the probe's start); an outer one starts mid-bracket. The
@@ -337,19 +343,19 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     near/far sums of at least _GRID_POLES evenly spaced poles
     (_grid_evaluate), O(_NEAR + _ORDER) per root after O(n_p log n_p)
     tables, else the dense sums in row chunks, O(n_p) per root. On either
-    sums one dense pass at each zero's last evaluated offset
-    (_secular_residuals) then gives the slopes and checks every zero's
-    residual |P(E_j)| against _SECULAR_ULPS ulp of the scale of P's
-    rounding; it raises DiagonalizationError where one fails (NaN
-    included). It is the independent check of the near/far sums and the
-    check of every zero the dense sums found. A zero within half an ulp of
+    sums one dense pass at each zero's last evaluated offset (the residual
+    pass of _secular_passes, which also builds the dense sums) then gives
+    the slopes and checks every zero's residual |P(E_j)| against
+    _SECULAR_ULPS ulp of the scale of P's rounding; it raises
+    DiagonalizationError where one fails (NaN included). It is the
+    independent check of the near/far sums and the check of every zero the
+    dense sums found. A zero within half an ulp of
     its origin is returned as the neighbouring float on its own side, so
     every zero stays strictly inside its open bracket (1 ulp of error).
     """
     poles, epsilon, n_p = model.omegas, model.epsilon, model.omegas.size
     sqrt_w = np.abs(model.g[:, 0])
-    driver = _in_chunks(n_p, float, rows=n_p + 1)  # one scratch for every dense pass
-    dense = _secular_evaluate(poles, sqrt_w, driver)
+    dense, residuals = _secular_passes(poles, sqrt_w, _in_chunks(n_p, float, rows=n_p + 1))
     evaluate = _grid_evaluate(poles, sqrt_w, dense) or dense
 
     def probe(lower, half, branch):
@@ -369,7 +375,7 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         base, origin = brackets.base, brackets.origin
         data = (base, base - epsilon, origin)
         tau = _iterate(evaluate, data, brackets)
-        p, d_all, scale = _secular_residuals(poles, sqrt_w, driver)(tau, *data)
+        p, d_all, scale = residuals(tau, *data)
         residual = np.abs(p) / (_EPS * (np.abs(base - epsilon) + np.abs(tau) + scale))
     if not np.all(residual <= _SECULAR_ULPS):  # written so that NaN fails
         raise DiagonalizationError(
@@ -406,54 +412,55 @@ def _offset_zero(c, s_o, s_f, delta_f):
     )
 
 
-def _secular_evaluate(poles, sqrt_w, driver):
-    """evaluate(tau, base, const, origin) of _iterate for P, in the row
-    chunks of driver, an _in_chunks wrap with one float scratch array: P,
-    the sum P' - 1 = sum_k W_k / Delta_k^2 and its part from the poles left
-    of tau, in two passes over the chunk's (rows x poles) scratch u, which
-    first holds delta_k = omega_k - base. The origin's term is added apart
-    from the others, as in _secular_residuals, so that each step sees P as
-    the residual pass checks it: inside the BLAS dot its rounding grows
-    with the number of poles (18 ulp of P's scale at the zero of one model
-    with 2500 random poles, above _SECULAR_ULPS)."""
+def _pole_row(out, numer, t, base, origin, poles):
+    """The pole terms numer_k / (omega_k - E) at E = base + t, one row per
+    offset t, in the (rows x poles) array out (a chunk's scratch from
+    _in_chunks): the one place either route forms them. Each difference is
+    formed as delta_k - t with delta_k = omega_k - base, so an energy an ulp
+    from base keeps its full relative accuracy (Gu & Eisenstat, SIAM J.
+    Matrix Anal. Appl. 16, 1995). base is always the pole of each row's
+    origin, whose own term is numer_o / -t: that entry is set to inf before
+    the division, so it is exactly 0 (of numer's sign) with no division by
+    zero, and each caller adds the term apart or puts it back. numer is
+    sqrt(W) on the secular route and -1 on the closed form, whose rows
+    1 / (E - omega_k) it gives bit for bit."""
+    u = np.subtract(poles, base[:, None], out=out)
+    u -= t[:, None]
+    u[np.arange(t.size), origin] = np.inf
+    return np.divide(numer, u, out=u)
 
-    def evaluate(u, tau, base, const, origin):
-        rows = np.arange(tau.size)
-        np.subtract(poles, base[:, None], out=u)
-        u -= tau[:, None]
-        np.divide(sqrt_w, u, out=u)  # sqrt(W_k) / (delta_k - tau)
-        u_o, u[rows, origin] = u[rows, origin], 0.0
-        p = const + tau + u_o * sqrt_w[origin] + u @ sqrt_w
-        d_all = np.einsum("ij,ij->i", u, u) + u_o * u_o
+
+def _secular_passes(poles, sqrt_w, driver):
+    """The secular route's two dense passes, evaluate(tau, base, const,
+    origin) of _iterate for its steps and the residual pass at the zeros
+    that ends every solve, in the row chunks of driver, an _in_chunks wrap
+    with one float scratch array u, which holds the rows sqrt(W_k) /
+    Delta_k of _pole_row. Both give P and the sum P' - 1 = sum_k W_k /
+    Delta_k^2 from one code, so that each step sees P as the residual pass
+    checks it; the steps add the part of that sum from the poles left of
+    tau, the residual pass sum_k |W_k / Delta_k|, which with
+    |omega_o - epsilon| + |tau| is the scale of P's rounding. The origin's
+    term, near a pole the largest by far, is added apart from the others: a
+    BLAS dot rounds at the size of its partial sums, and that term in them
+    would grow P's rounding with the number of poles (18 ulp of P's scale
+    at the zero of one model with 2500 random poles, above _SECULAR_ULPS)."""
+
+    def sums(u, tau, base, const, origin):
+        u = _pole_row(u, sqrt_w, tau, base, origin, poles)
+        u_o = sqrt_w[origin] / -tau
+        q_o = u_o * sqrt_w[origin]
+        return u, u_o, q_o, const + tau + q_o + u @ sqrt_w, np.einsum("ij,ij->i", u, u) + u_o * u_o
+
+    def steps(*args):
+        u, u_o, _, p, d_all = sums(*args)
         np.minimum(u, 0.0, out=u)  # the poles left of tau
         return p, d_all, np.einsum("ij,ij->i", u, u) + np.minimum(u_o, 0.0) ** 2
 
-    return driver(evaluate)
-
-
-def _secular_residuals(poles, sqrt_w, driver):
-    """The dense pass at the zeros that ends every secular solve, in the
-    form of evaluate (in the row chunks of driver, over a chunk's scratch u
-    as in evaluate): P, P' - 1, which gives the weights, and
-    sum_k |W_k / Delta_k|, which with |omega_o - epsilon| + |tau| is the
-    scale of P's rounding. The origin's term, near a pole the largest
-    by far, is added apart from the others: a BLAS dot rounds at the size of
-    its partial sums, and that term in them would grow P's rounding with the
-    number of poles."""
-
-    def residuals(u, tau, base, const, origin):
-        rows = np.arange(tau.size)
-        np.subtract(poles, base[:, None], out=u)
-        u -= tau[:, None]
-        np.divide(sqrt_w, u, out=u)
-        u_o = u[rows, origin]
-        u[rows, origin] = 0.0
-        q_o = u_o * sqrt_w[origin]
-        p = const + tau + q_o + u @ sqrt_w
-        d_all = np.einsum("ij,ij->i", u, u) + u_o * u_o
+    def residuals(*args):
+        u, _, q_o, p, d_all = sums(*args)
         return p, d_all, np.abs(u, out=u) @ sqrt_w + np.abs(q_o)
 
-    return driver(residuals)
+    return driver(steps), driver(residuals)
 
 
 def _far_moments(poles: np.ndarray, weights: np.ndarray):
@@ -527,11 +534,13 @@ def _grid_evaluate(poles, sqrt_w, dense):
 
     At E = base + tau the sums split at the pole c nearest E, c = origin +
     round(tau / h) within the grid: the 2 _NEAR + 1 poles around it are
-    summed exactly, their terms formed as in the dense sums, and the far
+    summed exactly, their terms formed as _pole_row forms them, as offsets
+    delta_k - tau (with the origin's term among them), and the far
     poles by the series in s = (E - omega_0) / h - c, with |m| = |k - c| >
     _NEAR: 1 / (m h - s h) = sum_p s^p / (h m^(p+1)), whose coefficients
     are the far moments of c, and the slopes by its derivative. Rows with
-    |s| > _REACH, beyond the ends of the grid, take the dense evaluate.
+    |s| > _REACH, beyond the ends of the grid, take the dense evaluate (the
+    steps of _secular_passes).
     """
     grid = _far_moments(poles, sqrt_w**2)
     if grid is None:

@@ -334,18 +334,24 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
 
 
 def test_self_energy_on_a_coupled_pole_is_refused():
-    # at t = 0 from a coupled pole, with no origin given, that pole's term
-    # 1 / (E - omega_k) is infinite: the kernel refuses the non-finite M(E).
-    # Given as the origin, the pole is left out with no division by zero
-    # (any warning fails a test), and the other terms are kept
+    # at t = 0 from the coupled pole 3, its origin, the kernel's row leaves
+    # that pole out with no division by zero (any warning fails a test) and
+    # keeps the other terms, and M(E) is finite. Held from pole 3 but placed
+    # exactly on pole 4, the row's term 1 / (E - omega_4) is infinite and
+    # _self_energy refuses the non-finite M(E)
     model = qregsim.spectral._deflate(ModelParams(RegisterShape(3, 20), CosineCoupling(0.05, 1.0)))
-    t, base, out = np.zeros(1), model.omegas[3:4], np.empty((1, model.omegas.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(DiagonalizationError, match="self-energy not finite"):
-            qregsim.selfenergy._self_energy(model, t, base, out)
-    r, m = qregsim.selfenergy._self_energy(model, t, base, out, origin=np.array([3]))
+    omegas, origin, out = model.omegas, np.array([3]), np.empty((1, model.omegas.size))
+    base = omegas[origin]
+    r = qregsim.spectral._pole_row(out, -1.0, np.zeros(1), base, origin, omegas)
+    m = qregsim.selfenergy._self_energy(model, r, base - model.epsilon)
     assert r[0, 3] == 0.0 and np.all(np.isfinite(m))
-    assert np.array_equal(np.delete(r[0], 3), 1.0 / (base - np.delete(model.omegas, 3)))
+    assert np.array_equal(np.delete(r[0], 3), 1.0 / (base - np.delete(omegas, 3)))
+    t = omegas[4:5] - base
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = qregsim.spectral._pole_row(out, -1.0, t, base, origin, omegas)
+        with pytest.raises(DiagonalizationError, match="self-energy not finite"):
+            qregsim.selfenergy._self_energy(model, r, (base - model.epsilon) + t)
+    assert np.isinf(r[0, 4])
 
 
 def test_non_finite_residual_is_refused(monkeypatch):

@@ -1,9 +1,11 @@
-"""The secular route's near/far pole sums on evenly spaced baths
-(spectral._grid_evaluate): their value and slopes against the dense sums at
-every kind of offset, the models that take them, and the dense residual pass
-that ends every secular solve, which refuses a corrupted far moment and a
-moved zero on either sums, after which spin_spectrum falls back to
-diagonalize."""
+"""The pole sums of both spectrum routes: the one kernel of their dense
+rows (spectral._pole_row) against the plain formula, the secular route's
+two dense passes (spectral._secular_passes) against each other, the
+near/far pole sums on evenly spaced baths (spectral._grid_evaluate): their
+value and slopes against the dense sums at every kind of offset, the models
+that take them, and the dense residual pass that ends every secular solve,
+which refuses a corrupted far moment and a moved zero on either sums, after
+which spin_spectrum falls back to diagonalize."""
 
 import numpy as np
 import pytest
@@ -46,8 +48,7 @@ def _sums(poles, sqrt_w, epsilon, tau, origin):
     origin, and the scales of the dense sums' rounding. The dense value and
     slope are the residual pass's, which adds the largest term apart."""
     driver = spectral._in_chunks(poles.size, float, rows=tau.size)
-    dense = spectral._secular_evaluate(poles, sqrt_w, driver)
-    residuals = spectral._secular_residuals(poles, sqrt_w, driver)
+    dense, residuals = spectral._secular_passes(poles, sqrt_w, driver)
     near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
     assert near_far is not None
     base = poles[origin]
@@ -57,6 +58,64 @@ def _sums(poles, sqrt_w, epsilon, tau, origin):
         value, slope, terms = residuals(tau, *data)
     want[:2] = value, slope
     return want, got, np.abs(base - epsilon) + np.abs(tau) + terms
+
+
+def _offsets(poles):
+    """Every pole as the origin of five rows, at the offsets 0, +-1 ulp of
+    the pole and +-half the gap to the neighbouring pole on that side (the
+    one gap at either end)."""
+    gap = np.diff(poles)
+    left, right = np.append(gap[:1], gap), np.append(gap, gap[-1:])
+    ulp = np.spacing(poles)
+    origin = np.repeat(np.arange(poles.size), 5)
+    tau = np.stack([0.0 * ulp, ulp, -ulp, 0.5 * right, -0.5 * left], axis=1).ravel()
+    return tau, origin
+
+
+@pytest.mark.parametrize("numer", ["sqrt_w", -1.0])
+@pytest.mark.parametrize("nb, poles, sqrt_w", list(_grids())[1::3])
+def test_pole_row_forms_each_term_from_the_origin(nb, poles, sqrt_w, numer):
+    # away from the origin the row is numer / ((poles - base) - t) bit for
+    # bit (at numer = -1 that is 1 / (t - delta_k), the closed form's
+    # 1 / (E - omega_k)); the origin's entry is numer / inf, 0 of numer's
+    # sign, reached with no division by zero
+    rng = np.random.default_rng(nb)
+    poles = np.sort(np.concatenate([poles, rng.uniform(poles[0], poles[-1], nb)]))
+    sqrt_w = np.resize(sqrt_w, poles.size)
+    numer = sqrt_w if numer == "sqrt_w" else numer
+    tau, origin = _offsets(poles)
+    base = poles[origin]
+    out = np.empty((tau.size, poles.size))
+    with np.errstate(all="raise"):
+        row = spectral._pole_row(out, numer, tau, base, origin, poles)
+    assert row is out
+    rows = np.arange(tau.size)
+    off = np.ones_like(out, dtype=bool)
+    off[rows, origin] = False
+    with np.errstate(divide="ignore"):
+        want = numer / ((poles - base[:, None]) - tau[:, None])
+        closed = 1.0 / (tau[:, None] - (poles - base[:, None]))
+    assert np.array_equal(row[off], want[off])
+    if np.isscalar(numer):
+        assert np.array_equal(row[off], closed[off])
+    assert np.all(row[rows, origin] == 0.0)
+    assert np.array_equal(np.signbit(row[rows, origin]), np.signbit(np.broadcast_to(numer, poles.shape)[origin]))
+
+
+@pytest.mark.parametrize("nb, poles, sqrt_w", list(_grids())[::3])
+def test_steps_see_p_as_the_residual_pass_checks_it(nb, poles, sqrt_w):
+    # the step sums and the residual pass are one code up to their third
+    # sum: P and P' - 1 are bit-equal at every offset, the origin's pole
+    # itself (P = -inf) included
+    tau, origin = _offsets(poles)
+    base = poles[origin]
+    data = (base, base - 1.3, origin)
+    dense, residuals = spectral._secular_passes(poles, sqrt_w, spectral._in_chunks(nb, float, rows=tau.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps, checked = dense(tau, *data), residuals(tau, *data)
+    for a, b in zip(steps[:2], checked[:2]):
+        assert np.array_equal(a, b)
+    assert np.all(np.isfinite(steps[0][tau != 0.0])) and np.all(steps[0][tau == 0.0] == -np.inf)
 
 
 @pytest.mark.parametrize("nb, poles, sqrt_w", list(_grids()))
@@ -82,7 +141,7 @@ def test_outer_offsets_take_the_dense_sums(nb, poles, sqrt_w, monkeypatch):
     h = (poles[-1] - poles[0]) / (nb - 1)
     origin = np.array([0, 0, nb - 1, nb - 1])
     tau = np.array([-0.6 * h, -3.0, 0.6 * h, 3.0])
-    dense = spectral._secular_evaluate(poles, sqrt_w, spectral._in_chunks(nb, float, rows=tau.size))
+    dense, _ = spectral._secular_passes(poles, sqrt_w, spectral._in_chunks(nb, float, rows=tau.size))
     near_far = spectral._grid_evaluate(poles, sqrt_w, dense)
     base = poles[origin]
     data = (base, base - 0.7, origin)
