@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,11 +38,13 @@ __all__ = ["main", "run_scenario", "write_atomic"]
 
 def write_atomic(path: str | Path, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never see
-    a partially written file."""
+    a partially written file. The file gets the mode that open(path, "w")
+    would give it, 0666 less the umask."""
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent or "."), suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

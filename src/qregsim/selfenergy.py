@@ -5,18 +5,19 @@ problem.
 `spectral._deflate` has taken its exact degeneracies out, on that reduced
 model: it counts the energies between adjacent mode frequencies by inertia
 (Haynsworth), brackets them with the secular route's bracket builder
-(`spectral._brackets`, whose midpoint probe here is the sign of the
-energy's branch of the self-energy M(E)), refines each on its branch with
-the secular route's safeguarded rational iteration (`spectral._iterate`,
-which returns each energy's offset at its last evaluation, as on the
-secular route), and takes the spin rows of the eigenvectors from M(E) at
-that offset. The pole-row kernel of both routes, `spectral._pole_row` at
-numer = -1, forms the row 1 / (E - omega_k) of every one of these passes
-with the pole of its origin left out, which a pass that needs it puts
-back; `_self_energy` forms M(E) from that row; and one chunk loop,
-`spectral._in_chunks`, runs each of them (the count, the midpoint probe,
-every step, the eigenvectors and the overlaps of the certificate) in row
-chunks and hands each chunk
+(`spectral._brackets`), refines each on its branch with the secular
+route's safeguarded rational iteration (`spectral._iterate`, which returns
+each energy's offset at its last evaluation, as on the secular route), and
+takes the spin rows of the eigenvectors from M(E) at that offset. As on
+the secular route, one evaluate (`_branch_evaluate`) serves both the
+bracket builder's midpoint probe, whose f_v = v^H M(E) v has the sign of
+the energy's branch of the self-energy M(E), and every step. The pole-row
+kernel of both routes, `spectral._pole_row` at numer = -1, forms the row
+1 / (E - omega_k) of every one of these passes with the pole of its origin
+left out, which a pass that needs it puts back; `_self_energy` forms M(E)
+from that row; and one chunk loop, `spectral._in_chunks`, runs each of
+them (the count, every step with the probe among them, the eigenvectors
+and the overlaps of the certificate) in row chunks and hands each chunk
 its (rows x modes) scratch arrays, which a pass names by dtype, with its
 most rows, and the loop allocates once. It never forms a d x d matrix:
 O(d N_b r^2) time and O(chunk N_b) memory. Its pole sums stay dense on an
@@ -29,7 +30,6 @@ It certifies its result or raises DiagonalizationError, on which
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -85,9 +85,10 @@ def closed_form_spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
       of the energy attached to it, taken to second order (_count), where it
       lands in the half of a one-energy gap on its own side; otherwise the
       middle of the half of the gap that the sign of the branch at the
-      gap's midpoint picks (_midpoint_probe, the probe of
-      spectral._brackets; an outer energy starts mid-bracket);
-    - refine (_refine): each energy is held as an offset tau from the pole
+      gap's midpoint picks (the probe of spectral._brackets, one call of
+      _branch_evaluate, whose f_v there has that sign; an outer energy
+      starts mid-bracket);
+    - refine (_iterate): each energy is held as an offset tau from the pole
       of its half, every difference E - omega_k formed as tau - delta_k
       (as in the secular iteration), and takes the safeguarded steps of
       _iterate on f_v(E) = E - epsilon - sum_k |(G v)_k|^2 / (E - omega_k),
@@ -133,11 +134,23 @@ def _closed_form(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     epsilon, r = model.epsilon, model.g.shape[1]
     if not model.omegas.size:  # no coupled mode: M(E) = (E - epsilon) I
         return np.full(r, epsilon), np.eye(r)
+    size = model.omegas.size + r
+    vectors = np.empty((size, r), dtype=model.g.dtype)
+    evaluate = _branch_evaluate(model, vectors)
+
+    def probe(zeros, lower, half, branch):
+        # f_v = v^H M(E) v at the gap's midpoint, held from its left pole,
+        # has the sign of the zero's branch there
+        right = evaluate(half, model.omegas[lower], branch, zeros, lower)[0] < 0.0
+        x_mid = np.where(right, -half, half)
+        return right, x_mid, 0.5 * x_mid
+
     # an energy on a coupled frequency, or a few ulp from one, can give inf
     # and NaN: eigh refuses them, and every check is written so NaN fails
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        brackets = _brackets(model, model.norm + 1.0, partial(_midpoint_probe, model), *_count(model))
-        roots = _branch_roots(brackets, *_refine(brackets, model), model)
+        brackets = _brackets(model, model.norm + 1.0, probe, *_count(model))
+        data = (brackets.base, brackets.branch, np.arange(size), brackets.origin)
+        roots = _branch_roots(brackets, _iterate(evaluate, data, brackets), vectors, model)
         energies = roots.energies
         ulp = _EPS * max(1.0, -energies[0], energies[-1])  # of ||H||_2
         inside = np.where(
@@ -206,35 +219,16 @@ def _count(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     return below, tau
 
 
-def _midpoint_probe(model: _Deflated, lower, half, branch):
-    """probe of spectral._brackets on the branches: whether each energy lies
-    in the right half of its gap, by the sign of its branch at the gap's
-    midpoint (one eigh of M(E) per row, from the kernel's row held from the
-    gap's left pole, whose term is put back, in the row chunks of
-    _in_chunks and their scratch), that midpoint from the half's pole and,
-    as the start, the middle of the half. No rows give empty outputs."""
-
-    def right_half(r, lower, half, branch):
-        base, rows = model.omegas[lower], np.arange(lower.size)
-        r = _pole_row(r, -1.0, half, base, lower, model.omegas)
-        r[rows, lower] = 1.0 / half  # the origin's pole, put back
-        mu = np.linalg.eigh(_self_energy(model, r, (base - model.epsilon) + half))[0]
-        return (mu[rows, branch] < 0.0,)
-
-    (right,) = _in_chunks(model.omegas.size, float, rows=lower.size)(right_half)(lower, half, branch)
-    x_mid = np.where(right, -half, half)
-    return right, x_mid, 0.5 * x_mid
-
-
 def _branch_evaluate(model: _Deflated, vectors: np.ndarray):
-    """evaluate(tau, base, branch, position, origin) of _iterate on the
-    branches, in the row chunks of _in_chunks: at E = base + tau the
-    counted branch's v, from an eigh of M(E) over the kernel's row with the
-    origin's pole put back, then
+    """evaluate(tau, base, branch, position, origin) of _iterate and of the
+    midpoint probe on the branches, in the row chunks of _in_chunks: at
+    E = base + tau the counted branch's v, from an eigh of M(E) over the
+    kernel's row with the origin's pole put back, then
     f_v(E) = E - epsilon - sum_k W_k / (E - omega_k) with W_k = |(G v)_k|^2,
-    the sum of its pole terms' slopes W_k / (E - omega_k)^2 and that sum
-    over the poles left of tau. Each call also stores v at the rows'
-    positions in vectors, so that every energy keeps the v of its last
+    which is v^H M(E) v, the branch's eigenvalue, the sum of its pole
+    terms' slopes W_k / (E - omega_k)^2 and that sum over the poles left of
+    tau. Each call also stores v at the rows' positions (each energy's own
+    row) in vectors, so that every energy keeps the v of its last
     evaluation, at the offset that _iterate returns, where v is exact. Its
     (rows x modes) arrays r, q and G v are the chunk's scratch from
     _in_chunks."""
@@ -257,20 +251,6 @@ def _branch_evaluate(model: _Deflated, vectors: np.ndarray):
         return f, d_all, np.einsum("ij,ij->i", q, r)
 
     return _in_chunks(model.omegas.size, float, float, model.g.dtype, rows=len(vectors))(evaluate)
-
-
-def _refine(brackets: _Brackets, model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
-    """Each energy's offset from brackets.base at its last evaluation, as
-    _iterate returns it (one iteration over every energy, whose
-    evaluations run in the row chunks of _in_chunks), where its step had
-    fallen to a few ulp of the offset or its bracket had collapsed, and the
-    branch's eigenvector v there, which _branch_evaluate stored, one row
-    per energy."""
-    size = brackets.tau.size
-    vectors = np.empty((size, model.g.shape[1]), dtype=model.g.dtype)
-    evaluate = _branch_evaluate(model, vectors)
-    data = (brackets.base, brackets.branch, np.arange(size), brackets.origin)
-    return _iterate(evaluate, data, brackets), vectors
 
 
 class _Roots(NamedTuple):

@@ -15,8 +15,9 @@ method of LAPACK dlaed4) that holds each zero as an offset from its nearer
 pole and drives every zero at once. Its brackets and starts come from
 `_brackets`, the one bracket builder of both solvers: each route gives it
 its counts, its starts and a probe that picks the half of a gap a zero
-lies in from the gap's midpoint. On an evenly spaced bath, as the paper's
-linear dispersion is, its pole sums are near/far sums
+lies in from the gap's midpoint, one call of the evaluate its steps take.
+On an evenly spaced bath, as the paper's linear dispersion is, its pole
+sums are near/far sums
 (`_grid_evaluate`): O(N_b log N_b) moment tables once and O(N_b (w + P))
 per step for a window of w poles and P powers. Otherwise each step takes
 the O(N_b^2) dense sums in row chunks. Either way the solve ends in one
@@ -283,9 +284,10 @@ def _brackets(
     mid-bracket. A zero alone in its gap starts from the offset tau_k of the
     pole on its own side where that lies inside the gap (and inside its near
     half between two poles). Every other interior zero takes the half of its
-    gap that the route's probe(lower, half, branch) picks (lower: the gap's
-    left pole, half: half its width) from its function's sign at the gap's
-    midpoint. The probe returns, per zero, whether it lies in the right
+    gap that the route's probe(zeros, lower, half, branch) picks (zeros: the
+    probed zeros' indices, lower: the gap's left pole, half: half its width)
+    from its function's sign at the gap's midpoint, one call of the route's
+    evaluate there. The probe returns, per zero, whether it lies in the right
     half, the midpoint's offset from that half's pole, which ends its
     bracket, and a start offset from that pole, taken where it lies inside
     the half, else the middle of the half.
@@ -313,7 +315,7 @@ def _brackets(
     origin = np.where(up, upper, lower)
 
     mid = np.flatnonzero(~use_tau & (side == 0))
-    right, x_mid, start = probe(lower[mid], half[mid], branch[mid])
+    right, x_mid, start = probe(mid, lower[mid], half[mid], branch[mid])
     origin[mid], up[mid] = np.where(right, upper[mid], lower[mid]), right
     lo[mid], hi[mid] = np.minimum(x_mid, 0.0), np.maximum(x_mid, 0.0)
     tau[mid] = np.where((start > lo[mid]) & (start < hi[mid]), start, 0.5 * x_mid)
@@ -358,7 +360,7 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     dense, residuals = _secular_passes(poles, sqrt_w, _in_chunks(n_p, float, rows=n_p + 1))
     evaluate = _grid_evaluate(poles, sqrt_w, dense) or dense
 
-    def probe(lower, half, branch):
+    def probe(zeros, lower, half, branch):
         mid = poles[lower] + half
         p_mid = evaluate(mid - poles[lower], poles[lower], poles[lower] - epsilon, lower)[0]
         right = p_mid < 0.0  # the zero lies in the right half of its gap
@@ -441,15 +443,20 @@ def _secular_passes(poles, sqrt_w, driver):
     tau, the residual pass sum_k |W_k / Delta_k|, which with
     |omega_o - epsilon| + |tau| is the scale of P's rounding. The origin's
     term, near a pole the largest by far, is added apart from the others: a
-    BLAS dot rounds at the size of its partial sums, and that term in them
-    would grow P's rounding with the number of poles (18 ulp of P's scale
-    at the zero of one model with 2500 random poles, above _SECULAR_ULPS)."""
+    sum rounds at the size of its partial sums, and that term in them would
+    grow P's rounding with the number of poles (18 ulp of P's scale at the
+    zero of one model with 2500 random poles, above _SECULAR_ULPS). Each
+    row is summed on its own (einsum): a BLAS product rounds a row by how
+    many rows share the call, which moved a zero of one model 8 ulp of
+    ||H|| between the dense and the near/far route, whose outer rows take
+    these sums in calls over fewer rows."""
 
     def sums(u, tau, base, const, origin):
         u = _pole_row(u, sqrt_w, tau, base, origin, poles)
         u_o = sqrt_w[origin] / -tau
         q_o = u_o * sqrt_w[origin]
-        return u, u_o, q_o, const + tau + q_o + u @ sqrt_w, np.einsum("ij,ij->i", u, u) + u_o * u_o
+        p = const + tau + q_o + np.einsum("ij,j->i", u, sqrt_w)
+        return u, u_o, q_o, p, np.einsum("ij,ij->i", u, u) + u_o * u_o
 
     def steps(*args):
         u, u_o, _, p, d_all = sums(*args)
@@ -458,7 +465,7 @@ def _secular_passes(poles, sqrt_w, driver):
 
     def residuals(*args):
         u, _, q_o, p, d_all = sums(*args)
-        return p, d_all, np.abs(u, out=u) @ sqrt_w + np.abs(q_o)
+        return p, d_all, np.einsum("ij,j->i", np.abs(u, out=u), sqrt_w) + np.abs(q_o)
 
     return driver(steps), driver(residuals)
 
@@ -637,8 +644,9 @@ def _iterate(evaluate, data, brackets: _Brackets):
     """Safeguarded rational root iteration of every bracket at once, each
     zero held as an offset tau from its origin pole, from the one record of
     brackets and starts that _brackets, the bracket builder of both routes,
-    made with the route's midpoint probe (see _secular_energies and
-    selfenergy._refine); each zero's steps depend on its own bracket alone.
+    made with the route's midpoint probe, a call of the same evaluate (see
+    _secular_energies and selfenergy._closed_form); each zero's steps depend
+    on its own bracket alone.
 
     The function is E - epsilon - sum_k W_k / (E - omega_k), with weights
     W_k >= 0 that may change from step to step. evaluate(tau, *data) gives

@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 from dataclasses import replace
 
@@ -520,6 +522,26 @@ output.path = {target}
         with pytest.raises(UnicodeEncodeError):
             write_atomic(tmp_path / "out.csv", "ok\udc80")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_run_outputs_honour_the_umask(self, tmp_path, umask):
+        # the CSV and its sidecar get the mode that open(path, "w") gives a
+        # new file, 0666 less the umask, and no temporary file is left
+        cfg = self._write(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert main(["run", str(cfg)]) == 0
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        want = 0o666 & ~umask
+        assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == want
+        for name in ("series.csv", "series.csv.meta"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plain", "run.cfg", "series.csv", "series.csv.meta"
+        ]
 
     def test_preset_fig2_asymptotics(self, tmp_path):
         assert main(["preset", "fig2", "--out", str(tmp_path / "runs")]) == 0

@@ -287,7 +287,7 @@ def test_two_directions_at_one_frequency_fall_back(monkeypatch):
         return real_diagonalize(h)
 
     monkeypatch.setattr(qregsim.selfenergy, "_count", no_step)
-    monkeypatch.setattr(qregsim.selfenergy, "_refine", no_step)
+    monkeypatch.setattr(qregsim.selfenergy, "_iterate", no_step)
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
     with pytest.raises(DiagonalizationError, match="two spin directions"):
         closed_form_spectrum(params)
@@ -307,20 +307,20 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
     params, prep = cfg.params, prep_vector(cfg.prep, 2)
     closed_form_spectrum(params)  # certified when intact
     norm = np.linalg.norm(build_h1(params), 2)
-    real_refine, real_diagonalize = qregsim.selfenergy._refine, qregsim.dynamics.diagonalize
+    real_iterate, real_diagonalize = qregsim.selfenergy._iterate, qregsim.dynamics.diagonalize
     calls = []
 
     def corrupted(*args):
-        tau, vectors = real_refine(*args)
+        tau = real_iterate(*args)
         k = tau.size // 2
         tau[k] = np.nan if fault == "nan" else tau[k] + 1e-9 * norm
-        return tau, vectors
+        return tau
 
     def counted(h):
         calls.append(h.shape)
         return real_diagonalize(h)
 
-    monkeypatch.setattr(qregsim.selfenergy, "_refine", corrupted)
+    monkeypatch.setattr(qregsim.selfenergy, "_iterate", corrupted)
     monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
     with pytest.raises(DiagonalizationError):
         closed_form_spectrum(params)
@@ -405,6 +405,82 @@ def test_counts_and_energies_against_eigvalsh(params):
     low, high = np.searchsorted(want, omegas - tol), np.searchsorted(want, omegas + tol)
     assert np.all((low <= below) & (below <= high))
     assert np.array_equal(below[low == high], low[low == high])
+
+
+# small models whose closed form probes zeros, every spin direction coupled
+# and no mode pinned, so that the reduced problem's energies are build_h1's
+PROBED = {
+    f"cosine_{n}_{nb}_{xi}": ModelParams(RegisterShape(n, nb), CosineCoupling(0.05, xi))
+    for n in (2, 3, 4) for nb in (8, 50) for xi in (1.0, 5.0, 10.0)
+} | {"near_dark_pair": NEAR_DARK_PAIR}
+
+
+@pytest.mark.parametrize("name", sorted(PROBED))
+def test_brackets_hold_the_dense_energies(name, monkeypatch):
+    # the count and the midpoint probe against an independent route: every
+    # bracket (base + lo, base + hi) holds eigvalsh's energy of the same
+    # index, to its 64 ulp of ||H||_2, whether or not the certificate passes
+    params, recorded = PROBED[name], []
+    model, brackets = qregsim.spectral._deflate(params), qregsim.selfenergy._brackets
+    assert model.pinned.size == 0 and model.dark.shape[1] == 0
+
+    def recording(model, reach, probe, below, tau_k):
+        def counted(*args):  # the probe's last argument is each zero's branch
+            recorded.append(args[-1].size)
+            return probe(*args)
+
+        recorded.append(brackets(model, reach, counted, below, tau_k))
+        return recorded[-1]
+
+    monkeypatch.setattr(qregsim.selfenergy, "_brackets", recording)
+    try:
+        closed_form_spectrum(params)
+    except DiagonalizationError:
+        pass
+    probed, b = recorded
+    assert probed > 0
+    want = np.linalg.eigvalsh(build_h1(params))
+    tol = 64 * np.finfo(float).eps * max(1.0, -want[0], want[-1])
+    assert want.size == b.base.size
+    assert np.all((want - b.base >= b.lo - tol) & (want - b.base <= b.hi + tol))
+
+
+def test_probe_and_steps_share_one_evaluate(monkeypatch):
+    # the midpoint probe is one call of the branch evaluate that the steps
+    # of _iterate then take, so a solve builds four scratch wraps: the
+    # count, that evaluate, the eigenvectors and the certificate's overlaps
+    params = PROBED["cosine_4_50_1.0"]  # five of its energies are probed
+    selfenergy = qregsim.selfenergy
+    branch_evaluate, iterate, in_chunks = (
+        selfenergy._branch_evaluate, selfenergy._iterate, selfenergy._in_chunks
+    )
+    built, calls, wraps = [], [], []
+
+    def building(model, vectors):
+        evaluate = branch_evaluate(model, vectors)
+
+        def recorded(tau, *data):
+            calls.append(tau.size)
+            return evaluate(tau, *data)
+
+        built.append(recorded)
+        return recorded
+
+    def iterating(evaluate, data, brackets):
+        assert evaluate is built[0]
+        calls.append("iterate")
+        return iterate(evaluate, data, brackets)
+
+    def wrapping(*args, **kwargs):
+        wraps.append(args)
+        return in_chunks(*args, **kwargs)
+
+    monkeypatch.setattr(selfenergy, "_branch_evaluate", building)
+    monkeypatch.setattr(selfenergy, "_iterate", iterating)
+    monkeypatch.setattr(selfenergy, "_in_chunks", wrapping)
+    energies, _ = closed_form_spectrum(params)
+    assert len(built) == 1 and calls[:3] == [5, "iterate", energies.size]
+    assert len(wraps) == 4
 
 
 def test_no_dense_matrix_on_the_certified_route(monkeypatch):

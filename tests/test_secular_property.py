@@ -186,13 +186,16 @@ def test_secular_series_matches_matexp_oracle(params, t_max, data):
 @given(params=st.one_of(uniform_models(), even_models()))
 @example(params=_model(4, list(2.0 * np.pi * np.arange(1, 61) / 60), 0.05))
 @example(params=_model(2, [0.3, 1.0, 2.0], 1e-158, epsilon=0.5))  # N g0^2 subnormal
+# strong coupling whose lowest root moved 8 ulp while a BLAS product summed
+# the dense rows, rounding each by how many rows shared the call
+@example(params=_model(2, list(0.05 + 0.01 * np.arange(23)), 0.5625, epsilon=0.05))
 def test_near_far_sums_match_the_dense_route(params):
     # the near/far sums, forced on every even grid of at least two coupled
     # poles, give the dense route's roots to 1 ulp of ||H|| and its weights
-    # to 1e-13. The two outer roots take the dense sums on both routes, but
-    # in calls over other rows, and BLAS rounds a product by its row count:
-    # under strong coupling, where their sums are about ||H||, they may move
-    # by a few ulp (3 at most on 600 random grids of up to 600 poles)
+    # to 1e-13. The two outer roots take the dense sums on both routes, in
+    # calls over other rows; each row is summed on its own, so they round
+    # alike, and under strong coupling, where their sums are about ||H||, a
+    # few ulp are allowed
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_GRID_POLES", np.inf)
         roots, weights = symmetric_spectrum(params)

@@ -166,7 +166,7 @@ def test_each_route_iterates_once_over_every_root(route, monkeypatch):
 def test_iterate_returns_each_last_evaluated_offset():
     # a toy secular function over three poles, with one zero below, two
     # between and one above them; evaluate records each row's offsets by
-    # its position, as selfenergy._refine's evaluate does
+    # its position, as selfenergy._branch_evaluate does
     poles, weights, epsilon = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]), 2.5
     evaluated = [[] for _ in range(4)]
 
@@ -290,8 +290,8 @@ def test_probe_without_rows_gives_empty_outputs(name, monkeypatch):
     brackets, sizes = spectral._brackets, []
 
     def recorded(model, reach, probe, below, tau_k):
-        def counted(lower, half, branch):
-            out = probe(lower, half, branch)
+        def counted(zeros, lower, half, branch):
+            out = probe(zeros, lower, half, branch)
             sizes.append(lower.size)
             assert [a.shape for a in out] == [(0,)] * 3
             return out
