@@ -6,9 +6,10 @@ Verbs:
   spectrum <config>            eigenvalues (and secular roots) as CSV
   check                        run the acceptance suite
 
-`run` and `spectrum` take their spectrum from `dynamics._reduced_spectrum`,
-whose docstring describes its routes, `run` through `run_time_series` and
-`spectrum` through `spin_spectrum`; `spectrum` writes its energies,
+`run`, `preset` and `spectrum` take their spectrum from
+`dynamics._reduced_spectrum`, whose docstring describes its routes, `run`
+through `run_time_series`, `preset` through `run_preparations` once per
+model and `spectrum` through `spin_spectrum`; `spectrum` writes its energies,
 ascending, and for a coupling of rank at most one (uniform coupling among
 others) the N_b + 1 roots of its secular equation.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, format_config, parse_config_file, prep_vector
 from .csvformat import format_rows
-from .dynamics import TimeSeries, run_time_series, series_to_csv, spin_spectrum
+from .dynamics import TimeSeries, run_preparations, run_time_series, series_to_csv, spin_spectrum
 from .presets import PRESET_NAMES, build_preset
 
 # perfbench/spans.py wraps these layers at their names in this module; the
@@ -64,6 +65,12 @@ def run_scenario(cfg: RunConfig) -> TimeSeries:
     """
     prep = prep_vector(cfg.prep, cfg.params.shape.n_qubits)
     series = run_time_series(cfg.params, prep, cfg.grid)
+    _write_run(cfg, series)
+    return series
+
+
+def _write_run(cfg: RunConfig, series: TimeSeries) -> None:
+    """Write a finished run's CSV and sidecar (see run_scenario)."""
     write_atomic(cfg.output_path, series_to_csv(series))
     sidecar = format_config(
         cfg,
@@ -74,7 +81,6 @@ def run_scenario(cfg: RunConfig) -> TimeSeries:
         ],
     )
     write_atomic(str(cfg.output_path) + ".meta", sidecar)
-    return series
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -88,14 +94,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
+    # consecutive runs of one ModelParams object on one grid form a group,
+    # evolved from one spectrum; each run is written as run_scenario writes it
     out_dir = Path(args.out)
+    groups: list[list[RunConfig]] = []
     for cfg in build_preset(args.name):
         cfg = replace(cfg, output_path=str(out_dir / cfg.output_path))
-        series = run_scenario(cfg)
-        print(
-            f"wrote {cfg.output_path}: late-window Fbar = "
-            f"{series.late_fidelity_mean:.6f}, Sbar = {series.late_entropy_mean:.6f} bits"
-        )
+        if groups and cfg.params is groups[-1][0].params and cfg.grid == groups[-1][0].grid:
+            groups[-1].append(cfg)
+        else:
+            groups.append([cfg])
+    for group in groups:
+        params, grid = group[0].params, group[0].grid
+        preps = [prep_vector(cfg.prep, params.shape.n_qubits) for cfg in group]
+        for cfg, series in zip(group, run_preparations(params, preps, grid)):
+            _write_run(cfg, series)
+            print(
+                f"wrote {cfg.output_path}: late-window Fbar = "
+                f"{series.late_fidelity_mean:.6f}, Sbar = {series.late_entropy_mean:.6f} bits"
+            )
     return 0
 
 

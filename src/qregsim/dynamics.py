@@ -10,15 +10,17 @@ follow.
 
 Two routes reach the spin block. `evolve` reconstructs all d = N + N_b
 amplitudes at any times, densely, and is the reference the tests and the
-acceptance criteria compare against. `run_time_series` needs the spin state
+acceptance criteria compare against. `run_preparations` (and
+`run_time_series`, its one-preparation case) needs the spin state
 on a uniform grid only, and only in the r spin directions the bath reaches:
 it evaluates them as one type-1 nonuniform FFT per coupled direction
 (Gaussian gridding), O(r d + r T log T) time and O(r T) memory, and the
 dark, decoherence-free directions contribute one exact phase
 exp(-i epsilon t). It forms neither the bath block nor the N qubit rows.
-The reduced energies and spin columns it transforms come from
-`_reduced_spectrum`, the one place that picks a spectrum route and whose
-docstring describes the routes; `spin_spectrum` expands them to all
+The reduced energies and spin columns it transforms come from one
+`_reduced_spectrum` call per model, however many preparations it evolves;
+that function is the one place that picks a spectrum route and its
+docstring describes the routes. `spin_spectrum` expands them to all
 N + N_b energies and the N x (N + N_b) spin block.
 """
 
@@ -54,6 +56,7 @@ __all__ = [
     "evolve",
     "observables",
     "binary_entropy_bits",
+    "run_preparations",
     "run_time_series",
     "series_to_csv",
     "spin_spectrum",
@@ -303,7 +306,7 @@ def _spin_amplitudes(
 
     C[k, a] = sum_j V[a, j] p_j exp(-i k x_j) with p = V^H b, x_j = E_j dt,
     V the r x m spin columns of m energies in orthonormal spin coordinates
-    and b the preparation's r coordinates in them. run_time_series passes
+    and b the preparation's r coordinates in them. run_preparations passes
     the reduced columns of _reduced_spectrum, one row per coupled spin
     direction; the N x (N + N_b) spin block of spin_spectrum in the qubit
     basis is the case r = N, dark = 0. It is a type-1 nonuniform FFT of the m points x_j onto the modes
@@ -361,17 +364,24 @@ def _spin_amplitudes(
     return block
 
 
-def run_time_series(
-    params: ModelParams, prep: np.ndarray, grid: TimeGrid
-) -> TimeSeries:
-    """Evolve a spin preparation over a uniform time grid.
+def run_preparations(
+    params: ModelParams, preps: list[np.ndarray], grid: TimeGrid
+) -> list[TimeSeries]:
+    """Evolve several spin preparations of one model over one uniform grid.
 
-    Returns the grid times, the observables at every grid time (see
-    observables) and the fidelity and entropy means over the late window,
-    the final quarter of the grid by time. Works in the coordinates of
-    _reduced_spectrum: the preparation's r coordinates b = basis^H psi_0 in
-    the coupled directions are evolved by one nonuniform FFT per coupled
-    direction (_spin_amplitudes), and its part in the dark directions,
+    Returns one TimeSeries per preparation, in order, each as
+    run_time_series(params, prep, grid) returns it and equal to it bit for
+    bit: the same reduced spectrum, taken here by one _reduced_spectrum call
+    that every preparation then reads, with no cache beyond this call. So a
+    figure that compares preparations of one model (the first-M
+    superpositions, the symmetric and antisymmetric states) pays for one
+    solve. Every preparation is checked (initial_amplitudes) before the
+    solve.
+
+    Each run works in the coordinates of _reduced_spectrum: the
+    preparation's r coordinates b = basis^H psi_0 in the coupled directions
+    are evolved by one nonuniform FFT per coupled direction
+    (_spin_amplitudes), and its part in the dark directions,
     z = dark^H psi_0, only turns by the exact phase exp(-i epsilon t), so
     it enters as one more coordinate ||z|| exp(-i epsilon t_k) with
     ||z|| at t = 0, which _spin_amplitudes writes into the last column of
@@ -379,26 +389,48 @@ def run_time_series(
     D, p1 and F are inner products and norms of the spin state, so
     observables gives them from these r + 1 coordinates exactly as from the
     N qubit amplitudes. Neither the bath block nor the N rows of the spin
-    block are formed: O(r d + r T log T) time and O(r T) memory after the
-    spectrum (see _reduced_spectrum). p0 is 1 - p1 (see observables), so
-    the guard on norm conservation is the check of the spectrum's route.
+    block are formed: O(r d + r T log T) time and O(r T) memory per
+    preparation after the spectrum (see _reduced_spectrum). p0 is 1 - p1
+    (see observables), so the guard on norm conservation is the check of
+    the spectrum's route.
     """
     n = params.shape.n_qubits
-    times = grid.times()
+    spins = [initial_amplitudes(prep, params.shape)[:n] for prep in preps]
     reduced = _reduced_spectrum(params)
-    c0 = initial_amplitudes(prep, params.shape)[:n]
-    coords = reduced.basis.conj().T @ c0
-    dark = float(np.linalg.norm(reduced.dark.conj().T @ c0))
-    amplitudes = _spin_amplitudes(reduced.energies, reduced.columns, coords, grid, dark, reduced.epsilon)
-    obs = observables(np.append(coords, dark), amplitudes, coords.size + 1)
+    runs = []
+    for c0 in spins:
+        times = grid.times()
+        coords = reduced.basis.conj().T @ c0
+        dark = float(np.linalg.norm(reduced.dark.conj().T @ c0))
+        amplitudes = _spin_amplitudes(
+            reduced.energies, reduced.columns, coords, grid, dark, reduced.epsilon
+        )
+        obs = observables(np.append(coords, dark), amplitudes, coords.size + 1)
+        late = _late_window(times)
+        runs.append(
+            TimeSeries(
+                times=times,
+                obs=obs,
+                late_fidelity_mean=float(obs.fidelity[late].mean()),
+                late_entropy_mean=float(obs.entropy_bits[late].mean()),
+            )
+        )
+    return runs
 
-    late = _late_window(times)
-    return TimeSeries(
-        times=times,
-        obs=obs,
-        late_fidelity_mean=float(obs.fidelity[late].mean()),
-        late_entropy_mean=float(obs.entropy_bits[late].mean()),
-    )
+
+def run_time_series(
+    params: ModelParams, prep: np.ndarray, grid: TimeGrid
+) -> TimeSeries:
+    """Evolve a spin preparation over a uniform time grid.
+
+    Returns the grid times, the observables at every grid time (see
+    observables) and the fidelity and entropy means over the late window,
+    the final quarter of the grid by time. This is run_preparations for
+    one preparation, whose docstring describes the evolution; to evolve
+    several preparations of one model, call that instead, which solves
+    the model once.
+    """
+    return run_preparations(params, [prep], grid)[0]
 
 
 def series_to_csv(series: TimeSeries) -> str:

@@ -31,7 +31,11 @@ def _run(params: ModelParams, prep, filename: str) -> RunConfig:
 
 
 def build_preset(name: str) -> list[RunConfig]:
-    """Run configurations of one preset; raises ValueError for unknown names."""
+    """Run configurations of one preset; raises ValueError for unknown names.
+
+    The runs of one model share one ModelParams object, by which the preset
+    verb evolves them from one spectrum.
+    """
     if name == "fig1":
         shape = RegisterShape(2, 200)
         return [
@@ -43,15 +47,8 @@ def build_preset(name: str) -> list[RunConfig]:
             for g0 in (0.005, 0.01, 0.02)
         ]
     if name in ("fig2", "fig3"):
-        shape = RegisterShape(4, 200)
-        return [
-            _run(
-                ModelParams(shape, UniformCoupling(0.01)),
-                MSuperpositionPrep(m),
-                f"{name}_M{m}.csv",
-            )
-            for m in (1, 2, 3)
-        ]
+        params = ModelParams(RegisterShape(4, 200), UniformCoupling(0.01))
+        return [_run(params, MSuperpositionPrep(m), f"{name}_M{m}.csv") for m in (1, 2, 3)]
     if name == "fig4":
         shape = RegisterShape(2, 200)
         return [

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 import types
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qregsim
+import qregsim.cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qregsim.__path__, "qregsim."))
 
@@ -32,6 +34,17 @@ def test_package_exports_each_library_name_once():
         if not attr.startswith("_") and not isinstance(getattr(qregsim, attr), types.ModuleType)
     }
     assert public == set(declared)
+
+
+def test_run_entry_points():
+    # run_preparations evolves several preparations of one model; the
+    # one-preparation run_time_series keeps its signature, and the cli
+    # reaches both at its own names
+    assert qregsim.run_preparations is qregsim.dynamics.run_preparations
+    assert list(inspect.signature(qregsim.run_time_series).parameters) == ["params", "prep", "grid"]
+    assert list(inspect.signature(qregsim.run_preparations).parameters) == ["params", "preps", "grid"]
+    assert qregsim.cli.run_preparations is qregsim.run_preparations
+    assert qregsim.cli.run_time_series is qregsim.run_time_series
 
 
 def test_every_traced_layer_resolves(monkeypatch):

@@ -1,0 +1,134 @@
+"""Several preparations of one model from one spectrum: run_preparations
+against one run_time_series call per preparation on every route, and the
+preset verb's one solve per model."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import qregsim.dynamics
+from qregsim import (
+    CosineCoupling,
+    ModelParams,
+    RegisterShape,
+    TimeGrid,
+    UniformCoupling,
+    build_preset,
+    m_superposition,
+    momentum_state,
+    run_preparations,
+    run_time_series,
+    symmetric_state,
+)
+from qregsim import selfenergy
+from qregsim.cli import main, run_scenario
+
+
+def _preparations(n):
+    # the symmetric state; the momentum state, which is all dark under
+    # uniform coupling; one qubit flipped, which has a dark part there; and
+    # a complex state with no structure
+    rng = np.random.default_rng(7)
+    mixed = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mixed /= np.linalg.norm(mixed)
+    return [symmetric_state(n), momentum_state(n, 1), m_superposition(n, 1), mixed]
+
+
+ROUTES = {
+    "secular": ModelParams(RegisterShape(4, 60), UniformCoupling(0.02)),
+    "closed_form": ModelParams(RegisterShape(3, 60), CosineCoupling(0.02, 1.0)),
+    "fallback": ModelParams(RegisterShape(3, 60), CosineCoupling(0.02, 1.0)),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_batched_runs_equal_one_run_each(route, monkeypatch):
+    params = ROUTES[route]
+    preps = _preparations(params.shape.n_qubits)
+    grid = TimeGrid(300.0, 301)
+    real_reduced, real_diagonalize = qregsim.dynamics._reduced_spectrum, qregsim.dynamics.diagonalize
+    solves, eigensolves = [], []
+
+    def counted(params):
+        reduced = real_reduced(params)
+        solves.append(reduced.roots is not None)
+        return reduced
+
+    def counted_diagonalize(h):
+        eigensolves.append(h.shape)
+        return real_diagonalize(h)
+
+    if route == "fallback":
+        # one energy made NaN after the iteration: the certificate refuses
+        # the closed form, and diagonalize serves
+        real_iterate = selfenergy._iterate
+
+        def corrupted(*args):
+            tau = real_iterate(*args)
+            tau[tau.size // 2] = np.nan
+            return tau
+
+        monkeypatch.setattr(selfenergy, "_iterate", corrupted)
+    monkeypatch.setattr(qregsim.dynamics, "_reduced_spectrum", counted)
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted_diagonalize)
+
+    batched = run_preparations(params, preps, grid)
+    assert solves == [route == "secular"]
+    assert len(eigensolves) == (route == "fallback")
+    singles = [run_time_series(params, prep, grid) for prep in preps]
+    assert len(solves) == 1 + len(preps)
+    assert len(batched) == len(preps)
+    for got, want in zip(batched, singles):
+        assert np.array_equal(got.times, want.times)
+        for field in want.obs._fields:
+            assert np.array_equal(getattr(got.obs, field), getattr(want.obs, field)), field
+        assert got.late_fidelity_mean == want.late_fidelity_mean
+        assert got.late_entropy_mean == want.late_entropy_mean
+    if route == "secular":  # the momentum state is dark: it only turns
+        assert np.max(np.abs(batched[1].obs.fidelity - 1.0)) < 1e-13
+
+
+def test_every_preparation_is_checked_before_the_solve(monkeypatch):
+    def no_solve(params):
+        raise AssertionError("solved before the preparations were checked")
+
+    monkeypatch.setattr(qregsim.dynamics, "_reduced_spectrum", no_solve)
+    params = ROUTES["secular"]
+    with pytest.raises(ValueError, match="unit norm"):
+        run_preparations(params, [symmetric_state(4), np.ones(4)], TimeGrid(10.0, 11))
+
+
+#: _reduced_spectrum calls per preset verb: one per model
+SOLVES = {"fig1": 3, "fig2": 1, "fig3": 1, "fig4": 3, "fig5": 1}
+
+
+@pytest.mark.parametrize("name", SOLVES)
+def test_preset_verb_solves_each_model_once(name, tmp_path, monkeypatch):
+    real_reduced, calls = qregsim.dynamics._reduced_spectrum, []
+
+    def counted(params):
+        calls.append(params)
+        return real_reduced(params)
+
+    monkeypatch.setattr(qregsim.dynamics, "_reduced_spectrum", counted)
+    assert main(["preset", name, "--out", str(tmp_path)]) == 0
+    assert len(calls) == SOLVES[name]
+    assert len(list(tmp_path.glob("*.csv"))) == len(build_preset(name))
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig5"])
+def test_preset_outputs_equal_each_run_alone(name, tmp_path):
+    # each run alone through run_scenario, then the whole preset into the
+    # same paths (the sidecar echoes its path): the same bytes
+    alone = {}
+    for cfg in build_preset(name):
+        path = tmp_path / cfg.output_path
+        run_scenario(replace(cfg, output_path=str(path)))
+        for out in (path, path.with_name(path.name + ".meta")):
+            alone[out] = out.read_bytes()
+            out.unlink()
+    assert main(["preset", name, "--out", str(tmp_path)]) == 0
+    assert len(alone) == 2 * len(build_preset(name))
+    for out, text in alone.items():
+        assert out.read_bytes() == text, out.name

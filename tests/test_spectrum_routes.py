@@ -212,17 +212,28 @@ CHUNKED = {
 @pytest.mark.parametrize("name", CHUNKED)
 def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
     # a root's iteration must not depend on its neighbours: one chunk of all
-    # rows and chunks of 7 rows give the same roots, up to BLAS row blocking
+    # rows and chunks of 7 rows give the same roots, up to BLAS row blocking.
+    # The chunk sizes each spin_spectrum call ran with are recorded, so a
+    # spectrum kept from the first call fails the test
     params = CHUNKED[name]
+    real_row_chunks, chunks = spectral._row_chunks, []
+
+    def recorded(n_rows, n_cols):
+        chunks.append(real_row_chunks(n_rows, n_cols))
+        return chunks[-1]
 
     def spectra(elements, rows):
         monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", elements)
         monkeypatch.setattr(spectral, "_CHUNK_ROWS", rows)
         weights = symmetric_spectrum(params)[1] if name == "secular" else None
-        return spin_spectrum(params), weights
+        chunks.clear()
+        spectrum = spin_spectrum(params)
+        return spectrum, weights, {s.stop - s.start for passes in chunks for s in passes}
 
-    (energies, spin, roots), weights = spectra(1 << 40, 1)
-    (energies_7, spin_7, roots_7), weights_7 = spectra(1, 7)
+    monkeypatch.setattr(spectral, "_row_chunks", recorded)
+    (energies, spin, roots), weights, sizes = spectra(1 << 40, 1)
+    (energies_7, spin_7, roots_7), weights_7, sizes_7 = spectra(1, 7)
+    assert max(sizes) > 7 and max(sizes_7) == 7
     assert np.all(np.abs(energies_7 - energies) <= np.spacing(np.abs(energies)))
     assert np.max(np.abs(spin_7 - spin)) <= 1e-15
     if name == "secular":
