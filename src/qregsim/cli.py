@@ -94,17 +94,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    # consecutive runs of one ModelParams object on one grid form a group,
-    # evolved from one spectrum; each run is written as run_scenario writes it
+    # each group of runs shares one model and one grid, and is evolved from
+    # one spectrum; each run is written as run_scenario writes it
     out_dir = Path(args.out)
-    groups: list[list[RunConfig]] = []
-    for cfg in build_preset(args.name):
-        cfg = replace(cfg, output_path=str(out_dir / cfg.output_path))
-        if groups and cfg.params is groups[-1][0].params and cfg.grid == groups[-1][0].grid:
-            groups[-1].append(cfg)
-        else:
-            groups.append([cfg])
-    for group in groups:
+    for group in build_preset(args.name):
+        group = [replace(cfg, output_path=str(out_dir / cfg.output_path)) for cfg in group]
         params, grid = group[0].params, group[0].grid
         preps = [prep_vector(cfg.prep, params.shape.n_qubits) for cfg in group]
         for cfg, series in zip(group, run_preparations(params, preps, grid)):

@@ -210,7 +210,7 @@ def _paper_runs():
     bath = ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 1.0))
     runs = [("bath_cosine", bath, symmetric_state(4))]
     for name in ("fig4", "fig5"):
-        for cfg in build_preset(name):
+        for cfg in [cfg for group in build_preset(name) for cfg in group]:
             runs.append((cfg.output_path, cfg.params, prep_vector(cfg.prep, 2)))
     # the cosine models of acceptance criterion 9; at xi = 1e8 the couplings
     # are nearly flat, so the antisymmetric spin state is nearly dark, but it
@@ -303,7 +303,7 @@ def test_corrupted_energy_falls_back(fault, monkeypatch):
     # one converged energy moved by 1e-9 ||H||, or made NaN, between the
     # refinement and the certificate: the certificate refuses it and the
     # route's output is the reference's
-    (cfg, _) = build_preset("fig5")
+    ((cfg, _),) = build_preset("fig5")
     params, prep = cfg.params, prep_vector(cfg.prep, 2)
     closed_form_spectrum(params)  # certified when intact
     norm = np.linalg.norm(build_h1(params), 2)

@@ -500,7 +500,7 @@ class TestCoupledSubspace:
     @pytest.mark.parametrize(
         "params, fallback",
         [
-            (build_preset("fig5")[0].params, False),
+            (build_preset("fig5")[0][0].params, False),
             (ModelParams(RegisterShape(4, 200), CosineCoupling(0.01, 1.0)), False),
             (ModelParams(RegisterShape(4, 200), CosineCoupling(0.01, 1.0)), True),
         ],

@@ -114,7 +114,25 @@ def test_preset_verb_solves_each_model_once(name, tmp_path, monkeypatch):
     monkeypatch.setattr(qregsim.dynamics, "_reduced_spectrum", counted)
     assert main(["preset", name, "--out", str(tmp_path)]) == 0
     assert len(calls) == SOLVES[name]
-    assert len(list(tmp_path.glob("*.csv"))) == len(build_preset(name))
+    assert len(list(tmp_path.glob("*.csv"))) == sum(len(group) for group in build_preset(name))
+
+
+#: runs per model, in the order build_preset gives its groups
+GROUP_SIZES = {"fig1": [1, 1, 1], "fig2": [3], "fig3": [3], "fig4": [1, 1, 1], "fig5": [2]}
+
+
+@pytest.mark.parametrize("name", GROUP_SIZES)
+def test_preset_groups_share_one_model(name, tmp_path):
+    # one group per model, whose runs share one ModelParams object and one
+    # grid; the verb writes a CSV and a sidecar under each run's file name
+    groups = build_preset(name)
+    assert [len(group) for group in groups] == GROUP_SIZES[name]
+    for group in groups:
+        for cfg in group:
+            assert cfg.params is group[0].params and cfg.grid == group[0].grid
+    names = {cfg.output_path for group in groups for cfg in group}
+    assert main(["preset", name, "--out", str(tmp_path)]) == 0
+    assert {path.name for path in tmp_path.iterdir()} == names | {f"{n}.meta" for n in names}
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig5"])
@@ -122,13 +140,13 @@ def test_preset_outputs_equal_each_run_alone(name, tmp_path):
     # each run alone through run_scenario, then the whole preset into the
     # same paths (the sidecar echoes its path): the same bytes
     alone = {}
-    for cfg in build_preset(name):
+    for cfg in [cfg for group in build_preset(name) for cfg in group]:
         path = tmp_path / cfg.output_path
         run_scenario(replace(cfg, output_path=str(path)))
         for out in (path, path.with_name(path.name + ".meta")):
             alone[out] = out.read_bytes()
             out.unlink()
     assert main(["preset", name, "--out", str(tmp_path)]) == 0
-    assert len(alone) == 2 * len(build_preset(name))
+    assert len(alone) == 2 * sum(len(group) for group in build_preset(name))
     for out, text in alone.items():
         assert out.read_bytes() == text, out.name

@@ -1,7 +1,11 @@
 """The one spectrum seam: dynamics.spin_spectrum on each of its routes
 against the dense eigenvalues, its spin block's completeness, the secular
-roots wherever the coupling has rank at most one, and the spectrum verb's
-energies against it. None of these models falls back to diagonalize."""
+roots wherever the coupling has rank at most one, the spectrum verb's
+energies against it, and the spin propagator of the benchmark's bath models
+against an independent Chebyshev series. None of these models falls back to
+diagonalize."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from qregsim import (
 )
 from qregsim import selfenergy, spectral
 from qregsim.cli import main
+
+from oracle import chebyshev_spin_block, oracle_spin_blocks
 
 # (config lines, frequencies of an explicit dispersion or None, rank of the
 # coupling after deflation): one model per route
@@ -201,9 +207,11 @@ def test_iterate_returns_each_last_evaluated_offset():
     assert np.max(np.abs(secular)) <= 1e-14
 
 
-# the two routes, and the near-dark pairs whose eigenvectors are deflated
+# the two routes, the secular route on near/far sums, and the near-dark pairs
+# whose eigenvectors are deflated
 CHUNKED = {
     "secular": ModelParams(RegisterShape(4, 300), UniformCoupling(0.01)),
+    "secular_near_far": ModelParams(RegisterShape(4, 1000), UniformCoupling(0.01)),
     "closed_form": ModelParams(RegisterShape(4, 300), CosineCoupling(0.01, 1.0)),
     "near_dark": ModelParams(RegisterShape(4, 200), CosineCoupling(0.01, 5.0)),
 }
@@ -212,10 +220,14 @@ CHUNKED = {
 @pytest.mark.parametrize("name", CHUNKED)
 def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
     # a root's iteration must not depend on its neighbours: one chunk of all
-    # rows and chunks of 7 rows give the same roots, up to BLAS row blocking.
-    # The chunk sizes each spin_spectrum call ran with are recorded, so a
-    # spectrum kept from the first call fails the test
+    # rows and chunks of 7 rows give the same roots. The secular route sums
+    # each row on its own, so its spectrum keeps every bit; the closed form's
+    # self-energy takes one BLAS product per chunk, which rounds each row by
+    # how many rows share the call, so its spectrum moves within the bounds
+    # below. The chunk sizes each spin_spectrum call ran with are recorded,
+    # so a spectrum kept from the first call fails the test
     params = CHUNKED[name]
+    secular = name.startswith("secular")
     real_row_chunks, chunks = spectral._row_chunks, []
 
     def recorded(n_rows, n_cols):
@@ -225,7 +237,7 @@ def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
     def spectra(elements, rows):
         monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", elements)
         monkeypatch.setattr(spectral, "_CHUNK_ROWS", rows)
-        weights = symmetric_spectrum(params)[1] if name == "secular" else None
+        weights = symmetric_spectrum(params)[1] if secular else None
         chunks.clear()
         spectrum = spin_spectrum(params)
         return spectrum, weights, {s.stop - s.start for passes in chunks for s in passes}
@@ -234,11 +246,13 @@ def test_row_chunks_do_not_change_the_spectrum(name, monkeypatch):
     (energies, spin, roots), weights, sizes = spectra(1 << 40, 1)
     (energies_7, spin_7, roots_7), weights_7, sizes_7 = spectra(1, 7)
     assert max(sizes) > 7 and max(sizes_7) == 7
-    assert np.all(np.abs(energies_7 - energies) <= np.spacing(np.abs(energies)))
-    assert np.max(np.abs(spin_7 - spin)) <= 1e-15
-    if name == "secular":
-        assert np.all(np.abs(roots_7 - roots) <= np.spacing(np.abs(roots)))
-        assert np.max(np.abs(weights_7 - weights)) <= 1e-15
+    if secular:
+        for got, want in [(energies_7, energies), (spin_7, spin), (roots_7, roots),
+                          (weights_7, weights)]:
+            assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(energies_7 - energies) <= np.spacing(np.abs(energies)))
+        assert np.max(np.abs(spin_7 - spin)) <= 1e-15
 
 
 def test_chunk_driver_owns_the_scratch(monkeypatch):
@@ -337,6 +351,43 @@ def test_strong_coupling_at_scale_stays_rank_one(monkeypatch):
     assert np.max(np.abs(spin @ spin.T - np.eye(4))) <= 1e-12
 
 
+def test_chebyshev_series_matches_the_oracle():
+    # the bath-scale reference below against the 40-digit eigensolve
+    params = ModelParams(RegisterShape(2, 8), CosineCoupling(0.2, 1.0))
+    times = [10.0, 100.0]
+    for t, want in zip(times, oracle_spin_blocks(params, times)):
+        assert np.max(np.abs(chebyshev_spin_block(params, t) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("route", BATHS)
+def test_bath_propagators_match_a_chebyshev_series(route, monkeypatch):
+    # an independent route at bath scale, on the benchmark's two bath models
+    # (the secular route on near/far sums, and the closed form):
+    # spin_spectrum's spin propagator V_s diag(exp(-iEt)) V_s^H against the
+    # Chebyshev series on the arrowhead matvec. The series builds no d x d
+    # array (8 d^2 bytes as float64); its arrays depend on t only through
+    # the number of terms, so the short time's call is traced
+    params = BATHS[route]
+
+    def refused(h):
+        raise AssertionError("the route fell back to diagonalize")
+
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", refused)
+    energies, spin, _ = spin_spectrum(params)
+    d = energies.size
+    tracemalloc.start()
+    try:
+        blocks = {100.0: chebyshev_spin_block(params, 100.0)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d * d
+    blocks[2000.0] = chebyshev_spin_block(params, 2000.0)
+    for t, block in blocks.items():
+        want = (spin * np.exp(-1j * energies * t)) @ spin.conj().T
+        assert np.max(np.abs(block - want)) <= 1e-11
+
+
 # the deflated rank r of each model, which picks its route (r <= 1 the
 # secular iteration, r >= 2 the closed form): the presets' models (fig4 and
 # fig5 are acceptance criterion 9's models at xi = 1, 5 and 10), the
@@ -355,7 +406,7 @@ RANKS = {
 
 @pytest.mark.parametrize("name", PRESET_RANKS)
 def test_preset_routes_are_stable(name):
-    for run in build_preset(name):
+    for run in [run for group in build_preset(name) for run in group]:
         assert spectral._deflate(run.params).g.shape[1] == PRESET_RANKS[name]
 
 
