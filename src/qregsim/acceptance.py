@@ -5,16 +5,16 @@ brute-force enumeration, the matrix-exponential oracle, or cross-route
 comparison) at a fixed tolerance and returns its pass flag and a detail line
 of the measured numbers. ``ALL_CRITERIA`` gives each one its number and
 title; ``CriterionResult.timed`` runs and times one, and its ``str`` is the
-report line that both the ``qregsim check`` CLI verb and the pytest
-acceptance module print.
+report line that the pytest acceptance module prints and that the
+``qregsim check`` CLI verb prints for each criterion in turn, ahead of its
+tally.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .model import (
 )
 from .sector import RegisterShape
 
-__all__ = ["CriterionResult", "ALL_CRITERIA", "run_all"]
+__all__ = ["CriterionResult", "ALL_CRITERIA"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool
@@ -348,14 +347,3 @@ ALL_CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
     (9, "replica-dependent coupling", criterion_9),
     (10, "brute-force evolution oracle", criterion_10),
 )
-
-
-def run_all(stream: TextIO | None = None) -> list[CriterionResult]:
-    """Run every criterion, printing one pass/fail line each."""
-    results = []
-    for criterion in ALL_CRITERIA:
-        res = CriterionResult.timed(*criterion)
-        results.append(res)
-        if stream is not None:
-            stream.write(f"{res}\n")
-    return results

@@ -373,12 +373,11 @@ def parse_config_file(path: str | Path) -> RunConfig:
     return parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
-def format_config(cfg: RunConfig, extra_comments: list[str] | None = None) -> str:
+def format_config(cfg: RunConfig) -> str:
     """Canonical configuration text reproducing this run when parsed back.
 
-    All resolved values are written out, including defaulted ones; comments
-    (the metadata sidecar puts the late-window averages there) are prefixed
-    with '# '.
+    All resolved values are written out, one ``key = value`` line each,
+    including defaulted ones; the text holds no comments.
     """
     params = cfg.params
     values: dict[str, object] = {
@@ -400,7 +399,7 @@ def format_config(cfg: RunConfig, extra_comments: list[str] | None = None) -> st
             values[key] = getattr(cfg, field)
             if values[key] is None:
                 raise ValueError(f"explicit {key.split('.')[0]} has no source file to reference")
-    lines = [f"# {comment}" for comment in (extra_comments or [])]
+    lines = []
     for key, spec in _KEYS.items():
         if key in values:
             lines.append(f"{key} = {spec.format(values[key])}")

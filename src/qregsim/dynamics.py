@@ -156,11 +156,11 @@ def evolve(sd: SpectralDecomposition, c0: np.ndarray, t: float | np.ndarray) -> 
     """Amplitudes sum_i <phi_i|c0> exp(-i E_i t) |phi_i> at time(s) t.
 
     A scalar t gives one amplitude vector; an array of times gives one
-    amplitude row per time, of shape t.shape + (dim,).
+    amplitude row per time, of shape t.shape + c0.shape.
     """
     c0 = np.asarray(c0, dtype=complex)
-    if c0.shape != (sd.dim,):
-        raise ValueError(f"amplitude vector has size {c0.size}, expected {sd.dim}")
+    if c0.shape != sd.eigenvalues.shape:
+        raise ValueError(f"amplitude vector has size {c0.size}, expected {sd.eigenvalues.size}")
     proj = sd.eigenvectors.conj().T @ c0
     return (np.exp(-1j * np.multiply.outer(t, sd.eigenvalues)) * proj) @ sd.eigenvectors.T
 
@@ -457,8 +457,7 @@ class RelaxationFitError(RuntimeError):
     """No exponential-decay segment could be fitted."""
 
 
-@dataclass(frozen=True)
-class RelaxationFit:
+class RelaxationFit(NamedTuple):
     """Exponential relaxation time of a fidelity decay, F ~ exp(-t/tau)."""
 
     tau: float

@@ -38,7 +38,6 @@ iteration, the kernel and that loop at higher rank, with dense sums.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,8 +104,7 @@ class DiagonalizationError(RuntimeError):
     """Eigensolver failed to converge or violated its accuracy contract."""
 
 
-@dataclass(eq=False)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigensystem of a Hermitian matrix.
 
     ``eigenvalues`` are real and nondecreasing; column i of ``eigenvectors``
@@ -115,10 +113,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
 
 
 def diagonalize(h: np.ndarray) -> SpectralDecomposition:

@@ -21,6 +21,7 @@ from qregsim import (
     parse_config,
     parse_config_file,
     prep_vector,
+    run_time_series,
 )
 import qregsim.acceptance
 import qregsim.dynamics
@@ -293,8 +294,18 @@ output.path = {tmp_path / 'series.csv'}
         lines = out.splitlines()
         assert lines[0] == "t,fidelity,entropy_bits,p0,p1,d_re,d_im"
         assert len(lines) == 42
+        # the sidecar is the three late-mean comment lines, then the
+        # configuration text that reproduces the run
+        run = parse_config_file(cfg)
+        prep = prep_vector(run.prep, run.params.shape.n_qubits)
+        series = run_time_series(run.params, prep, run.grid)
         meta = (tmp_path / "series.csv.meta").read_text()
-        assert "fidelity_mean" in meta
+        assert meta == (
+            "# late-window averages over the final quarter of the time grid:\n"
+            f"# fidelity_mean = {series.late_fidelity_mean:.17g}\n"
+            f"# entropy_mean_bits = {series.late_entropy_mean:.17g}\n"
+            + format_config(run)
+        )
         assert "wrote" in capsys.readouterr().out
 
     def test_runs_are_byte_identical(self, tmp_path):

@@ -132,6 +132,10 @@ class TestEvolve:
         sd = diagonalize(build_h1(params))
         c0 = initial_amplitudes(symmetric_state(1), params.shape)
         assert np.max(np.abs(evolve(sd, c0, 0.0) - c0)) < 1e-12
+        # an amplitude vector of another size than the eigensystem is refused
+        sd = diagonalize(np.diag([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(ValueError, match="amplitude vector has size 3, expected 4"):
+            evolve(sd, np.ones(3), 0.0)
 
     def test_eigenvector_acquires_pure_phase(self):
         params = ModelParams(RegisterShape(2, 4), UniformCoupling(0.07))

@@ -1,8 +1,9 @@
 """The one spectrum seam: dynamics.spin_spectrum on each of its routes
 against the dense eigenvalues, its spin block's completeness, the secular
 roots wherever the coupling has rank at most one, the spectrum verb's
-energies against it, and the spin propagator of the benchmark's bath models
-against an independent Chebyshev series. None of these models falls back to
+energies against it, and the spin propagator of bath models against an
+independent Chebyshev series. Only the two models of
+test_fallback_propagators_match_a_chebyshev_series may fall back to
 diagonalize."""
 
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 import qregsim.dynamics
 from qregsim import (
     CosineCoupling,
+    DiagonalizationError,
     ExplicitDispersion,
     ModelParams,
     RegisterShape,
@@ -27,6 +29,7 @@ from qregsim import selfenergy, spectral
 from qregsim.cli import main
 
 from oracle import chebyshev_spin_block, oracle_spin_blocks
+from test_dense_closed_form import HAZARDS
 
 # (config lines, frequencies of an explicit dispersion or None, rank of the
 # coupling after deflation): one model per route
@@ -352,22 +355,40 @@ def test_strong_coupling_at_scale_stays_rank_one(monkeypatch):
 
 
 def test_chebyshev_series_matches_the_oracle():
-    # the bath-scale reference below against the 40-digit eigensolve
-    params = ModelParams(RegisterShape(2, 8), CosineCoupling(0.2, 1.0))
-    times = [10.0, 100.0]
-    for t, want in zip(times, oracle_spin_blocks(params, times)):
-        assert np.max(np.abs(chebyshev_spin_block(params, t) - want)) <= 1e-12
+    # the bath-scale reference below against the 40-digit eigensolve, on a
+    # small cosine model and on the closed form's three hazard models
+    models = [(ModelParams(RegisterShape(2, 8), CosineCoupling(0.2, 1.0)), [10.0, 100.0])]
+    models += [(params, [10.0, 2000.0]) for params in HAZARDS.values()]
+    for params, times in models:
+        for t, want in zip(times, oracle_spin_blocks(params, times)):
+            assert np.max(np.abs(chebyshev_spin_block(params, t) - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("route", BATHS)
+def _spin_propagator(energies, spin, t):
+    return (spin * np.exp(-1j * energies * t)) @ spin.conj().T
+
+
+# the benchmark's two bath models, and the secular route on dense sums at
+# bath scale (uneven frequencies) and on near/far sums at N_b = 4000
+_UNEVEN = np.sort(np.random.default_rng(5).uniform(0.0, 2 * np.pi, 1000))
+CHEBYSHEV_BATHS = {
+    **BATHS,
+    "secular_dense": ModelParams(
+        RegisterShape(4, 1000), UniformCoupling(0.01), dispersion=ExplicitDispersion(_UNEVEN)
+    ),
+    "secular_4000": ModelParams(RegisterShape(4, 4000), UniformCoupling(0.01)),
+}
+
+
+@pytest.mark.parametrize("route", CHEBYSHEV_BATHS)
 def test_bath_propagators_match_a_chebyshev_series(route, monkeypatch):
-    # an independent route at bath scale, on the benchmark's two bath models
-    # (the secular route on near/far sums, and the closed form):
-    # spin_spectrum's spin propagator V_s diag(exp(-iEt)) V_s^H against the
-    # Chebyshev series on the arrowhead matvec. The series builds no d x d
-    # array (8 d^2 bytes as float64); its arrays depend on t only through
-    # the number of terms, so the short time's call is traced
-    params = BATHS[route]
+    # an independent route at bath scale, on models that no route leaves
+    # for diagonalize: spin_spectrum's spin propagator
+    # V_s diag(exp(-iEt)) V_s^H against the Chebyshev series on the
+    # arrowhead matvec. The series builds no d x d array (8 d^2 bytes as
+    # float64); its arrays depend on t only through the number of terms, so
+    # the short time's call is traced
+    params = CHEBYSHEV_BATHS[route]
 
     def refused(h):
         raise AssertionError("the route fell back to diagonalize")
@@ -384,8 +405,42 @@ def test_bath_propagators_match_a_chebyshev_series(route, monkeypatch):
     assert peak < 8 * d * d
     blocks[2000.0] = chebyshev_spin_block(params, 2000.0)
     for t, block in blocks.items():
-        want = (spin * np.exp(-1j * energies * t)) @ spin.conj().T
-        assert np.max(np.abs(block - want)) <= 1e-11
+        assert np.max(np.abs(block - _spin_propagator(energies, spin, t))) <= 1e-11
+
+
+def _refused(model):
+    raise DiagonalizationError("the secular route is refused")
+
+
+# a near-dark cosine model, which the closed form refuses today, and the
+# uniform bath with its secular route refused: the calls to diagonalize
+# that each makes, or None where a certified route may serve it instead
+FALLBACKS = {
+    "cosine_near_dark": (
+        ModelParams(RegisterShape(4, 1000), CosineCoupling(0.01, 10.0)), None, None
+    ),
+    "forced": (BATHS["secular"], _refused, 1),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_fallback_propagators_match_a_chebyshev_series(name, monkeypatch):
+    params, secular, want_calls = FALLBACKS[name]
+    calls = []
+    diagonalize = qregsim.dynamics.diagonalize
+
+    def counted(h):
+        calls.append(h.shape)
+        return diagonalize(h)
+
+    monkeypatch.setattr(qregsim.dynamics, "diagonalize", counted)
+    if secular is not None:
+        monkeypatch.setattr(qregsim.dynamics, "_secular_spectrum", secular)
+    energies, spin, _ = spin_spectrum(params)
+    assert want_calls is None or len(calls) == want_calls
+    for t in (100.0, 2000.0):
+        block = chebyshev_spin_block(params, t)
+        assert np.max(np.abs(block - _spin_propagator(energies, spin, t))) <= 1e-11
 
 
 # the deflated rank r of each model, which picks its route (r <= 1 the
