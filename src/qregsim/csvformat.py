@@ -9,15 +9,16 @@ and y = |x| 10^(16 - k), so that 10^16 <= y < 10^17. The 17 significant
 digits of ``%.17g`` are the integer D nearest y, and its decimal exponent is
 k; when D rounds up to 10^17 it is read as 10^16 and the exponent as k + 1.
 y is formed as a double-double. 10^s is a table pair hi + lo (lo the
-rounded remainder, the pair within 2^-105 of 10^s), and |x| hi is split
-into its rounded product p and the exact error e by Dekker's two-product:
-a mask on the mantissa bits splits |x| by truncation into 26 + 27 bits and
-hi by rounding into 26 + 26 bits (the low half signed), so the four partial
-products are exact, and so is each partial sum of e. Then y = p + r with
-r = e + |x| lo, p an integer (p > 2^53) and r within 1e-14 of exact, so
-D = p + round(r) whenever the fraction of r is farther than `_TIE_MARGIN`
-from 1/2. Where log10 leaves k off by one (y < 10^16 or y >= 10^17), k is
-moved and y formed again for those values only.
+correctly rounded remainder, the pair within a relative 2^-107 of 10^s),
+and |x| hi is split into its rounded product p and the exact error e by
+Dekker's two-product: a mask on the mantissa bits splits |x| by truncation
+into 26 + 27 bits and hi by rounding into 26 + 26 bits (the low half
+signed), so the four partial products are exact, and so is each partial
+sum of e. Then y = p + r with r = e + |x| lo, p an integer (p > 2^53) and
+r within 1e-14 of exact, so D = p + round(r) whenever the fraction of r is
+farther than `_TIE_MARGIN` from 1/2. Where log10 leaves k off by one
+(y < 10^16 or y >= 10^17), k is moved and y formed again for those values
+only.
 
 Fallback. A value goes to ``"%.17g" % x`` when it is +-0, not finite or
 outside [1e-290, 1e300] (subnormals included), or when the fraction of r
@@ -31,13 +32,12 @@ byte. Which digits stay (trailing zeros go, integer digits stay), which
 slot holds the point and what the prefix holds come from small tables
 indexed by the notation and the digit count. One ``bytes.translate``
 deletes the NULs of a block. The tables are built on the first call, from
-integer and numpy arithmetic.
+Python's correctly rounded integer division and its own ``%`` formatting.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -93,28 +93,18 @@ class _Tables(NamedTuple):
 def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """10^s for s in [_S_MIN, 16 - _K_MIN] as hi + lo, and hi as hh + hl.
 
-    Positive powers are exact integers. Negative ones come from the
-    fixed-point 2^1100 / 10^m, truncated at each step (within 2^-149 of
-    10^-m for every m here) and cut to its leading 110 bits. int -> float
-    rounds correctly, so hi + lo is within 2^-105 of 10^s.
+    10^s is num / den with num = 10^max(s, 0) and den = 10^max(-s, 0). hi is
+    num / den and, with hi = a / b, lo is the remainder
+    (num b - a den) / (den b), each rounded correctly by Python's int / int
+    division, so hi + lo is within a relative 2^-107 of 10^s.
     """
-    frac_bits = 1100
-    t = 1 << frac_bits
-    negative = []
-    for _ in range(-_S_MIN):
-        t //= 10
-        shift = t.bit_length() - 110
-        top = t >> shift
-        hi = float(top)
-        lo = float(top - int(hi))
-        negative.append((math.ldexp(hi, shift - frac_bits), math.ldexp(lo, shift - frac_bits)))
-    positive = []
-    p = 1
-    for _ in range(17 - _K_MIN):
-        hi = float(p)
-        positive.append((hi, float(p - int(hi))))
-        p *= 10
-    hi, lo = np.array(negative[::-1] + positive).T
+    pairs, num, den = [], 1, 10**-_S_MIN
+    for s in range(_S_MIN, 17 - _K_MIN):
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        pairs.append((hi, (num * b - a * den) / (den * b)))
+        num, den = (num * 10, den) if s >= 0 else (num, den // 10)
+    hi, lo = np.array(pairs).T
     hh = ((hi.view(np.uint64) + _SPLIT_ROUND) & _SPLIT_MASK).view(np.float64)
     return hi, hh, hi - hh, lo
 
@@ -137,55 +127,45 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 def _layout_tables() -> tuple[np.ndarray, np.ndarray]:
     """Digit masks and literal bytes of words 0..4, per (class c, digits n).
 
-    Row 17 c + n - 1 serves n significant digits in class c. Exponential
-    notation keeps n digits and puts the point after the first. Fixed
-    notation with X >= 0 keeps the X + 1 integer digits too and puts the
-    point after them; with X < 0 it writes ``0.`` and -X - 1 zeros before
-    the n digits. The point is dropped when no digit follows it.
+    Row 17 c + n - 1 serves n significant digits in class c, one notation
+    case each: exponential notation keeps the n digits and puts the point
+    after the first; fixed notation with X >= 0 keeps the X + 1 integer
+    digits too and puts the point after them; fixed notation with X < 0
+    writes ``0.`` and -X - 1 zeros before the n digits. The point is
+    dropped when no digit follows it.
     """
-    c = np.arange(_CLASSES)[:, None]
-    n = np.arange(1, 18)[None, :]
-    x = c - 5
-    exponential = c == 0
-    point = np.where(exponential, 0, x)  # the digit the point follows
-    keep = np.where(point >= 0, np.maximum(n, point + 1), n)
-    point = np.where((point >= 0) & (n > point + 1), point, -1)
-    zeros = np.where(~exponential & (x < 0), -x - 1, -1).repeat(17, axis=1)  # -1: no prefix
-
-    j = np.arange(17)
-    mask = np.zeros((_CLASSES, 17, 40), np.uint8)
-    mask[:, :, _DIGITS + 2 * j] = np.where(j < keep[:, :, None], 255, 0)
-    literal = np.zeros((_CLASSES, 17, 40), np.uint8)
-    cc, nn = np.nonzero(point >= 0)
-    literal[cc, nn, _DIGITS + 1 + 2 * point[cc, nn]] = ord(".")
-    for i in range(5):
-        cc, nn = np.nonzero(zeros >= max(i - 1, 0))
-        literal[cc, nn, _PREFIX + i] = ord("0.000"[i])
-    rows = _CLASSES * 17
-    return (
-        np.ascontiguousarray(mask.view(np.uint64).reshape(rows, 5).T),
-        np.ascontiguousarray(literal.view(np.uint64).reshape(rows, 5).T),
-    )
+    mask = np.zeros((_CLASSES * 17, 40), np.uint8)
+    literal = np.zeros_like(mask)
+    for c in range(_CLASSES):
+        x = c - 5
+        for n in range(1, 18):
+            row = 17 * c + n - 1
+            if c == 0:
+                keep, point = n, 0
+            elif x >= 0:
+                keep, point = max(n, x + 1), x
+            else:
+                keep, point = n, -1
+                literal[row, _PREFIX : _PREFIX + 1 - x] = list(b"0." + b"0" * (-x - 1))
+            mask[row, _DIGITS : _DIGITS + 2 * keep : 2] = 255
+            if 0 <= point < n - 1:
+                literal[row, _DIGITS + 1 + 2 * point] = ord(".")
+    return mask.view(np.uint64).T.copy(), literal.view(np.uint64).T.copy()
 
 
 def _suffix_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per decimal exponent X: the layout row of 17 digits, the last word.
 
-    The last word holds ``e+XX`` or ``e-XXX`` in exponential notation
-    (X < -4 or X > 16) and nothing in fixed notation.
+    The last word holds the ``e+XX`` or ``e-XXX`` that ``"e%+03d" % X``
+    writes in exponential notation (X < -4 or X > 16), and nothing in
+    fixed notation.
     """
-    x = np.arange(_K_MIN, _K_MAX + 1)
-    fixed = (x >= -4) & (x <= 16)
-    ax = np.abs(x)
-    wide = ax >= 100
-    word = np.zeros((x.size, 8), np.uint8)
-    word[:, 0] = ord("e")
-    word[:, 1] = np.where(x < 0, ord("-"), ord("+"))
-    word[:, 2] = 48 + np.where(wide, ax // 100, ax // 10 % 10)
-    word[:, 3] = 48 + np.where(wide, ax // 10 % 10, ax % 10)
-    word[:, 4] = np.where(wide, 48 + ax % 10, 0)
-    word[fixed] = 0
-    return np.where(fixed, x + 5, 0) * 17 + 16, word.view(np.uint64)[:, 0]
+    rows, words = [], []
+    for x in range(_K_MIN, _K_MAX + 1):
+        fixed = -4 <= x <= 16
+        rows.append(17 * (x + 5 if fixed else 0) + 16)
+        words.append(b"" if fixed else b"e%+03d" % x)
+    return np.array(rows), np.frombuffer(b"".join(w.ljust(8, b"\0") for w in words), np.uint64)
 
 
 @functools.cache

@@ -1,7 +1,8 @@
 """Independent references for the spin block of the propagator, shared by
 the tests: a 40-digit eigensolve for small models, which tells which of two
-double-precision routes is right, and a Chebyshev series on the matvec of H
-for baths of any size."""
+double-precision routes is right, a Chebyshev series on the matvec of H
+for baths of any size, and a 40-digit secular solve of a uniform model's
+runs."""
 
 import numpy as np
 import pytest
@@ -79,3 +80,59 @@ def chebyshev_spin_block(params, t):
         previous, current = current, 2.0 * scaled(current) - previous
         block += coeff * current[:, :n]
     return np.exp(-1j * c * t) * block.T
+
+
+def secular_run_reference(params, preps, times):
+    """D and F of each preparation of a uniform model at the given times,
+    from the secular equation at 40 digits.
+
+    Only the symmetric state s couples, to every mode with sqrt(N) g0. The
+    N_b + 1 zeros E_j of P(E) = E - eps - N g0^2 sum_k 1 / (E - omega_k)
+    lie one in each gap between the float frequencies, the two outer gaps
+    reaching ||G|| + 1 beyond them. A float bisection in every gap at once
+    narrows each bracket, and a 40-digit bracketing solve finds the zero in
+    it, in about 8 evaluations instead of the 19 that the whole gap takes;
+    no zero of the program seeds them. With the weights
+    w_j = 1 / P'(E_j) and c_s = <s|psi_0>,
+    D(t) = exp(-i eps t) (1 - |c_s|^2) + |c_s|^2 sum_j w_j exp(-i E_j t) and
+    F = |D|^2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n, nb = params.shape.n_qubits, params.shape.n_modes
+    g0, eps = params.coupling.g0, params.epsilon
+    omegas = np.sort(mode_frequencies(params))
+    reach = abs(g0) * np.sqrt(n * nb) + 1.0
+    lo = np.concatenate([[min(eps, omegas[0]) - reach], omegas])
+    hi = np.concatenate([omegas, [max(eps, omegas[-1]) + reach]])
+    # the float brackets' widening: far above the float error of a zero,
+    # far below its distance to a pole
+    pad = 1e-12 * (hi - lo)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = mid - eps - n * g0**2 * (1.0 / (mid[:, None] - omegas)).sum(axis=1) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    with mpmath.workdps(40):
+        eps, coupling = mpmath.mpf(eps), n * mpmath.mpf(g0) ** 2
+        poles = [mpmath.mpf(w) for w in omegas]
+
+        def secular(e):
+            return e - eps - coupling * mpmath.fsum(1 / (e - w) for w in poles)
+
+        zeros = [
+            mpmath.findroot(secular, (mpmath.mpf(a - p), mpmath.mpf(b + p)), solver="anderson")
+            for a, b, p in zip(lo, hi, pad)
+        ]
+        weights = [1 / (1 + coupling * mpmath.fsum(1 / (e - w) ** 2 for w in poles)) for e in zeros]
+        times = [mpmath.mpf(t) for t in times]
+        dark = [mpmath.expj(-eps * t) for t in times]
+        coupled = [
+            mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(weights, zeros)) for t in times
+        ]
+        out = []
+        for prep in preps:
+            cs2 = abs(mpmath.fsum(mpmath.mpc(a) for a in prep)) ** 2 / n
+            d = [(1 - cs2) * u + cs2 * v for u, v in zip(dark, coupled)]
+            out.append(
+                (np.array([complex(v) for v in d]), np.array([float(abs(v) ** 2) for v in d]))
+            )
+    return out

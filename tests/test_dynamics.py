@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from qregsim import (
     symmetric_state,
 )
 
+from qregsim import csvformat
 from qregsim.csvformat import BLOCK_ROWS, format_rows
 from qregsim.dynamics import _spin_amplitudes
 
@@ -670,6 +672,19 @@ class TestFormatRows:
         assert format_rows(values) == (
             "0.5,-2,1e+22\n1234567890123456.2,1234567890123456.8,1.9999999999999999e-07\n"
         )
+
+    def test_power_table_is_correctly_rounded(self):
+        # the pairs hi + lo = 10^s of every s the fast route reads: hi is
+        # 10^s rounded, lo the rest 10^s - hi rounded, and hi = hh + hl exactly
+        t = csvformat._tables()
+        powers = range(csvformat._S_MIN, 17 - csvformat._K_MIN)
+        assert t.hi.shape == t.lo.shape == (len(powers),)
+        pairs = zip(t.hi.tolist(), t.hh.tolist(), t.hl.tolist(), t.lo.tolist())
+        for s, (hi, hh, hl, lo) in zip(powers, pairs):
+            exact = Fraction(10) ** s
+            assert hi == float(exact)
+            assert lo == float(exact - Fraction(hi))
+            assert Fraction(hh) + Fraction(hl) == Fraction(hi)
 
 
 class TestRelaxationFit:

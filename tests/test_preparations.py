@@ -1,6 +1,7 @@
 """Several preparations of one model from one spectrum: run_preparations
-against one run_time_series call per preparation on every route, and the
-preset verb's one solve per model."""
+against one run_time_series call per preparation on every route and, on
+fig2's model, against a 40-digit secular reference, and the preset verb's
+one solve per model."""
 
 from dataclasses import replace
 
@@ -23,6 +24,8 @@ from qregsim import (
 )
 from qregsim import selfenergy
 from qregsim.cli import main, run_scenario
+
+from oracle import secular_run_reference
 
 
 def _preparations(n):
@@ -150,3 +153,18 @@ def test_preset_outputs_equal_each_run_alone(name, tmp_path):
     assert len(alone) == 2 * sum(len(group) for group in build_preset(name))
     for out, text in alone.items():
         assert out.read_bytes() == text, out.name
+
+
+def test_uniform_runs_match_a_40_digit_secular_reference():
+    # fig2's model and its three first-M superpositions from one spectrum,
+    # at every 100th grid time up to t = 2000: D and F against the secular
+    # equation solved at 40 digits
+    params = ModelParams(RegisterShape(4, 200), UniformCoupling(0.01))
+    preps = [m_superposition(4, m) for m in (1, 2, 3)]
+    picked = np.arange(0, 2001, 100)
+    runs = run_preparations(params, preps, TimeGrid(2000.0, 2001))
+    assert runs[0].times[picked[-1]] == 2000.0
+    reference = secular_run_reference(params, preps, runs[0].times[picked])
+    for series, (d, fidelity) in zip(runs, reference):
+        assert np.max(np.abs(series.obs.d[picked] - d)) <= 2e-13
+        assert np.max(np.abs(series.obs.fidelity[picked] - fidelity)) <= 2e-13

@@ -369,14 +369,25 @@ def _spin_propagator(energies, spin, t):
 
 
 # the benchmark's two bath models, and the secular route on dense sums at
-# bath scale (uneven frequencies) and on near/far sums at N_b = 4000
+# bath scale (uneven frequencies) and on near/far sums at N_b = 4000, each
+# at t in {100, 2000} within 1e-11; and a weakly coupled uniform bath on
+# near/far sums at t = 100 within 1e-13, where its coupled amplitude has
+# decayed only to about exp(-0.8), so that the secular zeros and not the
+# dark states carry the check
 _UNEVEN = np.sort(np.random.default_rng(5).uniform(0.0, 2 * np.pi, 1000))
 CHEBYSHEV_BATHS = {
-    **BATHS,
-    "secular_dense": ModelParams(
-        RegisterShape(4, 1000), UniformCoupling(0.01), dispersion=ExplicitDispersion(_UNEVEN)
+    **{route: (params, (100.0, 2000.0), 1e-11) for route, params in BATHS.items()},
+    "secular_dense": (
+        ModelParams(
+            RegisterShape(4, 1000), UniformCoupling(0.01), dispersion=ExplicitDispersion(_UNEVEN)
+        ),
+        (100.0, 2000.0),
+        1e-11,
     ),
-    "secular_4000": ModelParams(RegisterShape(4, 4000), UniformCoupling(0.01)),
+    "secular_4000": (
+        ModelParams(RegisterShape(4, 4000), UniformCoupling(0.01)), (100.0, 2000.0), 1e-11
+    ),
+    "secular_weak": (ModelParams(RegisterShape(4, 1000), UniformCoupling(2e-3)), (100.0,), 1e-13),
 }
 
 
@@ -387,8 +398,8 @@ def test_bath_propagators_match_a_chebyshev_series(route, monkeypatch):
     # V_s diag(exp(-iEt)) V_s^H against the Chebyshev series on the
     # arrowhead matvec. The series builds no d x d array (8 d^2 bytes as
     # float64); its arrays depend on t only through the number of terms, so
-    # the short time's call is traced
-    params = CHEBYSHEV_BATHS[route]
+    # the first time's call is traced
+    params, times, tolerance = CHEBYSHEV_BATHS[route]
 
     def refused(h):
         raise AssertionError("the route fell back to diagonalize")
@@ -398,14 +409,14 @@ def test_bath_propagators_match_a_chebyshev_series(route, monkeypatch):
     d = energies.size
     tracemalloc.start()
     try:
-        blocks = {100.0: chebyshev_spin_block(params, 100.0)}
+        blocks = [chebyshev_spin_block(params, times[0])]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * d * d
-    blocks[2000.0] = chebyshev_spin_block(params, 2000.0)
-    for t, block in blocks.items():
-        assert np.max(np.abs(block - _spin_propagator(energies, spin, t))) <= 1e-11
+    blocks += [chebyshev_spin_block(params, t) for t in times[1:]]
+    for t, block in zip(times, blocks):
+        assert np.max(np.abs(block - _spin_propagator(energies, spin, t))) <= tolerance
 
 
 def _refused(model):
