@@ -1,9 +1,10 @@
 """Run-configuration parsing and canonical serialization.
 
 Grammar: UTF-8 text, one ``key = value`` per line, ``#`` starts a comment,
-blank lines ignored. Keys are flat and dotted; unknown or duplicate keys are
-hard errors so a typo in a physics parameter cannot slip through. Every error
-message carries the key name and line number.
+blank lines ignored; config and data files may open with a byte-order mark.
+Keys are flat and dotted; unknown or duplicate keys are hard errors so a
+typo in a physics parameter cannot slip through. Every error message about
+a line carries its number, and the key name where the line has one.
 
 Two tables drive parsing and formatting alike. ``_KEYS`` maps every key, in
 sidecar order, to its parser and formatter (the ``<family>.type`` selectors
@@ -120,7 +121,9 @@ def _check_echoable(key: str, path: str) -> None:
 class RunConfig:
     """One fully resolved simulation run.
 
-    Every path must survive the sidecar round trip (see format_config).
+    Every path must survive the sidecar round trip (see format_config), and
+    an explicit coupling or dispersion needs the path of the file its data
+    came from, which the sidecar echoes.
     """
 
     params: ModelParams
@@ -135,6 +138,11 @@ class RunConfig:
             path = getattr(self, field)
             if path is not None:
                 _check_echoable(key, str(path))
+        for key, field in _PATH_FIELDS.items():
+            family = key.split(".")[0]
+            _, keys = _VARIANT_OF[type(getattr(self.params, family))]
+            if key in keys and getattr(self, field) is None:
+                raise ValueError(f"explicit {family} has no source file to reference")
 
 
 def _as_int(key: str, value: str, lineno: int) -> int:
@@ -187,7 +195,7 @@ def _complex_list(key: str, value: str, lineno: int) -> np.ndarray:
 def _load_matrix(key: str, path: str, lineno: int) -> np.ndarray:
     """Whitespace-separated numbers of a data file as a 2-D float array."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             rows = [line for line in handle if line.split("#", 1)[0].strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"line {lineno}: cannot read {key} file {path}: {exc}") from None
@@ -370,7 +378,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
 def parse_config_file(path: str | Path) -> RunConfig:
     """Parse a config file; relative data-file paths resolve against its directory."""
     path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return parse_config(path.read_text(encoding="utf-8-sig"), base_dir=path.parent)
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -397,8 +405,6 @@ def format_config(cfg: RunConfig) -> str:
     for key, field in _PATH_FIELDS.items():
         if key in values:
             values[key] = getattr(cfg, field)
-            if values[key] is None:
-                raise ValueError(f"explicit {key.split('.')[0]} has no source file to reference")
     lines = []
     for key, spec in _KEYS.items():
         if key in values:

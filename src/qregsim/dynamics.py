@@ -376,7 +376,8 @@ def run_preparations(
     figure that compares preparations of one model (the first-M
     superpositions, the symmetric and antisymmetric states) pays for one
     solve. Every preparation is checked (initial_amplitudes) before the
-    solve.
+    solve. Raises ValueError when max(|E_j|, |epsilon|) t_max reaches 2^52,
+    past which one ulp of a phase E t is a radian or more.
 
     Each run works in the coordinates of _reduced_spectrum: the
     preparation's r coordinates b = basis^H psi_0 in the coupled directions
@@ -397,6 +398,12 @@ def run_preparations(
     n = params.shape.n_qubits
     spins = [initial_amplitudes(prep, params.shape)[:n] for prep in preps]
     reduced = _reduced_spectrum(params)
+    fastest = float(np.max(np.abs(np.append(reduced.energies, reduced.epsilon))))
+    if not fastest * grid.t_max < 2.0**52:  # written so that NaN fails
+        raise ValueError(
+            f"the phase E t reaches {fastest:.3e} * {grid.t_max:.3e}, at least 2^52, "
+            "where one ulp of it is a radian or more"
+        )
     runs = []
     for c0 in spins:
         times = grid.times()

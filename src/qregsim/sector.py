@@ -17,12 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # fractions (and decimal with it) loads only when used
-    from fractions import Fraction
 
 __all__ = [
     "RegisterShape",
@@ -114,29 +110,24 @@ def enumerate_basis(shape: RegisterShape, excitations: int) -> tuple[BasisLabel,
     return tuple(labels)
 
 
-def su2_spin_ladder(n_qubits: int) -> list[Fraction]:
-    """Admissible total-spin values S for N spins: s, s+1, ..., N/2."""
-    from fractions import Fraction
-
-    start = Fraction(n_qubits % 2, 2)
-    return [start + k for k in range(n_qubits // 2 + 1)]
+def su2_spin_ladder(n_qubits: int) -> list[float]:
+    """Admissible total-spin values S for N spins: s, s+1, ..., N/2, each a
+    half-integer, which a float holds exactly."""
+    return [n_qubits % 2 / 2 + k for k in range(n_qubits // 2 + 1)]
 
 
-def su2_multiplicity(spin: float | Fraction, n_qubits: int) -> int:
+def su2_multiplicity(spin: float, n_qubits: int) -> int:
     """Multiplicity of the total-spin-S irrep in the N-fold product of spin-1/2.
 
     Equals N!(2S+1) / ((N/2+S+1)!(N/2-S)!), evaluated here in exact integer
     arithmetic as C(N, N/2-S) - C(N, N/2-S-1). S must sit on the ladder
     s, s+1, ..., N/2 with s = 0 (N even) or 1/2 (N odd).
     """
-    from fractions import Fraction
-
     if n_qubits < 1:
         raise ValueError("n_qubits must be positive")
-    two_s_exact = 2 * Fraction(spin)
-    if two_s_exact.denominator != 1:
+    if (2 * spin) % 1:  # written so that NaN and inf fail
         raise ValueError(f"2S must be an integer, got S={spin}")
-    two_s = int(two_s_exact)
+    two_s = int(2 * spin)
     if two_s < 0 or two_s > n_qubits or (n_qubits - two_s) % 2 != 0:
         raise ValueError(
             f"S={spin} is not on the spin ladder for {n_qubits} qubits"

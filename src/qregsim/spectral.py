@@ -37,7 +37,6 @@ iteration, the kernel and that loop at higher rank, with dense sums.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -122,7 +121,8 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
     give identical output. Raises DiagonalizationError if the solver does not
     converge or if the residual ||H v - E v|| exceeds 1e-10 * max(1, ||H||_F)
     for any eigenpair, or the eigenvector Gram matrix deviates from the
-    identity by more than 1e-10, or if either defect is NaN. The matrix
+    identity by more than 1e-10, or if either defect is NaN; raises
+    ValueError if ||H||_F overflows, where no such bound holds. The matrix
     keeps its dtype, so a real symmetric matrix is solved in real arithmetic
     and its eigenvectors are real.
     """
@@ -131,7 +131,10 @@ def diagonalize(h: np.ndarray) -> SpectralDecomposition:
         raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.linalg.norm(h)))
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(h)))
+    if not np.isfinite(scale):  # no residual or Hermiticity bound could fail
+        raise ValueError("matrix Frobenius norm overflows float64")
     herm_defect = float(np.max(np.abs(h - h.conj().T)))
     if herm_defect > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
@@ -257,7 +260,6 @@ class _Brackets(NamedTuple):
     lo: np.ndarray  # its bracket (lo, hi), as offsets from base
     hi: np.ndarray
     delta_far: np.ndarray  # the gap's other pole, from base (0 outside the poles)
-    far_left: np.ndarray  # base is the gap's right-hand pole
     side: np.ndarray  # -1 below the lowest pole, 1 above the highest, else 0
     branch: np.ndarray  # the index i of the sorted branch mu_i that vanishes at it
 
@@ -314,7 +316,7 @@ def _brackets(
     lo[mid], hi[mid] = np.minimum(x_mid, 0.0), np.maximum(x_mid, 0.0)
     tau[mid] = np.where((start > lo[mid]) & (start < hi[mid]), start, 0.5 * x_mid)
     delta_far = np.where(up, -width, width)
-    return _Brackets(origin, omegas[origin], tau, lo, hi, delta_far, up, side, branch)
+    return _Brackets(origin, omegas[origin], tau, lo, hi, delta_far, side, branch)
 
 
 def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
@@ -602,9 +604,9 @@ def _five_smooth(n: int) -> int:
 def _in_chunks(n_cols, *scratch, rows=0):
     """The one row-chunk loop of both routes and the one owner of their
     (rows x n_cols) scratch arrays, one per dtype in scratch, allocated
-    once (those of one dtype as one block), at the first call of any pass
-    it wraps, at the rows of the largest of _row_chunks(rows, n_cols): a
-    fresh array of that size costs more than the pass that fills it.
+    once, at the first call of any pass it wraps, at the rows of the
+    largest of _row_chunks(rows, n_cols): a fresh array of that size costs
+    more than the pass that fills it.
     Returns wrap(fn), which builds a pass over at most rows rows (any
     number without scratch) from an fn that takes at most one chunk. fn
     gets each scratch array, cut to its chunk's rows, ahead of its per-row
@@ -614,13 +616,12 @@ def _in_chunks(n_cols, *scratch, rows=0):
     chunk. Every call of every pass that one wrap builds uses the same
     scratch: the root iteration's calls with fewer and fewer rows, and the
     secular route's residual pass after its dense sums."""
-    size, dtypes, held = _row_chunks(rows, n_cols)[0].stop, [np.dtype(t) for t in scratch], []
+    size, held = _row_chunks(rows, n_cols)[0].stop, []
 
     def wrap(fn):
         def chunked(*args):
-            if len(held) < len(dtypes):  # the first call of a pass of this wrap
-                blocks = {t: iter(np.empty((c, size, n_cols), t)) for t, c in Counter(dtypes).items()}
-                held.extend(next(blocks[t]) for t in dtypes)
+            if len(held) < len(scratch):  # the first call of a pass of this wrap
+                held.extend(np.empty((size, n_cols), t) for t in scratch)
             n_rows, outs = len(args[0]), ()
             for s in _row_chunks(n_rows, n_cols):
                 parts = fn(*(a[: s.stop - s.start] for a in held), *(a[s] for a in args))
@@ -649,9 +650,9 @@ def _iterate(evaluate, data, brackets: _Brackets):
     (_in_chunks runs it over the rows in chunks); data holds the per-row
     arrays that evaluate reads, pruned with the rows as their zeros finish.
     Of the brackets' rows, delta_far is the gap's other pole from the
-    origin, far_left whether it lies left of it, and side -1 (1) for a zero
-    below (above) every pole, else 0. Interior zeros then take R.-C. Li's middle-way step (LAPACK
-    Working Note 89, 1994): the zero of the model
+    origin (negative when it lies left of it), and side -1 (1) for a zero
+    below (above) every pole, else 0. Interior zeros then take R.-C. Li's
+    middle-way step (LAPACK Working Note 89, 1994): the zero of the model
     c + s_o / (0 - x) + s_f / (delta_f - x) with the gap's two poles, whose
     coefficients match the pole sums' slopes psi' and phi' on either side of
     tau (the linear term's unit slope on the far pole's side) and whose
@@ -668,7 +669,7 @@ def _iterate(evaluate, data, brackets: _Brackets):
     stored eigenvectors).
     """
     tau, lo, hi = brackets.tau, brackets.lo, brackets.hi
-    delta_far, far_left, side = brackets.delta_far, brackets.far_left, brackets.side
+    delta_far, side = brackets.delta_far, brackets.side
     out_tau = np.empty(tau.size)
     index = np.arange(tau.size)
     outer = side != 0
@@ -678,7 +679,7 @@ def _iterate(evaluate, data, brackets: _Brackets):
         lo = np.where(p < 0.0, tau, lo)
         hi = np.where(p > 0.0, tau, hi)
 
-        slope_o = np.where(far_left, d_all - d_psi, d_psi)
+        slope_o = np.where(delta_far < 0.0, d_all - d_psi, d_psi)
         slope_f = d_all - slope_o + 1.0
         c = p + tau * slope_o - d_far * slope_f
         eta = _model_zero(
@@ -718,8 +719,8 @@ def _iterate(evaluate, data, brackets: _Brackets):
             )
         if done.any():
             keep = ~done
-            index, far_left, delta_far, side, outer, lo, hi, new = (
-                a[keep] for a in (index, far_left, delta_far, side, outer, lo, hi, new)
+            index, delta_far, side, outer, lo, hi, new = (
+                a[keep] for a in (index, delta_far, side, outer, lo, hi, new)
             )
             data = tuple(a[keep] for a in data)
         tau = new

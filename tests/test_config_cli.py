@@ -11,9 +11,14 @@ from qregsim import (
     ConfigError,
     CosineCoupling,
     ExplicitCoupling,
+    ExplicitDispersion,
     LinearDispersion,
+    ModelParams,
     MomentumPrep,
+    RegisterShape,
+    RunConfig,
     SymmetricPrep,
+    TimeGrid,
     UniformCoupling,
     build_h1,
     diagonalize,
@@ -22,6 +27,7 @@ from qregsim import (
     parse_config_file,
     prep_vector,
     run_time_series,
+    spin_spectrum,
 )
 import qregsim.acceptance
 import qregsim.dynamics
@@ -141,6 +147,70 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(MINIMAL.replace(old, new), base_dir=tmp_path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                "n_modes = 200",
+                "n_modes = 5.0",
+                "line 4: register.n_modes must be an integer, got '5.0'",
+            ),
+            ("g0 = 0.01", "g0 = abc", "line 6: coupling.g0 must be a number, got 'abc'"),
+            ("g0 = 0.01", "g0 = inf", "line 6: coupling.g0 must be finite, got 'inf'"),
+            (
+                "prep.type = symmetric",
+                "prep.type = bell_mix\nprep.cs = 1+\nprep.ca = 0",
+                "line 8: prep.cs must be a complex number like '0.5+0.5j', got '1+'",
+            ),
+            (
+                "coupling.type = uniform\ncoupling.g0 = 0.01",
+                "coupling.type = explicit\ncoupling.file = missing.dat",
+                "line 6: cannot read coupling.file file ",
+            ),
+            (
+                "n_qubits = 2",
+                "n_qubits 2",
+                "line 3: expected 'key = value', got 'register.n_qubits 2'",
+            ),
+            ("g0 = 0.01", "g0 =", "line 6: empty value for key 'coupling.g0'"),
+        ],
+        ids=[
+            "non_integer", "non_number", "non_finite", "malformed_complex",
+            "unreadable_file", "no_equals", "empty_value",
+        ],
+    )
+    def test_grammar_error_names_line_and_key(self, tmp_path, old, new, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL.replace(old, new), base_dir=tmp_path)
+        assert str(info.value).startswith(message)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        np.savetxt(tmp_path / "g.dat", np.full((200, 2), 0.01))
+        (tmp_path / "g_bom.dat").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "g.dat").read_bytes())
+        text = MINIMAL.replace("coupling.type = uniform\ncoupling.g0 = 0.01", "coupling.type = explicit")
+        for name in ("g.dat", "g_bom.dat"):
+            config = text + f"coupling.file = {name}\n"
+            (tmp_path / f"plain_{name}.cfg").write_text(config, encoding="utf-8")
+            (tmp_path / f"bom_{name}.cfg").write_text(config, encoding="utf-8-sig")
+        runs = [parse_config_file(path) for path in sorted(tmp_path.glob("*.cfg"))]
+        assert len(runs) == 4
+        # one coupling matrix, and the same run up to the data file's name
+        assert all(np.array_equal(run.params.coupling.g, runs[0].params.coupling.g) for run in runs)
+        texts = [format_config(run).replace("g_bom.dat", "g.dat") for run in runs]
+        assert texts == [format_config(parse_config(text + "coupling.file = g.dat\n", tmp_path))] * 4
+
+    @pytest.mark.parametrize("family", ["coupling", "dispersion"])
+    def test_explicit_data_without_source_file_is_refused(self, tmp_path, family):
+        shape, coupling, dispersion = RegisterShape(2, 3), UniformCoupling(0.01), LinearDispersion()
+        if family == "coupling":
+            coupling = ExplicitCoupling(np.full((3, 2), 0.01))
+        else:
+            dispersion = ExplicitDispersion([0.5, 1.0, 1.5])
+        params = ModelParams(shape, coupling, 1.0, dispersion)
+        with pytest.raises(ValueError, match=f"^explicit {family} has no source file"):
+            RunConfig(params, SymmetricPrep(), TimeGrid(10.0, 11), str(tmp_path / "run.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_key(self):
         text = MINIMAL.replace("coupling.g0 = 0.01\n", "")
@@ -391,6 +461,26 @@ output.path = {tmp_path / 'series.csv'}
         assert "holds no numbers" in err
         assert "Warning" not in err
         assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "g0,t_max", [(1e100, 10.0), (0.1, 1e20)], ids=["strong_coupling", "long_grid"]
+    )
+    def test_unresolvable_phases_write_nothing(self, tmp_path, capsys, g0, t_max):
+        # max |E| t_max at or past 2^52: one ulp of a phase is a radian
+        cfg = self._write(tmp_path, n_modes=5, t_max=t_max, n_steps=11)
+        cfg.write_text(cfg.read_text().replace("g0 = 0.01", f"g0 = {g0!r}"))
+        assert main(["run", str(cfg)]) == 1
+        assert "at least 2^52" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_phases_just_under_the_bound_run(self, tmp_path):
+        cfg = self._write(tmp_path, n_modes=5, n_steps=11)
+        energies = spin_spectrum(parse_config_file(cfg).params).energies
+        t_max = 2.0**52 / max(float(np.max(np.abs(energies))), 1.0) * (1.0 - 1e-9)
+        cfg = self._write(tmp_path, n_modes=5, t_max=repr(t_max), n_steps=11)
+        assert main(["run", str(cfg)]) == 0
+        assert len((tmp_path / "series.csv").read_text().splitlines()) == 12
+        assert (tmp_path / "series.csv.meta").exists()
 
     def test_preset_out_with_hash_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -134,7 +134,10 @@ class TestSu2Multiplicity:
             )
             assert total == 2**n
 
-    @pytest.mark.parametrize("bad_spin,n", [(0.3, 2), (2, 2), (-1, 4), (0, 3), (0.5, 2)])
+    @pytest.mark.parametrize(
+        "bad_spin,n",
+        [(0.3, 2), (2, 2), (-1, 4), (0, 3), (0.5, 2), (float("nan"), 2), (float("inf"), 2)],
+    )
     def test_rejects_off_ladder_spins(self, bad_spin, n):
         with pytest.raises(ValueError):
             su2_multiplicity(bad_spin, n)
@@ -194,10 +197,16 @@ class TestSpinStates:
 
 def test_cli_import_leaves_fractions_unloaded():
     # fractions, and decimal through it, cost milliseconds at start-up in
-    # every qregsim process; only the su(2) ladder and multiplicity use it
+    # every qregsim process; the su(2) ladder holds its half-integers as
+    # floats, so not even the acceptance suite's su(2) count loads them
     src = str(Path(qregsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, qregsim.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    code = (
+        "import sys, qregsim.cli\n"
+        "from qregsim.sector import su2_multiplicity, su2_spin_ladder\n"
+        "assert [su2_multiplicity(s, 5) for s in su2_spin_ladder(5)] == [5, 4, 1]\n"
+        "print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "False"]

@@ -34,6 +34,15 @@ def _scaled_eigenvector(w, v):
     v[:, 2] *= 1.001
 
 
+def _shifted_overflowing_spectrum(w, v):
+    w += 1e190
+
+
+# ||H||_F overflows, so the residual and Hermiticity bounds, scaled by it,
+# would pass whatever the eigensolver returned
+_OVERFLOWING = np.array([[1e200, 3e199], [3e199, -2e199]])
+
+
 class TestDiagonalize:
     def test_identity(self):
         sd = diagonalize(np.eye(5))
@@ -101,6 +110,7 @@ class TestDiagonalize:
             (_nan_eigenvalue, "residual"),
             (_shifted_eigenvalue, "residual"),
             (_scaled_eigenvector, "orthonormal"),
+            (_shifted_overflowing_spectrum, "overflows"),
         ],
         ids=lambda x: getattr(x, "__name__", x).lstrip("_"),
     )
@@ -117,8 +127,11 @@ class TestDiagonalize:
             return w, v
 
         h = build_h1(ModelParams(RegisterShape(2, 6), UniformCoupling(0.05)))
+        error = DiagonalizationError
+        if fault is _shifted_overflowing_spectrum:
+            h, error = _OVERFLOWING, ValueError
         monkeypatch.setattr(np.linalg, "eigh", faulty)
-        with pytest.raises(DiagonalizationError, match=check):
+        with pytest.raises(error, match=check):
             diagonalize(h)
 
 

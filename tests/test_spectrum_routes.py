@@ -196,7 +196,6 @@ def test_iterate_returns_each_last_evaluated_offset():
         lo=np.array([-reach, 0.0, -1.0, 0.0]),
         hi=np.array([0.0, 1.0, 0.0, reach]),
         delta_far=np.array([0.0, 1.0, -1.0, 0.0]),
-        far_left=np.array([False, False, True, False]),
         side=np.array([-1, 0, 0, 1]),
         branch=np.zeros(4, dtype=int),
     )
