@@ -27,6 +27,7 @@ from .model import (
     ModelParams,
     UniformCoupling,
     build_h1,
+    mode_frequencies,
 )
 from .sector import RegisterShape
 
@@ -165,7 +166,7 @@ def criterion_5() -> tuple[bool, str]:
         rest = np.sort(np.delete(evals, dark))
         match_err = float(np.max(np.abs(rest - roots)))
 
-        omegas = 2.0 * np.pi * np.arange(1, nb + 1) / nb
+        omegas = mode_frequencies(params)
         interlaced = bool(
             np.all(roots[:-1] < omegas) and np.all(omegas < roots[1:])
         )

@@ -465,12 +465,10 @@ class RelaxationFitError(RuntimeError):
 
 
 class RelaxationFit(NamedTuple):
-    """Exponential relaxation time of a fidelity decay, F ~ exp(-t/tau)."""
+    """Exponential relaxation time tau of a fidelity decay, F ~ exp(-t/tau),
+    and the late-window fidelity mean taken as its plateau."""
 
     tau: float
-    t_start: float
-    t_stop: float
-    n_points: int
     plateau: float
 
 
@@ -516,7 +514,7 @@ def fit_relaxation_time(times: np.ndarray, fid: np.ndarray) -> RelaxationFit:
     below = np.flatnonzero(fid[j:] < lo)
     if below.size:
         k = j + int(below[0])
-        if fid[k:].size and float(np.max(fid[k:])) > 0.5 * (lo + hi):
+        if float(np.max(fid[k:])) > 0.5 * (lo + hi):
             raise RelaxationFitError("oscillatory regime, fit skipped")
     if j - i0 + 1 < 8:
         raise RelaxationFitError(
@@ -529,13 +527,7 @@ def fit_relaxation_time(times: np.ndarray, fid: np.ndarray) -> RelaxationFit:
     (slope, _), *_ = np.linalg.lstsq(design, y, rcond=None)
     if slope >= 0.0:
         raise RelaxationFitError("no decay in the fitted segment")
-    return RelaxationFit(
-        tau=float(-1.0 / slope),
-        t_start=float(t_seg[0]),
-        t_stop=float(t_seg[-1]),
-        n_points=int(t_seg.size),
-        plateau=plateau,
-    )
+    return RelaxationFit(tau=float(-1.0 / slope), plateau=plateau)
 
 
 def quadratic_decay_coefficient(times: np.ndarray, fid: np.ndarray) -> float:

@@ -37,6 +37,7 @@ iteration, the kernel and that loop at higher rank, with dense sums.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +69,10 @@ _ORTHO_TOL = 1e-10
 #: values of G (above the QR's rounding) and coupling blocks this weak, and
 #: the closed form refuses two eigenvalues this close
 _CLUSTER_ULPS = 16
+#: the largest scale max(epsilon, omega_max, ||G||_2) of a model with a
+#: coupled mode that _deflate serves: its square, 2^1022, leaves a factor of
+#: two to the largest float for the sums of squares that the solves form
+_SCALE_MAX = 2.0**511
 #: near/far pole sums on evenly spaced poles (_grid_evaluate): the 2 _NEAR
 #: + 1 poles nearest the energy are summed exactly, the far ones by the
 #: powers p = 0.._ORDER of their series in s, the energy's offset from the
@@ -190,6 +195,12 @@ def _deflate(params: ModelParams) -> _Deflated:
       zero pins all m (m = 1: an uncoupled mode), and rank two or more
       raises DiagonalizationError. With no mode left coupled, the basis
       keeps its first direction only, whose secular equation is E = epsilon.
+
+    Every solve squares the reduced problem's entries, so a model with a
+    coupled mode whose scale max(epsilon, coupled omega_max, ||G||_2)
+    exceeds _SCALE_MAX raises ValueError; a coupling row whose squared norm
+    overflows counts as coupled. With no mode coupled nothing is squared,
+    and any scale is served.
     """
     n, epsilon = params.shape.n_qubits, params.epsilon
     g, omegas = coupling_matrix(params), mode_frequencies(params)
@@ -202,7 +213,8 @@ def _deflate(params: ModelParams) -> _Deflated:
         g = g @ spin[:, :rank]
     order = np.argsort(omegas, kind="stable")
     omegas, g = omegas[order], g[order]
-    coupled = np.linalg.norm(g, axis=1) > tol
+    with np.errstate(over="ignore"):  # a row norm that overflows is coupled, and refused below
+        coupled = np.linalg.norm(g, axis=1) > tol
     repeat = np.flatnonzero(np.diff(omegas) == 0.0)  # mode k + 1 is at mode k's frequency
     for k in repeat[np.diff(repeat, prepend=-2) > 1]:  # the first mode of each such group
         m = int(np.searchsorted(omegas, omegas[k], side="right")) - k
@@ -216,6 +228,12 @@ def _deflate(params: ModelParams) -> _Deflated:
         if s[0] > tol:
             g[k], coupled[k] = s[0] * wh[0], True
     rank = rank if coupled.any() else 1
+    scale = max(epsilon, float(np.max(omegas[coupled], initial=0.0)), float(sigma[0]))
+    if coupled.any() and not scale <= _SCALE_MAX:  # written so that NaN fails
+        raise ValueError(
+            f"model scale {scale:.3e} (epsilon, coupled frequencies, ||G||_2) "
+            "overflows float64 when squared"
+        )
     g = g[coupled, :rank]
     gg = (g.conj()[:, :, None] * g[:, None, :]).reshape(g.shape[0], rank * rank)
     return _Deflated(
@@ -354,7 +372,6 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     poles, epsilon, n_p = model.omegas, model.epsilon, model.omegas.size
     sqrt_w = np.abs(model.g[:, 0])
     dense, residuals = _secular_passes(poles, sqrt_w, _in_chunks(n_p, float, rows=n_p + 1))
-    evaluate = _grid_evaluate(poles, sqrt_w, dense) or dense
 
     def probe(zeros, lower, half, branch):
         mid = poles[lower] + half
@@ -366,8 +383,10 @@ def _secular_energies(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
         return right, mid - poles[near], _offset_zero(c, w_o, w_f, poles[far] - poles[near])
 
     # offsets of roots a few ulp from a pole overflow or underflow their pole
-    # terms; the bracket test turns a non-finite step into a bisection
+    # terms; the bracket test turns a non-finite step into a bisection. The
+    # near/far tables of a fine grid overflow, and _far_moments declines them
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        evaluate = _grid_evaluate(poles, sqrt_w, dense) or dense
         reach = float(np.linalg.norm(sqrt_w)) + 1.0
         brackets = _brackets(model, reach, probe, np.arange(1, n_p + 1), np.full(n_p, np.nan))
         base, origin = brackets.base, brackets.origin
@@ -468,7 +487,10 @@ def _secular_passes(poles, sqrt_w, driver):
 
 def _far_moments(poles: np.ndarray, weights: np.ndarray):
     """The spacing h, the shifts e_k / h and the far moments of weights W on
-    poles that are evenly spaced and at least _GRID_POLES many, else None.
+    poles that are evenly spaced and at least _GRID_POLES many, else None;
+    None too where a table overflows, as 1 / h^2 does at a spacing below
+    about 1e-154 (the caller ignores the overflow), so that the dense sums
+    serve.
 
     Evenly spaced means omega_k = omega_0 + k h + e_k with every |e_k| at
     most _GRID_ULPS ulp of omega_max (_grid_shift), which also leaves no
@@ -508,6 +530,8 @@ def _far_moments(poles: np.ndarray, weights: np.ndarray):
     spectrum = np.concatenate([kernels[0, :-1], kernels[1, 1:-1]]) * np.fft.rfft(weights, length)
     spectrum += np.concatenate([shifted[0], shifted[1, 1:]]) * np.fft.rfft(e * weights, length)
     moments = np.fft.irfft(spectrum, length)[:, :n]
+    if not np.all(np.isfinite(moments)):
+        return None
     return h, e / h, np.ascontiguousarray(moments.T)
 
 
@@ -604,9 +628,9 @@ def _five_smooth(n: int) -> int:
 def _in_chunks(n_cols, *scratch, rows=0):
     """The one row-chunk loop of both routes and the one owner of their
     (rows x n_cols) scratch arrays, one per dtype in scratch, allocated
-    once, at the first call of any pass it wraps, at the rows of the
-    largest of _row_chunks(rows, n_cols): a fresh array of that size costs
-    more than the pass that fills it.
+    once, here, at the rows of the largest of _row_chunks(rows, n_cols): a
+    fresh array of that size costs more than the pass that fills it, and
+    every caller runs a pass of the wrap as soon as it has built it.
     Returns wrap(fn), which builds a pass over at most rows rows (any
     number without scratch) from an fn that takes at most one chunk. fn
     gets each scratch array, cut to its chunk's rows, ahead of its per-row
@@ -616,12 +640,11 @@ def _in_chunks(n_cols, *scratch, rows=0):
     chunk. Every call of every pass that one wrap builds uses the same
     scratch: the root iteration's calls with fewer and fewer rows, and the
     secular route's residual pass after its dense sums."""
-    size, held = _row_chunks(rows, n_cols)[0].stop, []
+    size = _row_chunks(rows, n_cols)[0].stop
+    held = [np.empty((size, n_cols), t) for t in scratch]
 
     def wrap(fn):
         def chunked(*args):
-            if len(held) < len(scratch):  # the first call of a pass of this wrap
-                held.extend(np.empty((size, n_cols), t) for t in scratch)
             n_rows, outs = len(args[0]), ()
             for s in _row_chunks(n_rows, n_cols):
                 parts = fn(*(a[: s.stop - s.start] for a in held), *(a[s] for a in args))
@@ -771,7 +794,7 @@ def _secular_spectrum(model: _Deflated) -> tuple[np.ndarray, np.ndarray]:
     zeros, slope = _secular_energies(model)
     weights = 1.0 / slope
 
-    scale = max(1.0, float(np.sqrt(eps**2 + poles @ poles + 2.0 * model.norm**2)))
+    scale = max(1.0, math.hypot(eps, *poles, math.sqrt(2.0) * model.norm))
     defect = abs(float(zeros.sum()) - (eps + float(poles.sum())))
     if not defect <= _RESIDUAL_RTOL * scale:  # written so that NaN fails
         raise DiagonalizationError(

@@ -2,9 +2,12 @@
 package's source. The tests run on one installed NumPy, so this scan is
 the only check of the floor: it refuses an ``out=`` keyword on an
 ``np.fft`` call, a NumPy-2-only use that this package has already met, and
-the names that NumPy 2.0 added (NUMPY_TWO), by attribute or by import."""
+the names that NumPy 2.0 added (NUMPY_TWO), by attribute or by import. A
+second scan keeps numpy the package's one dependency: every absolute import
+is numpy or a standard-library module."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,20 @@ def test_source_keeps_the_declared_numpy_floor():
     assert modules
     found = {m.name: _numpy_two_uses(m.read_text()) for m in modules}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_source_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = {}
+    for module in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.setdefault(module.name, set()).update(
+                name for name in names if name.split(".")[0] not in allowed
+            )
+    assert {name: imports for name, imports in found.items() if imports} == {}
